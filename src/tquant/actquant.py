@@ -25,8 +25,14 @@ from . import tensor as T
 SCHEMES = ("minmax8", "symmetric8")
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Nearest integer, ties away from zero; ``out`` may be ``x`` to round in place.
+
+    ``trunc(x + copysign(0.5, x))`` equals ``copysign(floor(|x| + 0.5), x)``
+    bit for bit, signed zeros included, because round-to-nearest is
+    symmetric in sign.
+    """
+    return np.trunc(np.add(x, np.copysign(0.5, x), out=out), out=out)
 
 
 @dataclass

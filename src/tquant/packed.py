@@ -55,30 +55,41 @@ class ChecksumError(ModelFileError):
 # code packing
 
 
+# the 2-bit field of each int8 code, indexed by the code's byte:
+# +1 -> 01, -1 -> 10, anything else -> 00
+_FIELD = np.zeros(256, dtype=np.uint8)
+_FIELD[1], _FIELD[255] = 1, 2
+# two adjacent codes, read as one native-order uint16, to their 4-bit nibble
+_PACK_PAIR = np.bitwise_or.reduce(
+    _FIELD[np.arange(1 << 16, dtype=np.uint16).view(np.uint8).reshape(-1, 2)]
+    << np.array([0, 2], dtype=np.uint8), axis=1)
+# a packed byte to its four codes, held as one native-order uint32
+_UNPACK_BYTE = np.array([[(0, 1, -1, 0)[(b >> s) & 3] for s in (0, 2, 4, 6)]
+                         for b in range(256)], dtype=np.int8).view(np.uint32).ravel()
+
+
 def pack_codes_2bit(codes: np.ndarray) -> bytes:
     flat = np.ascontiguousarray(codes, dtype=np.int8).reshape(-1)
-    mapped = np.zeros(flat.size, dtype=np.uint8)
-    mapped[flat == 1] = 1
-    mapped[flat == -1] = 2
     pad = (-flat.size) % 4
     if pad:
-        mapped = np.concatenate([mapped, np.zeros(pad, dtype=np.uint8)])
-    quads = mapped.reshape(-1, 4)
-    packed = quads[:, 0] | (quads[:, 1] << 2) | (quads[:, 2] << 4) | (quads[:, 3] << 6)
-    return packed.astype(np.uint8).tobytes()
+        flat = np.concatenate([flat, np.zeros(pad, dtype=np.int8)])
+    nibbles = _PACK_PAIR[flat.view(np.uint16)].reshape(-1, 2)
+    return (nibbles[:, 0] | (nibbles[:, 1] << 4)).tobytes()
 
 
 def unpack_codes_2bit(data: bytes, count: int) -> np.ndarray:
     raw = np.frombuffer(data, dtype=np.uint8)
     if raw.size * 4 < count:
         raise TruncatedFileError("2-bit payload shorter than element count")
-    fields = np.stack([(raw >> s) & 3 for s in (0, 2, 4, 6)], axis=1).reshape(-1)[:count]
-    if np.any(fields == 3):
+    raw = raw[:(count + 3) // 4]
+    # a field is the reserved 11 when both its bits are set; the fields of
+    # the last byte past ``count`` are padding and go unchecked
+    reserved = raw & (raw >> 1) & 0x55
+    if count % 4:
+        reserved[-1] &= (1 << 2 * (count % 4)) - 1
+    if reserved.any():
         raise ModelFileError("reserved 2-bit code 11 present")
-    out = np.zeros(count, dtype=np.int8)
-    out[fields == 1] = 1
-    out[fields == 2] = -1
-    return out
+    return _UNPACK_BYTE[raw].view(np.int8)[:count]
 
 
 def pack_codes_3bit(codes: np.ndarray) -> bytes:

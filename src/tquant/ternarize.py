@@ -16,6 +16,22 @@ whole matrix ("layer") or one scale per row ("row").  Methods:
 * ``quantize_int8`` -- symmetric 8-bit codes in {-127..127} (layer-wise),
   for the 8-bit weight baseline.
 
+Every solver works on a group matrix of shape ``(groups, n)``: one row per
+scale.  Row granularity uses the matrix as it is; layer granularity is the
+single group ``w.reshape(1, -1)``, so both run the same code.  Rows go
+through the solvers in blocks of about ``BLOCK_ELEMENTS`` elements, and
+each block is converted to float64 on its own, so a row-wise pass over a
+large float32 embedding never holds a float64 copy of the whole matrix.
+
+``laq3``'s scan is a prefix scan.  As the scale sweeps down from +inf,
+element i steps up a level at each breakpoint ``|w_i| / (k - 0.5)``; in
+descending breakpoint order, the level an element has before a breakpoint
+is that breakpoint's rank among the element's own (0, 1 or 2).  The
+objective's two running sums are then ``np.add.accumulate`` over the sorted
+breakpoints, which adds in the same order as a sequential loop, the winner
+is the first strict minimum below the zero-code objective, and the levels
+are a ``np.bincount`` over the winning prefix.
+
 All group arithmetic runs in float64 and scales are stored as float32, so
 re-quantizing a dequantized ternary tensor reproduces codes and scales
 bit-exactly.
@@ -27,10 +43,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .actquant import round_half_away
 from .tensor import ShapeError
 
 GRANULARITIES = ("layer", "row")
 METHODS = ("twn_approx", "twn_exact", "lat_exact", "lat_approx", "laq3")
+
+# float64 elements per block of rows (512 KiB per temporary): large enough
+# that numpy's per-call overhead vanishes, small enough that the repeated
+# passes over a block stay near the CPU caches; 2^15 to 2^17 time alike
+BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -84,15 +106,10 @@ class TernaryTensor:
         if np.any(self.scales < 0):
             raise ValueError("scales must be nonnegative")
         # zero scale only for an all-zero group
-        per_group = self._group_codes()
-        for g, (alpha, codes) in enumerate(zip(self.scales, per_group)):
-            if alpha == 0 and np.any(codes):
-                raise ValueError(f"group {g} has zero scale but nonzero codes")
-
-    def _group_codes(self):
-        if self.granularity == "layer":
-            return [self.codes.reshape(-1)]
-        return list(self.codes)
+        groups = self.codes.reshape(self.scales.size, -1)
+        bad = (self.scales == 0) & groups.any(axis=1)
+        if bad.any():
+            raise ValueError(f"group {int(np.argmax(bad))} has zero scale but nonzero codes")
 
 
 def threshold_indicator(x: np.ndarray, delta: float) -> np.ndarray:
@@ -103,8 +120,14 @@ def threshold_indicator(x: np.ndarray, delta: float) -> np.ndarray:
     return out
 
 
+def _signs(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """sign(x) as int8 where ``keep``, else 0."""
+    return (keep & (x > 0)).view(np.int8) - (keep & (x < 0)).view(np.int8)
+
+
 def _as_matrix(w) -> np.ndarray:
-    arr = np.asarray(getattr(w, "data", w), dtype=np.float64)
+    """The input as a 2-D array in its own dtype; blocks convert to float64."""
+    arr = np.asarray(getattr(w, "data", w))
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
@@ -114,190 +137,227 @@ def _as_matrix(w) -> np.ndarray:
     return arr
 
 
-def _rows_of(arr: np.ndarray, granularity: str):
-    if granularity == "layer":
-        return [arr.reshape(-1)]
-    return list(arr)
+def _second_moments(v, shape) -> np.ndarray:
+    vv = np.asarray(getattr(v, "data", v)).reshape(shape)
+    if np.any(vv < 0):
+        raise ValueError("second moments must be nonnegative")
+    return vv
 
 
-def _assemble(shape, granularity, results, max_level=1) -> TernaryTensor:
-    if granularity == "row":
-        codes = np.stack([c for c, _, _ in results]).reshape(shape)
-    else:
-        codes = results[0][0].reshape(shape)
-    scales = np.array([a for _, a, _ in results], dtype=np.float32)
-    thresholds = np.array([d for _, _, d in results], dtype=np.float32)
-    return TernaryTensor(codes=codes, scales=scales, granularity=granularity,
-                         thresholds=thresholds, max_level=max_level)
+def _floored_sqrt(v: np.ndarray, v_floor: float) -> np.ndarray:
+    return np.sqrt(np.maximum(np.ascontiguousarray(v, dtype=np.float64), v_floor))
+
+
+def _quantize(solve, w, granularity: str, v=None, v_floor: float = 1e-12,
+              max_level: int = 1, **kwargs) -> TernaryTensor:
+    """Run ``solve`` over the group matrix of ``w`` one block of rows at a time.
+
+    ``solve(x[, u], **kwargs)`` takes a C-contiguous float64 block of groups
+    (and the matching floored sqrt(v)) and returns int8 codes and per-group
+    scales and thresholds.
+    """
+    arr = _as_matrix(w)
+    groups = arr.reshape(1, -1) if granularity == "layer" else arr
+    vg = None if v is None else _second_moments(v, arr.shape).reshape(groups.shape)
+    rows, n = groups.shape
+    codes = np.empty((rows, n), dtype=np.int8)
+    scales = np.empty(rows)
+    thresholds = np.empty(rows)
+    step = max(1, BLOCK_ELEMENTS // n)
+    for r in range(0, rows, step):
+        b = slice(r, r + step)
+        x = np.ascontiguousarray(groups[b], dtype=np.float64)
+        u = () if vg is None else (_floored_sqrt(vg[b], v_floor),)
+        codes[b], scales[b], thresholds[b] = solve(x, *u, **kwargs)
+    return TernaryTensor(codes=codes.reshape(arr.shape), scales=scales,
+                         granularity=granularity, thresholds=thresholds,
+                         max_level=max_level)
 
 
 # ---------------------------------------------------------------------------
-# per-group solvers (1-D float64 input)
+# group-matrix solvers: float64 (groups, n) in; codes, scales, thresholds out
 
 
-def _group_twn_approx(w: np.ndarray):
-    aw = np.abs(w)
-    delta = 0.7 * aw.sum() / w.size
-    codes = threshold_indicator(w, delta)
-    support = codes != 0
-    if not support.any():
-        return np.zeros(w.size, dtype=np.int8), 0.0, delta
-    alpha = aw[support].sum() / support.sum()
-    return codes, alpha, delta
+def _twn_delta(a: np.ndarray) -> np.ndarray:
+    return 0.7 * a.sum(axis=1) / a.shape[1]
 
 
-def _group_twn_exact(w: np.ndarray):
-    aw = np.abs(w)
-    order = np.argsort(-aw, kind="stable")
-    a = aw[order]
-    m = int((a > 0).sum())
-    if m == 0:
-        return np.zeros(w.size, dtype=np.int8), 0.0, 0.0
-    cums = np.cumsum(a[:m])
-    ks = np.arange(1, m + 1)
-    lower = np.append(a[1:m], a[m] if m < w.size else 0.0)
+def _solve_twn_approx(x: np.ndarray):
+    a = np.abs(x)
+    delta = _twn_delta(a)
+    support = a > delta[:, None]
+    count = np.count_nonzero(support, axis=1)
+    total = (a * support).sum(axis=1)
+    alpha = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
+    return _signs(x, support), alpha, delta
+
+
+def _solve_twn_exact(x: np.ndarray):
+    a = np.abs(x)
+    g, n = a.shape
+    desc = np.sort(a, axis=1)[:, ::-1]
+    cums = np.cumsum(desc, axis=1)
+    lower = np.zeros_like(desc)
+    lower[:, :-1] = desc[:, 1:]
     # a cut is realizable by a strict threshold only between distinct |w|
-    valid = a[:m] > lower
-    gain = np.where(valid, cums * cums / ks, -np.inf)
-    k = int(np.argmax(gain)) + 1
-    alpha = cums[k - 1] / k
-    delta = 0.5 * (a[k - 1] + lower[k - 1])
-    codes = np.zeros(w.size, dtype=np.int8)
-    codes[order[:k]] = np.sign(w[order[:k]])
+    gain = np.where(desc > lower, cums * cums / np.arange(1, n + 1), -np.inf)
+    k = np.argmax(gain, axis=1)
+    rows = np.arange(g)
+    live = desc[:, 0] > 0
+    cut = desc[rows, k]
+    alpha = np.where(live, cums[rows, k] / (k + 1), 0.0)
+    delta = np.where(live, 0.5 * (cut + lower[rows, k]), 0.0)
+    # the cut sits between distinct values, so the prefix is |w| >= cut
+    codes = _signs(x, a >= np.where(live, cut, np.inf)[:, None])
     return codes, alpha, delta
 
 
-def _group_lat_exact(w: np.ndarray, u: np.ndarray):
-    aw = np.abs(w)
-    order = np.argsort(-aw, kind="stable")
-    a = aw[order]
-    m = int((a > 0).sum())
-    if m == 0:
-        return np.zeros(w.size, dtype=np.int8), 0.0, 0.0
-    uo = u[order]
-    cum_uw = np.cumsum(uo[:m] * a[:m])
-    cum_u = np.cumsum(uo[:m])
+def _stable_desc_order(a: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.argsort(-a, axis=1, kind="stable")`` for ``a >= 0``.
+
+    When every magnitude is a float32 value, as it is for float32 weights,
+    its float32 bit pattern ranks it; packed above the column index it makes
+    distinct int64 keys whose plain sort is the stable order, several times
+    faster than a stable argsort.
+    """
+    f = a.astype(np.float32)
+    if a.shape[1] >= 1 << 32 or not np.array_equal(f, a):
+        return np.argsort(-a, axis=1, kind="stable")
+    keys = (0x7F800000 - f.view(np.int32).astype(np.int64)) << 32 | np.arange(a.shape[1])
+    keys.sort(axis=1)
+    return keys & 0xFFFFFFFF
+
+
+def _solve_lat_exact(x: np.ndarray, u: np.ndarray):
+    a = np.abs(x)
+    g, n = a.shape
+    order = _stable_desc_order(a)
+    desc = np.take_along_axis(a, order, axis=1)
+    us = np.take_along_axis(u, order, axis=1)
+    cum_uw = np.cumsum(us * desc, axis=1)
+    cum_u = np.cumsum(us, axis=1)
     # every sorted-|w| prefix is a feasible code vector; the jointly optimal
     # support is threshold-shaped, hence among the prefixes
-    gain = cum_uw * cum_uw / cum_u
-    k = int(np.argmax(gain)) + 1
-    alpha = cum_uw[k - 1] / cum_u[k - 1]
-    lower = a[k] if k < w.size else 0.0
-    delta = 0.5 * (a[k - 1] + lower)
-    codes = np.zeros(w.size, dtype=np.int8)
-    codes[order[:k]] = np.sign(w[order[:k]])
-    return codes, alpha, delta
+    gain = np.where(desc > 0, cum_uw * cum_uw / cum_u, -np.inf)
+    k = np.argmax(gain, axis=1)
+    rows = np.arange(g)
+    live = desc[:, 0] > 0
+    alpha = np.where(live, cum_uw[rows, k] / cum_u[rows, k], 0.0)
+    lower = np.where(k + 1 < n, desc[rows, np.minimum(k + 1, n - 1)], 0.0)
+    delta = np.where(live, 0.5 * (desc[rows, k] + lower), 0.0)
+    # ties in |w| may straddle the cut, so the support is the stable-order
+    # prefix itself, scattered back to element order
+    support = np.empty((g, n), dtype=bool)
+    np.put_along_axis(support, order, np.arange(n) <= np.where(live, k, -1)[:, None],
+                      axis=1)
+    return _signs(x, support), alpha, delta
 
 
-def _group_lat_approx(w: np.ndarray, u: np.ndarray, iters: int):
-    aw = np.abs(w)
-    base = (u * aw * aw).sum()
+def _stable_prefix(a: np.ndarray, desc: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The first ``k`` elements of each row in stable descending-|w| order."""
+    cut = desc[np.arange(len(a)), k - 1][:, None]
+    keep = a >= cut
+    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    if over.size:
+        # ties straddle the cut: keep only the earliest of the tied elements
+        tie = a[over] == cut[over]
+        room = k[over] - np.count_nonzero(a[over] > cut[over], axis=1)
+        keep[over] &= ~tie | (np.cumsum(tie, axis=1) <= room[:, None])
+    return keep
+
+
+def _solve_lat_approx(x: np.ndarray, u: np.ndarray, iters: int):
+    a = np.abs(x)
+    ua = u * a
+    base = (ua * a).sum(axis=1)
 
     def alpha_for(support):
-        du = u[support].sum()
-        if du == 0.0:
-            return 0.0
-        return (u[support] * aw[support]).sum() / du
-
-    def alternate(support):
-        alpha = 0.0
-        for _ in range(iters):
-            alpha = alpha_for(support)
-            if alpha == 0.0:
-                break
-            support = aw > 0.5 * alpha
-        alpha = alpha_for(support)
-        obj = base - 2.0 * alpha * (u[support] * aw[support]).sum() \
-            + alpha * alpha * u[support].sum()
-        return obj, support, alpha
+        du = (u * support).sum(axis=1)
+        num = (ua * support).sum(axis=1)
+        alpha = np.divide(num, du, out=np.zeros_like(num), where=du != 0)
+        return alpha, num, du
 
     # first start is the plain TWN-threshold support; alternating can stall
     # in a poor basin under skewed curvature, so restart from a few
-    # sorted-|w| prefixes and keep the best fixed point
-    starts = [_group_twn_approx(w)[0] != 0]
-    nonzero = int((aw > 0).sum())
-    order = np.argsort(-aw, kind="stable")
-    for frac in (1.0, 0.5, 0.25):
-        k = max(1, int(round(frac * nonzero)))
-        s = np.zeros(w.size, dtype=bool)
-        s[order[:k]] = True
-        starts.append(s)
+    # sorted-|w| prefixes (all, half, a quarter of the nonzeros) and keep
+    # the best fixed point
+    nonzero = np.count_nonzero(a, axis=1)
+    desc = np.sort(a, axis=1)[:, ::-1]
+    starts = [a > _twn_delta(a)[:, None], a > 0]
+    for frac in (0.5, 0.25):
+        k = np.maximum(1, np.round(frac * nonzero).astype(np.int64))
+        starts.append(_stable_prefix(a, desc, k))
 
-    best = None
-    for s in starts:
-        if not s.any():
-            continue
-        result = alternate(s.copy())
-        if best is None or result[0] < best[0]:
-            best = result
-    if best is None:
-        return np.zeros(w.size, dtype=np.int8), 0.0, 0.0
-    _, support, alpha = best
-    codes = np.where(support, np.sign(w), 0.0).astype(np.int8)
+    best_obj = np.full(len(a), np.inf)
+    best_support = starts[0]
+    best_alpha = np.zeros(len(a))
+    for support in starts:
+        for _ in range(iters):
+            # the scale is a weighted mean of |w| over a support of nonzeros,
+            # so the new support is never empty
+            support = a > 0.5 * alpha_for(support)[0][:, None]
+        alpha, num, du = alpha_for(support)
+        obj = base - 2.0 * alpha * num + alpha * alpha * du
+        better = obj < best_obj
+        best_obj = np.where(better, obj, best_obj)
+        best_alpha = np.where(better, alpha, best_alpha)
+        best_support = np.where(better[:, None], support, best_support)
+
+    live = nonzero > 0
+    alpha = np.where(live, best_alpha, 0.0)
+    codes = _signs(x, best_support & live[:, None])
     return codes, alpha, 0.5 * alpha
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+_LAQ3_STEPS = np.array([0.5, 1.5, 2.5])
 
 
-def _group_laq3(w: np.ndarray, u: np.ndarray, iters: int):
-    aw = np.abs(w)
-    n = w.size
-    if not (aw > 0).any():
-        return np.zeros(n, dtype=np.int8), 0.0, 0.0
-    base = float((u * aw * aw).sum())
+def _solve_laq3(x: np.ndarray, u: np.ndarray, iters: int):
+    a = np.abs(x)
+    g, n = a.shape
+    rows = np.arange(g)
+    base = (u * a * a).sum(axis=1)
 
     # Exact scan: as alpha sweeps down from +inf, element i steps to level
     # k at alpha = |w_i| / (k - 0.5); between breakpoints the rounding
     # vector is constant and the scale has a closed weighted-LS form.
-    bounds = aw[:, None] / np.array([0.5, 1.5, 2.5])
-    idx = np.repeat(np.arange(n), 3)
-    flat = bounds.reshape(-1)
-    pos = flat > 0
-    idx, flat = idx[pos], flat[pos]
-    order = np.argsort(-flat, kind="stable")
+    bounds = (a[:, :, None] / _LAQ3_STEPS).reshape(g, 3 * n)
+    order = np.argsort(-bounds, axis=1, kind="stable")
+    elem, level = np.divmod(order, 3)   # the element and its level before the step
+    ue = np.take_along_axis(u, elem, axis=1)
+    s1 = np.add.accumulate(ue * np.take_along_axis(a, elem, axis=1), axis=1)
+    s2 = np.add.accumulate(ue * (2 * level + 1), axis=1)
+    obj = base[:, None] - s1 * s1 / s2
+    # zero breakpoints sort last and are never steps
+    obj[np.take_along_axis(bounds, order, axis=1) <= 0] = np.inf
+    t = np.argmin(obj, axis=1)
+    won = obj[rows, t] < base
+    alpha = np.where(won, s1[rows, t] / s2[rows, t], 0.0)
+    prefix = np.arange(3 * n) <= np.where(won, t, -1)[:, None]
+    lev = np.bincount((elem + (rows * n)[:, None])[prefix],
+                      minlength=g * n).reshape(g, n).astype(np.float64)
 
-    lev = np.zeros(n, dtype=np.int64)
-    s1 = 0.0
-    s2 = 0.0
-    best_obj = base
-    best_lev = lev.copy()
-    best_alpha = 0.0
-    for e in order:
-        i = idx[e]
-        s1 += u[i] * aw[i]
-        s2 += u[i] * (2 * lev[i] + 1)
-        lev[i] += 1
-        obj = base - s1 * s1 / s2
-        if obj < best_obj:
-            best_obj = obj
-            best_lev = lev.copy()
-            best_alpha = s1 / s2
-
-    lev, alpha = best_lev, best_alpha
-    # alternating refinement: round-to-level step, then weighted LS scale
+    # alternating refinement: round-to-level step, then weighted LS scale;
+    # a least-squares scale is at most max|w|, so some level stays >= 1
+    live = alpha != 0.0
     for _ in range(iters):
-        if alpha == 0.0:
-            break
-        lev = np.minimum(_round_half_away(aw / alpha), 3.0).astype(np.int64)
-        den = (u * lev * lev).sum()
-        if den == 0.0:
-            alpha = 0.0
-            lev = np.zeros(n, dtype=np.int64)
-            break
-        alpha = (u * lev * aw).sum() / den
-    codes = (np.sign(w) * lev).astype(np.int8)
+        step = np.minimum(round_half_away(a / np.where(live, alpha, 1.0)[:, None]), 3.0)
+        lev = np.where(live[:, None], step, lev)
+        den = (u * lev * lev).sum(axis=1)
+        alpha = np.divide((u * lev * a).sum(axis=1), den, out=np.zeros_like(den), where=live)
+    codes = (np.sign(x) * lev).astype(np.int8)
     return codes, alpha, 0.5 * alpha
 
 
-def _group_int8(w: np.ndarray):
-    peak = np.abs(w).max()
-    if peak == 0.0:
-        return np.zeros(w.size, dtype=np.int8), 0.0, 0.0
-    alpha = peak / 127.0
-    codes = np.clip(_round_half_away(w / alpha), -127, 127).astype(np.int8)
-    return codes, alpha, alpha
+def _solve_int8(x: np.ndarray):
+    peak = np.maximum(x.max(axis=1), -x.min(axis=1))
+    live = peak > 0
+    alpha = np.where(live, peak / 127.0, 0.0)
+    # one float64 buffer for the whole rounding: the block can be a full
+    # layer, and fresh buffers of that size cost more than the arithmetic
+    codes = x / np.where(live, alpha, 1.0)[:, None]
+    round_half_away(codes, out=codes)
+    return np.clip(codes, -127, 127, out=codes).astype(np.int8), alpha, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -305,52 +365,29 @@ def _group_int8(w: np.ndarray):
 
 
 def twn_approx(w, granularity: str = "layer") -> TernaryTensor:
-    arr = _as_matrix(w)
-    results = [_group_twn_approx(g) for g in _rows_of(arr, granularity)]
-    return _assemble(arr.shape, granularity, results)
+    return _quantize(_solve_twn_approx, w, granularity)
 
 
 def twn_exact(w, granularity: str = "layer") -> TernaryTensor:
-    arr = _as_matrix(w)
-    results = [_group_twn_exact(g) for g in _rows_of(arr, granularity)]
-    return _assemble(arr.shape, granularity, results)
-
-
-def _floored_sqrt_v(v, shape, v_floor: float) -> np.ndarray:
-    vv = np.asarray(getattr(v, "data", v), dtype=np.float64).reshape(shape)
-    if np.any(vv < 0):
-        raise ValueError("second moments must be nonnegative")
-    return np.sqrt(np.maximum(vv, v_floor))
+    return _quantize(_solve_twn_exact, w, granularity)
 
 
 def lat_subproblem(w, v, granularity: str = "layer", mode: str = "exact",
                    iters: int = 3, v_floor: float = 1e-12) -> TernaryTensor:
-    arr = _as_matrix(w)
-    u = _floored_sqrt_v(v, arr.shape, v_floor)
     if mode == "exact":
-        results = [_group_lat_exact(g, ug)
-                   for g, ug in zip(_rows_of(arr, granularity), _rows_of(u, granularity))]
-    elif mode == "approx":
-        results = [_group_lat_approx(g, ug, iters)
-                   for g, ug in zip(_rows_of(arr, granularity), _rows_of(u, granularity))]
-    else:
-        raise ValueError(f"unknown lat mode {mode!r}")
-    return _assemble(arr.shape, granularity, results)
+        return _quantize(_solve_lat_exact, w, granularity, v, v_floor)
+    if mode == "approx":
+        return _quantize(_solve_lat_approx, w, granularity, v, v_floor, iters=iters)
+    raise ValueError(f"unknown lat mode {mode!r}")
 
 
 def laq3(w, v, granularity: str = "layer", iters: int = 3,
          v_floor: float = 1e-12) -> TernaryTensor:
-    arr = _as_matrix(w)
-    u = _floored_sqrt_v(v, arr.shape, v_floor)
-    results = [_group_laq3(g, ug, iters)
-               for g, ug in zip(_rows_of(arr, granularity), _rows_of(u, granularity))]
-    return _assemble(arr.shape, granularity, results, max_level=3)
+    return _quantize(_solve_laq3, w, granularity, v, v_floor, max_level=3, iters=iters)
 
 
 def quantize_int8(w, granularity: str = "layer") -> TernaryTensor:
-    arr = _as_matrix(w)
-    results = [_group_int8(g) for g in _rows_of(arr, granularity)]
-    return _assemble(arr.shape, granularity, results, max_level=127)
+    return _quantize(_solve_int8, w, granularity, max_level=127)
 
 
 def ternarize(w, config: QuantConfig, v=None) -> TernaryTensor:
@@ -379,9 +416,9 @@ def dequantize(t: TernaryTensor) -> np.ndarray:
 
 def weighted_residual(w, t: TernaryTensor, v=None, v_floor: float = 1e-12) -> float:
     """Residual ||w - dequantize(t)||^2 under Diag(sqrt(v)), float64."""
-    arr = _as_matrix(w)
+    arr = _as_matrix(w).astype(np.float64)
     diff = arr - dequantize(t).astype(np.float64).reshape(arr.shape)
     if v is None:
         return float((diff * diff).sum())
-    u = _floored_sqrt_v(v, arr.shape, v_floor)
+    u = _floored_sqrt(_second_moments(v, arr.shape), v_floor)
     return float((u * diff * diff).sum())

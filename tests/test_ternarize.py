@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from tquant import ternarize as tz
 from tquant.tensor import ShapeError
 
+import reference_ternarize
 from oracles import brute_force_quant, twn_approx_scalar
 
 
@@ -299,3 +302,73 @@ class TestInvariants:
         assert t.max_level == 127
         deq = tz.dequantize(t)
         assert np.abs(deq - w).max() <= t.scales[0] / 2 + 1e-6
+
+
+# -- differential: the blocked group-matrix solvers against the frozen
+# per-group ones, bit for bit
+
+
+def _quantize(method, w, v, gran):
+    if method == "twn_approx":
+        return tz.twn_approx(w, gran)
+    if method == "twn_exact":
+        return tz.twn_exact(w, gran)
+    if method == "lat_exact":
+        return tz.lat_subproblem(w, v, gran, "exact")
+    if method == "lat_approx":
+        return tz.lat_subproblem(w, v, gran, "approx")
+    if method == "laq3":
+        return tz.laq3(w, v, gran)
+    return tz.quantize_int8(w, gran)
+
+
+def _differential_cases():
+    rng = np.random.default_rng(31)
+    zero_rows = rng.standard_normal((7, 10))
+    zero_rows[[0, 3, 6]] = 0.0
+    return {
+        "gaussian": (rng.standard_normal((9, 37)), rng.random((9, 37)) * 3),
+        # ties and exact zeros in w, and zeros in v that hit the floor
+        "small-int": (rng.integers(-3, 4, (8, 24)).astype(np.float64),
+                      rng.integers(0, 3, (8, 24)).astype(np.float64)),
+        "small-int-flat-v": (rng.integers(-2, 3, (6, 16)).astype(np.float64),
+                             np.ones((6, 16))),
+        "zero-rows": (zero_rows, rng.random((7, 10))),
+        "all-zero": (np.zeros((3, 5)), rng.random((3, 5))),
+        # |w| sums to 10 over 7 entries: the TWN threshold is exactly 1.0
+        "on-threshold": (np.array([[3.0, 1, -1, 2, 1, -2, 0], [1, -3, 0, 2, -2, 1, 1]]),
+                         np.array([[1.0, 2, 1, 3, 1, 1, 2], [2, 1, 1, 1, 3, 1, 1]])),
+        "1x1": (np.array([[0.7]]), np.array([[2.0]])),
+        "one-column": (rng.standard_normal((12, 1)), rng.random((12, 1))),
+        "float32": ((rng.standard_normal((16, 48)) * 0.02).astype(np.float32),
+                    rng.lognormal(-14.0, 2.0, (16, 48)).astype(np.float32)),
+        # 23 rows of 20 in blocks of 3 rows: eight blocks, the last partial
+        "many-blocks": (rng.standard_normal((23, 20)), rng.random((23, 20))),
+    }
+
+
+@pytest.mark.parametrize("block", [tz.BLOCK_ELEMENTS, 64])
+@pytest.mark.parametrize("method", ["twn_approx", "twn_exact", "lat_exact",
+                                    "lat_approx", "laq3", "int8"])
+@pytest.mark.parametrize("gran", ["layer", "row"])
+def test_matches_frozen_per_group_solvers(method, gran, block, monkeypatch):
+    monkeypatch.setattr(tz, "BLOCK_ELEMENTS", block)
+    for name, (w, v) in _differential_cases().items():
+        want = reference_ternarize.quantize(method, w, v, gran)
+        got = _quantize(method, w, v, gran)
+        assert got.granularity == want.granularity and got.max_level == want.max_level
+        assert got.codes.shape == want.codes.shape, name
+        np.testing.assert_array_equal(got.codes, want.codes, err_msg=name)
+        assert got.scales.tobytes() == want.scales.tobytes(), name
+        assert got.thresholds.tobytes() == want.thresholds.tobytes(), name
+
+
+def test_rowwise_peak_memory_below_one_float64_copy():
+    w = np.random.default_rng(32).standard_normal((8192, 768), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        tz.twn_approx(w, "row")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < w.size * np.dtype(np.float64).itemsize

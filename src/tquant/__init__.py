@@ -2,8 +2,8 @@
 for a desk-scale transformer encoder."""
 
 from .tensor import GradTape, Tensor
-from .ternarize import (QuantConfig, TernaryTensor, dequantize, laq3,
-                        lat_subproblem, twn_approx, twn_exact)
+from .ternarize import (TernaryTensor, dequantize, laq3, lat_subproblem, quantize,
+                        twn_approx, twn_exact)
 from .actquant import quantize_minmax, quantize_symmetric
 from .packed import SizeReport, load_model, pack, save_model, size_report, unpack
 from .qkernels import GemmPlan, ternary_gemm
@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GradTape", "Tensor",
-    "QuantConfig", "TernaryTensor", "dequantize", "laq3", "lat_subproblem",
+    "TernaryTensor", "dequantize", "laq3", "lat_subproblem", "quantize",
     "twn_approx", "twn_exact",
     "quantize_minmax", "quantize_symmetric",
     "SizeReport", "load_model", "pack", "save_model", "size_report", "unpack",

@@ -15,9 +15,9 @@ import sys
 import numpy as np
 
 from . import actquant, metrics, qkernels, tasks
-from .model import (ModelConfig, QuantPlan, bert_base_config, build_leaves,
-                    forward, params_from_loaded, plan_from_notation,
-                    to_saved_tensors)
+from .model import (ACT_ALIASES, METHOD_ALIASES, ModelConfig, QuantPlan,
+                    bert_base_config, build_leaves, forward, params_from_loaded,
+                    plan_from_notation, to_saved_tensors)
 from .packed import ModelFileError, load_model, save_model, size_report
 from .train import (DistillLossConfig, OptimizerConfig, TrainSettings,
                     TrainState, TrainingDiverged, evaluate, run_training,
@@ -37,11 +37,10 @@ ABLATIONS = {
 
 def _add_plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plan", default="2-2-8", help="W-E-A bit triple, e.g. 2-2-8")
-    p.add_argument("--method", default="twn",
-                   choices=["twn", "twn-exact", "lat", "lat-exact", "laq3"])
+    p.add_argument("--method", default="twn", choices=list(METHOD_ALIASES))
     p.add_argument("--w-gran", default="layer", choices=["layer", "row"])
     p.add_argument("--e-gran", default="row", choices=["layer", "row"])
-    p.add_argument("--act", default="minmax", choices=["minmax", "sym"])
+    p.add_argument("--act", default="minmax", choices=list(ACT_ALIASES))
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -129,6 +128,14 @@ def cmd_size(args) -> int:
     return EXIT_OK
 
 
+def _datasets(args):
+    """The run's train set (seed) and eval set (seed + 1) of ``--task``."""
+    return (tasks.make_dataset(args.task, args.train_n, args.seq_len, args.vocab,
+                               args.seed),
+            tasks.make_dataset(args.task, args.eval_n, args.seq_len, args.vocab,
+                               args.seed + 1))
+
+
 def _train_teacher(args, config, data_train, data_eval):
     opt = OptimizerConfig(lr=args.teacher_lr)
     settings = TrainSettings(epochs=args.teacher_epochs, batch_size=args.batch,
@@ -142,18 +149,7 @@ def cmd_train(args) -> int:
     classes = tasks.task_classes(args.task)
     config = _config_from_args(args, classes)
     plan = _plan_from_args(args)
-    data_train = tasks.TASKS[args.task](args.train_n, seq_len=args.seq_len,
-                                        vocab=args.vocab, seed=args.seed) \
-        if args.task == "parity" else \
-        tasks.make_majority_dataset(args.train_n, seq_len=args.seq_len,
-                                    classes=classes, vocab=args.vocab,
-                                    seed=args.seed)
-    data_eval = tasks.TASKS[args.task](args.eval_n, seq_len=args.seq_len,
-                                       vocab=args.vocab, seed=args.seed + 1) \
-        if args.task == "parity" else \
-        tasks.make_majority_dataset(args.eval_n, seq_len=args.seq_len,
-                                    classes=classes, vocab=args.vocab,
-                                    seed=args.seed + 1)
+    data_train, data_eval = _datasets(args)
     tasks.save_dataset(str(_out_path(args, "train_data.jsonl")), data_train)
     tasks.save_dataset(str(_out_path(args, "eval_data.jsonl")), data_eval)
 
@@ -241,8 +237,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    scheme = {"minmax": "minmax8", "sym": "symmetric8"}[args.act]
-    plan = qkernels.GemmPlan(m=args.m, n=args.n, k=args.k, act_scheme=scheme)
+    plan = qkernels.GemmPlan(m=args.m, n=args.n, k=args.k,
+                             act_scheme=ACT_ALIASES[args.act])
     rec = qkernels.bench_gemm(plan, args.reps,
                               np.random.default_rng(args.seed)).to_dict()
     rec["seed"] = args.seed
@@ -254,12 +250,7 @@ def cmd_bench(args) -> int:
 def cmd_ablate(args) -> int:
     classes = tasks.task_classes(args.task)
     config = _config_from_args(args, classes)
-    data_train = tasks.make_majority_dataset(args.train_n, seq_len=args.seq_len,
-                                             classes=classes, vocab=args.vocab,
-                                             seed=args.seed)
-    data_eval = tasks.make_majority_dataset(args.eval_n, seq_len=args.seq_len,
-                                            classes=classes, vocab=args.vocab,
-                                            seed=args.seed + 1)
+    data_train, data_eval = _datasets(args)
     teacher, teacher_acc = _train_teacher(args, config, data_train, data_eval)
 
     grid: list[tuple[str, QuantPlan, DistillLossConfig]] = []
@@ -348,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, default=64)
     b.add_argument("--k", type=int, default=64)
     b.add_argument("--reps", type=int, default=20)
-    b.add_argument("--act", default="minmax", choices=["minmax", "sym"])
+    b.add_argument("--act", default="minmax", choices=list(ACT_ALIASES))
 
     a = sub.add_parser("ablate", help="granularity/activation/distillation grid")
     _add_model_flags(a)

@@ -34,7 +34,6 @@ from .tensor import ShapeError, Tensor
 
 WEIGHT_BITS = (2, 3, 8, 32)
 ACT_BITS = (8, 32)
-TERNARY_METHODS = ("twn_approx", "twn_exact", "lat_exact", "lat_approx")
 
 
 @dataclass(frozen=True)
@@ -81,15 +80,16 @@ def bert_base_config(classes: int = 2) -> ModelConfig:
 
 
 def _method_for_bits(bits: int, requested: str) -> str:
+    """The requested method if its codes have width ``bits``, else the
+    width's only method."""
     if bits == 32:
         return "none"
-    if bits == 8:
-        return "int8_sym"
-    if bits == 3:
-        return "laq3"
-    if requested not in TERNARY_METHODS:
-        raise ValueError(f"2-bit weights need a ternary method, got {requested!r}")
-    return requested
+    fits = [m for m, (width, _) in ternarize.METHODS.items() if width == bits]
+    if requested in fits:
+        return requested
+    if len(fits) == 1:
+        return fits[0]
+    raise ValueError(f"{bits}-bit weights need one of {fits}, got {requested!r}")
 
 
 @dataclass
@@ -144,9 +144,11 @@ class QuantPlan:
         return not (self.quantizes_weights or self.quantizes_embedding
                     or self.quantizes_activations)
 
-    def needs_second_moment(self) -> bool:
-        return any(m in ("lat_exact", "lat_approx", "laq3")
-                   for m in (self.w_method, self.e_method))
+    def slot(self, slot: str) -> tuple[int, str, str]:
+        """(bits, method, granularity) of the 'w' or the 'e' slot."""
+        if slot == "w":
+            return self.w_bits, self.w_method, self.w_gran
+        return self.e_bits, self.e_method, self.e_gran
 
     def to_dict(self) -> dict:
         return {"w_bits": self.w_bits, "e_bits": self.e_bits, "a_bits": self.a_bits,
@@ -162,6 +164,7 @@ class QuantPlan:
 
 METHOD_ALIASES = {"twn": "twn_approx", "twn-exact": "twn_exact",
                   "lat": "lat_approx", "lat-exact": "lat_exact", "laq3": "laq3"}
+ACT_ALIASES = {"minmax": "minmax8", "sym": "symmetric8"}
 
 
 def plan_from_notation(notation: str, method: str = "twn",
@@ -176,7 +179,7 @@ def plan_from_notation(notation: str, method: str = "twn",
     except ValueError as exc:
         raise ValueError(f"plan bits must be integers, got {notation!r}") from exc
     resolved = METHOD_ALIASES.get(method, method)
-    scheme = {"minmax": "minmax8", "sym": "symmetric8"}.get(act, act)
+    scheme = ACT_ALIASES.get(act, act)
     base = "twn_approx" if resolved == "laq3" else resolved
     return QuantPlan(w_bits=w, e_bits=e, a_bits=a,
                      w_method=base, e_method=base,
@@ -258,21 +261,14 @@ def quantize_param(name: str, value: np.ndarray, plan: QuantPlan,
     slot = quant_slot(name)
     if slot is None or plan is None:
         return None
-    bits = plan.w_bits if slot == "w" else plan.e_bits
-    method = plan.w_method if slot == "w" else plan.e_method
-    gran = plan.w_gran if slot == "w" else plan.e_gran
+    bits, method, gran = plan.slot(slot)
     if bits == 32:
         return None
-    if method == "int8_sym":
-        return ternarize.quantize_int8(value, gran)
-    v = second_moment if second_moment is not None else np.zeros_like(value)
-    if method == "laq3":
-        return ternarize.laq3(value, v, gran, plan.lat_iters, plan.v_floor)
-    if method in ("lat_exact", "lat_approx"):
-        mode = "exact" if method == "lat_exact" else "approx"
-        return ternarize.lat_subproblem(value, v, gran, mode,
-                                        plan.lat_iters, plan.v_floor)
-    return ternarize.ternarize(value, ternarize.QuantConfig(method, gran))
+    # without optimizer history, loss-aware methods see zero second moments
+    # (the floor then makes the curvature uniform); a broadcast view of one
+    # zero allocates nothing for the methods that never read v
+    v = np.broadcast_to(0.0, value.shape) if second_moment is None else second_moment
+    return ternarize.quantize(value, method, gran, v, plan.lat_iters, plan.v_floor)
 
 
 def build_leaves(params: dict[str, np.ndarray], plan: QuantPlan | None = None,
@@ -427,9 +423,7 @@ def to_saved_tensors(params: dict[str, np.ndarray], plan: QuantPlan | None = Non
             out.append(SavedTensor(name=name, role=param_role(name), bits=32,
                                    array=value))
         else:
-            slot = quant_slot(name)
-            bits = plan.w_bits if slot == "w" else plan.e_bits
-            method = plan.w_method if slot == "w" else plan.e_method
+            bits, method, _ = plan.slot(quant_slot(name))
             out.append(SavedTensor(name=name, role=param_role(name), bits=bits,
                                    method=method, granularity=q.granularity,
                                    quant=q))

@@ -4,7 +4,8 @@ File format ("TQM1"): magic bytes, a little-endian u32 length prefix, a
 JSON manifest, then raw per-tensor blobs at the offsets recorded in the
 manifest.  Each blob is the float32 scale vector followed by the code
 payload (2-bit packed, 3-bit packed, raw int8, or raw float32), with a
-CRC32 checked on load.
+CRC32 checked on load.  A width of b bits holds the codes -m..m with
+m = 2^(b-1) - 1 (``CODE_WIDTHS``); saving a code outside that range raises.
 
 2-bit packing: element k of the row-major flattening occupies bits
 (2*(k mod 4)) .. (2*(k mod 4) + 1) of byte floor(k / 4); code 00 is 0,
@@ -109,6 +110,26 @@ def unpack_codes_3bit(data: bytes, count: int) -> np.ndarray:
     if np.any(vals > 6):
         raise ModelFileError("reserved 3-bit code present")
     return (vals.astype(np.int16) - 3).astype(np.int8)
+
+
+def _unpack_codes_8bit(data: bytes, count: int) -> np.ndarray:
+    codes = np.frombuffer(data, dtype=np.int8)[:count].copy()
+    if codes.size < count:
+        raise TruncatedFileError("8-bit payload shorter than element count")
+    return codes
+
+
+# code width -> (largest code magnitude, packer, unpacker).  The 2- and
+# 3-bit entries call their packers by module name, so a wrapper later put
+# on that name sees the call.
+CODE_WIDTHS = {
+    2: (1, lambda codes: pack_codes_2bit(codes),
+        lambda data, count: unpack_codes_2bit(data, count)),
+    3: (3, lambda codes: pack_codes_3bit(codes),
+        lambda data, count: unpack_codes_3bit(data, count)),
+    8: (127, lambda codes: np.ascontiguousarray(codes, dtype=np.int8).tobytes(),
+        _unpack_codes_8bit),
+}
 
 
 @dataclass
@@ -272,20 +293,15 @@ class LoadedTensor:
 
 def _encode_blob(entry: "SavedTensor") -> bytes:
     if entry.bits == 32:
-        scales = b""
-        payload = np.ascontiguousarray(entry.array, dtype="<f4").tobytes()
-    else:
-        t = entry.quant
-        scales = np.ascontiguousarray(t.scales, dtype="<f4").tobytes()
-        if entry.bits == 2:
-            payload = pack_codes_2bit(t.codes)
-        elif entry.bits == 3:
-            payload = pack_codes_3bit(t.codes)
-        elif entry.bits == 8:
-            payload = np.ascontiguousarray(t.codes, dtype=np.int8).tobytes()
-        else:
-            raise ValueError(f"unsupported bit width {entry.bits}")
-    return scales + payload
+        return np.ascontiguousarray(entry.array, dtype="<f4").tobytes()
+    if entry.bits not in CODE_WIDTHS:
+        raise ValueError(f"unsupported bit width {entry.bits}")
+    level, pack_codes, _ = CODE_WIDTHS[entry.bits]
+    t = entry.quant
+    if t.codes.size and (t.codes.min() < -level or t.codes.max() > level):
+        raise ValueError(f"{entry.name}: codes outside -{level}..{level} "
+                         f"do not fit {entry.bits} bits")
+    return np.ascontiguousarray(t.scales, dtype="<f4").tobytes() + pack_codes(t.codes)
 
 
 def _decode_blob(rec: TensorRecord, blob: bytes) -> LoadedTensor:
@@ -298,20 +314,10 @@ def _decode_blob(rec: TensorRecord, blob: bytes) -> LoadedTensor:
     if len(blob) < scale_bytes:
         raise TruncatedFileError(f"blob for {rec.name} too short for scales")
     scales = np.frombuffer(blob[:scale_bytes], dtype="<f4").copy()
-    payload = blob[scale_bytes:]
-    if rec.bits == 2:
-        codes = unpack_codes_2bit(payload, rows * cols)
-        max_level = 1
-    elif rec.bits == 3:
-        codes = unpack_codes_3bit(payload, rows * cols)
-        max_level = 3
-    elif rec.bits == 8:
-        codes = np.frombuffer(payload, dtype=np.int8)[:rows * cols].copy()
-        if codes.size < rows * cols:
-            raise TruncatedFileError(f"blob for {rec.name} too short")
-        max_level = 127
-    else:
+    if rec.bits not in CODE_WIDTHS:
         raise ModelFileError(f"unsupported bit width {rec.bits} for {rec.name}")
+    max_level, _, unpack_codes = CODE_WIDTHS[rec.bits]
+    codes = unpack_codes(blob[scale_bytes:], rows * cols)
     t = TernaryTensor(codes=codes.reshape(rows, cols), scales=scales,
                       granularity=rec.granularity, max_level=max_level)
     return LoadedTensor(rec.role, rec.bits, rec.method, rec.granularity, quant=t)

@@ -63,6 +63,16 @@ def task_classes(task: str) -> int:
     return 4 if task == "majority" else 2
 
 
+def make_dataset(task: str, n: int, seq_len: int, vocab: int,
+                 seed: int) -> list[Example]:
+    """``n`` examples of ``task`` ("majority" has ``task_classes`` classes)."""
+    if task == "parity":
+        return make_parity_dataset(n, seq_len, vocab, seed)
+    if task == "majority":
+        return make_majority_dataset(n, seq_len, task_classes(task), vocab, seed)
+    raise ValueError(f"unknown task {task!r}")
+
+
 def as_arrays(examples: list[Example]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tokens = np.array([e.tokens for e in examples], dtype=np.int64)
     segments = np.array([e.segments for e in examples], dtype=np.int64)

@@ -14,7 +14,10 @@ whole matrix ("layer") or one scale per row ("row").  Methods:
 * ``laq3``       -- 3-bit extension with codes in {-3..3}, solved by an
   exact breakpoint scan plus alternating refinement.
 * ``quantize_int8`` -- symmetric 8-bit codes in {-127..127} (layer-wise),
-  for the 8-bit weight baseline.
+  for the 8-bit weight baseline; its method name is ``int8_sym``.
+
+``quantize(w, method, granularity, v)`` is the entry point that takes any
+method by name; ``METHODS`` lists the names with each method's code width.
 
 Every solver works on a group matrix of shape ``(groups, n)``: one row per
 scale.  Row granularity uses the matrix as it is; layer granularity is the
@@ -47,30 +50,11 @@ from .actquant import round_half_away
 from .tensor import ShapeError
 
 GRANULARITIES = ("layer", "row")
-METHODS = ("twn_approx", "twn_exact", "lat_exact", "lat_approx", "laq3")
 
 # float64 elements per block of rows (512 KiB per temporary): large enough
 # that numpy's per-call overhead vanishes, small enough that the repeated
 # passes over a block stay near the CPU caches; 2^15 to 2^17 time alike
 BLOCK_ELEMENTS = 1 << 16
-
-
-@dataclass
-class QuantConfig:
-    method: str
-    granularity: str = "layer"
-    lat_iters: int = 3
-    v_floor: float = 1e-12
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {self.granularity!r}")
-        if self.lat_iters < 1:
-            raise ValueError("lat_iters must be >= 1")
-        if self.v_floor <= 0:
-            raise ValueError("v_floor must be positive")
 
 
 @dataclass
@@ -112,14 +96,6 @@ class TernaryTensor:
             raise ValueError(f"group {int(np.argmax(bad))} has zero scale but nonzero codes")
 
 
-def threshold_indicator(x: np.ndarray, delta: float) -> np.ndarray:
-    """+1 where x > delta, -1 where x < -delta, else 0 (strict comparisons)."""
-    out = np.zeros(x.shape, dtype=np.int8)
-    out[x > delta] = 1
-    out[x < -delta] = -1
-    return out
-
-
 def _signs(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """sign(x) as int8 where ``keep``, else 0."""
     return (keep & (x > 0)).view(np.int8) - (keep & (x < 0)).view(np.int8)
@@ -138,6 +114,8 @@ def _as_matrix(w) -> np.ndarray:
 
 
 def _second_moments(v, shape) -> np.ndarray:
+    if v is None:
+        raise ValueError("loss-aware methods need the second moments v")
     vv = np.asarray(getattr(v, "data", v)).reshape(shape)
     if np.any(vv < 0):
         raise ValueError("second moments must be nonnegative")
@@ -148,17 +126,24 @@ def _floored_sqrt(v: np.ndarray, v_floor: float) -> np.ndarray:
     return np.sqrt(np.maximum(np.ascontiguousarray(v, dtype=np.float64), v_floor))
 
 
-def _quantize(solve, w, granularity: str, v=None, v_floor: float = 1e-12,
+def _quantize(solve, w, granularity: str, *v, v_floor: float = 1e-12,
               max_level: int = 1, **kwargs) -> TernaryTensor:
     """Run ``solve`` over the group matrix of ``w`` one block of rows at a time.
 
     ``solve(x[, u], **kwargs)`` takes a C-contiguous float64 block of groups
     (and the matching floored sqrt(v)) and returns int8 codes and per-group
-    scales and thresholds.
+    scales and thresholds.  Loss-aware quantizers pass ``v`` and the others
+    leave it out.
     """
+    if granularity not in GRANULARITIES:
+        raise ValueError(f"unknown granularity {granularity!r}")
+    if kwargs.get("iters", 1) < 1:
+        raise ValueError("iters must be >= 1")
+    if v_floor <= 0:
+        raise ValueError("v_floor must be positive")
     arr = _as_matrix(w)
     groups = arr.reshape(1, -1) if granularity == "layer" else arr
-    vg = None if v is None else _second_moments(v, arr.shape).reshape(groups.shape)
+    vg = _second_moments(v[0], arr.shape).reshape(groups.shape) if v else None
     rows, n = groups.shape
     codes = np.empty((rows, n), dtype=np.int8)
     scales = np.empty(rows)
@@ -375,36 +360,49 @@ def twn_exact(w, granularity: str = "layer") -> TernaryTensor:
 def lat_subproblem(w, v, granularity: str = "layer", mode: str = "exact",
                    iters: int = 3, v_floor: float = 1e-12) -> TernaryTensor:
     if mode == "exact":
-        return _quantize(_solve_lat_exact, w, granularity, v, v_floor)
+        return _quantize(_solve_lat_exact, w, granularity, v, v_floor=v_floor)
     if mode == "approx":
-        return _quantize(_solve_lat_approx, w, granularity, v, v_floor, iters=iters)
+        return _quantize(_solve_lat_approx, w, granularity, v, v_floor=v_floor,
+                         iters=iters)
     raise ValueError(f"unknown lat mode {mode!r}")
 
 
 def laq3(w, v, granularity: str = "layer", iters: int = 3,
          v_floor: float = 1e-12) -> TernaryTensor:
-    return _quantize(_solve_laq3, w, granularity, v, v_floor, max_level=3, iters=iters)
+    return _quantize(_solve_laq3, w, granularity, v, v_floor=v_floor, max_level=3,
+                     iters=iters)
 
 
 def quantize_int8(w, granularity: str = "layer") -> TernaryTensor:
     return _quantize(_solve_int8, w, granularity, max_level=127)
 
 
-def ternarize(w, config: QuantConfig, v=None) -> TernaryTensor:
-    """Dispatch on the configured method; ``v`` is required for lat/laq3."""
-    if config.method == "twn_approx":
-        return twn_approx(w, config.granularity)
-    if config.method == "twn_exact":
-        return twn_exact(w, config.granularity)
-    if v is None:
-        raise ValueError(f"method {config.method!r} needs a second-moment matrix")
-    if config.method == "lat_exact":
-        return lat_subproblem(w, v, config.granularity, "exact",
-                              config.lat_iters, config.v_floor)
-    if config.method == "lat_approx":
-        return lat_subproblem(w, v, config.granularity, "approx",
-                              config.lat_iters, config.v_floor)
-    return laq3(w, v, config.granularity, config.lat_iters, config.v_floor)
+# method name -> (code width, quantizer).  Each quantizer takes
+# (w, granularity, v, iters, v_floor) and calls a public function above by
+# its module name, so a wrapper later put on that name sees the call.
+METHODS = {
+    "twn_approx": (2, lambda w, g, v, iters, floor: twn_approx(w, g)),
+    "twn_exact": (2, lambda w, g, v, iters, floor: twn_exact(w, g)),
+    "lat_exact": (2, lambda w, g, v, iters, floor:
+                  lat_subproblem(w, v, g, "exact", iters, floor)),
+    "lat_approx": (2, lambda w, g, v, iters, floor:
+                   lat_subproblem(w, v, g, "approx", iters, floor)),
+    "laq3": (3, lambda w, g, v, iters, floor: laq3(w, v, g, iters, floor)),
+    "int8_sym": (8, lambda w, g, v, iters, floor: quantize_int8(w, g)),
+}
+
+
+def quantize(w, method: str, granularity: str = "layer", v=None, iters: int = 3,
+             v_floor: float = 1e-12) -> TernaryTensor:
+    """Quantize ``w`` with any method of ``METHODS``.
+
+    The loss-aware methods (``lat_*``, ``laq3``) need the second moments
+    ``v`` and raise ``ValueError`` without them; the others ignore ``v``,
+    ``iters`` and ``v_floor``.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return METHODS[method][1](w, granularity, v, iters, v_floor)
 
 
 def dequantize(t: TernaryTensor) -> np.ndarray:

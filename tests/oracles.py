@@ -52,31 +52,28 @@ def brute_force_quant(w: np.ndarray, u: np.ndarray | None = None,
                       max_level: int = 1) -> float:
     """Min over all code vectors in {-L..L}^n with per-code optimal alpha > 0.
 
-    Returns the minimal objective sum(u_i * (w_i - alpha*b_i)^2); the code
-    vectors are enumerated exhaustively via base-(2L+1) digits.
+    Returns the minimal objective sum(u_i * (w_i - alpha*b_i)^2).  For every
+    code vector b the sums num = sum(b_i u_i w_i) and den = sum(b_i^2 u_i)
+    are enumerated exhaustively as outer sums, one coordinate at a time; the
+    last coordinate runs level by level to bound memory.
     """
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     n = w.size
     u = np.ones(n) if u is None else np.asarray(u, dtype=np.float64).reshape(-1)
-    n_levels = 2 * max_level + 1
-    total = n_levels ** n
+    levels = np.arange(-max_level, max_level + 1, dtype=np.float64)
     base = float((u * w * w).sum())
+    num = np.zeros(1)
+    den = np.zeros(1)
+    for i in range(n - 1):
+        num = (num[:, None] + levels * (u[i] * w[i])).reshape(-1)
+        den = (den[:, None] + levels * levels * u[i]).reshape(-1)
     best = base
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = np.empty((idx.size, n), dtype=np.int64)
-        rem = idx.copy()
-        for col in range(n):
-            digits[:, col] = rem % n_levels
-            rem //= n_levels
-        b = digits - max_level
-        num = b @ (u * w)
-        den = (b * b) @ u
-        ok = (den > 0) & (num > 0)
+    for b in levels:
+        last_num = num + b * (u[-1] * w[-1])
+        last_den = den + b * b * u[-1]
+        ok = (last_den > 0) & (last_num > 0)
         if ok.any():
-            obj = base - (num[ok] ** 2) / den[ok]
-            best = min(best, float(obj.min()))
+            best = min(best, float((base - last_num[ok] ** 2 / last_den[ok]).min()))
     return best
 
 

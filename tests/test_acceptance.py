@@ -116,8 +116,8 @@ def test_c05_granularity_dominance():
         for method in methods:
             needs_v = method not in ("twn_approx", "twn_exact")
             vv = v if needs_v else None
-            row = tz.ternarize(w, tz.QuantConfig(method, "row"), vv)
-            layer = tz.ternarize(w, tz.QuantConfig(method, "layer"), vv)
+            row = tz.quantize(w, method, "row", vv)
+            layer = tz.quantize(w, method, "layer", vv)
             assert tz.weighted_residual(w, row, vv) <= \
                 tz.weighted_residual(w, layer, vv), method
     report("5 granularity-dominance", "row <= layer on 100 matrices x 5 methods")

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from tquant import cli, metrics, tasks
 from tquant import ternarize as tz
@@ -292,3 +293,26 @@ class TestAblateCommand:
         assert "distill no-trm-no-logits" in labels
         # derived seeds differ per grid cell
         assert len({r["seed"] for r in records}) == 9
+
+    def test_parity_task_trains_on_parity_data(self, tmp_path, monkeypatch):
+        def no_majority(*args, **kwargs):
+            raise AssertionError("majority data built for --task parity")
+
+        monkeypatch.setattr(tasks, "make_majority_dataset", no_majority)
+        assert run(["ablate", "--task", "parity", "--teacher-epochs", 1,
+                    "--epochs", 1, "--train-n", 32, "--eval-n", 16,
+                    "--layers", 1, "--hidden", 16, "--ffn", 32, "--seq-len", 8,
+                    "--out", tmp_path]) == 0
+        assert len(metrics.read_records(tmp_path / "ablation.jsonl")) == 9
+
+
+class TestMakeDataset:
+    def test_same_examples_as_the_task_builders(self):
+        assert tasks.make_dataset("majority", 20, 8, 8, 3) == \
+            tasks.make_majority_dataset(20, seq_len=8, classes=4, vocab=8, seed=3)
+        assert tasks.make_dataset("parity", 20, 8, 8, 3) == \
+            tasks.make_parity_dataset(20, seq_len=8, vocab=8, seed=3)
+
+    def test_unknown_task_rejected(self):
+        with pytest.raises(ValueError):
+            tasks.make_dataset("sorting", 4, 8, 8, 0)

@@ -47,6 +47,18 @@ class TestConfig:
         plan = M.plan_from_notation("3-3-8")
         assert plan.w_method == "laq3"
 
+    def test_plan_slots(self):
+        plan = M.plan_from_notation("8-2-8", "lat-exact", "layer", "row")
+        assert plan.slot("w") == (8, "int8_sym", "layer")
+        assert plan.slot("e") == (2, "lat_exact", "row")
+
+    @pytest.mark.parametrize("method", ["lat_exact", "lat_approx"])
+    def test_zero_v_floor_rejected(self, method):
+        plan = M.QuantPlan(w_method=method, v_floor=0.0)
+        w = np.random.default_rng(0).standard_normal((4, 4)).astype(np.float32)
+        with pytest.raises(ValueError):
+            M.quantize_param("layer0.wq", w, plan)
+
 
 class TestForward:
     def test_trace_shapes(self):

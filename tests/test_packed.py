@@ -229,6 +229,27 @@ class TestModelFiles:
         with pytest.raises(ValueError):
             pk.save_model(str(tmp_path / "dup.tqm"), {}, tensors)
 
+    @pytest.mark.parametrize("bits,bad,extremes", [
+        (2, [3, -2, 1, 0], [1, -1, 0, 1]),
+        (3, [5, -7, 1, 0], [3, -3, 0, 2]),
+        (8, [-128, 0, 1, 0], [127, -127, 0, 5])])
+    def test_codes_outside_the_width_rejected_on_save(self, bits, bad, extremes,
+                                                      tmp_path):
+        def entry(codes):
+            t = tz.TernaryTensor(codes=np.array([codes], dtype=np.int8),
+                                 scales=np.array([0.5]), granularity="layer",
+                                 max_level=127)
+            return pk.SavedTensor(name="w", role="other", bits=bits,
+                                  granularity="layer", quant=t)
+
+        path = tmp_path / "codes.tqm"
+        with pytest.raises(ValueError):
+            pk.save_model(str(path), {}, [entry(bad)])
+        assert not path.exists()
+        pk.save_model(str(path), {}, [entry(extremes)])
+        loaded = pk.load_model(str(path)).tensors["w"].quant
+        np.testing.assert_array_equal(loaded.codes, [extremes])
+
     @pytest.mark.parametrize("seed", [0, 7, 123, 99991])
     def test_round_trip_random_models(self, seed, tmp_path):
         plan = plan_from_notation("2-2-8")

@@ -188,9 +188,8 @@ class TestDequantize:
         rng = np.random.default_rng(9)
         w = rng.standard_normal((5, 8))
         v = rng.random((5, 8)) * 3
-        cfg = tz.QuantConfig(method, gran)
-        t1 = tz.ternarize(w, cfg, v if needs_v else None)
-        t2 = tz.ternarize(tz.dequantize(t1), cfg, v if needs_v else None)
+        t1 = tz.quantize(w, method, gran, v if needs_v else None)
+        t2 = tz.quantize(tz.dequantize(t1), method, gran, v if needs_v else None)
         np.testing.assert_array_equal(t1.codes, t2.codes)
         np.testing.assert_array_equal(t1.scales, t2.scales)
 
@@ -222,10 +221,8 @@ class TestInvariants:
             w = rng.standard_normal((16, 32))
             v = rng.random((16, 32)) * 2
             needs_v = method in ("lat_exact", "lat_approx", "laq3")
-            row = tz.ternarize(w, tz.QuantConfig(method, "row"),
-                               v if needs_v else None)
-            layer = tz.ternarize(w, tz.QuantConfig(method, "layer"),
-                                 v if needs_v else None)
+            row = tz.quantize(w, method, "row", v if needs_v else None)
+            layer = tz.quantize(w, method, "layer", v if needs_v else None)
             vv = v if needs_v else None
             assert residual(w, row, vv) <= residual(w, layer, vv)
 
@@ -245,10 +242,8 @@ class TestInvariants:
         v = rng.random((3, 5))
         for method in ("twn_exact", "lat_exact", "lat_approx"):
             needs_v = method.startswith("lat")
-            t1 = tz.ternarize(w, tz.QuantConfig(method, "layer"),
-                              v if needs_v else None)
-            t2 = tz.ternarize(2.7 * w, tz.QuantConfig(method, "layer"),
-                              v if needs_v else None)
+            t1 = tz.quantize(w, method, "layer", v if needs_v else None)
+            t2 = tz.quantize(2.7 * w, method, "layer", v if needs_v else None)
             np.testing.assert_array_equal(t1.codes, t2.codes)
             np.testing.assert_allclose(2.7 * t1.scales, t2.scales, rtol=1e-6)
 
@@ -259,14 +254,10 @@ class TestInvariants:
         w = rng.standard_normal((4, 6))
         v = rng.random((4, 6))
         needs_v = method in ("lat_exact", "lat_approx", "laq3")
-        t1 = tz.ternarize(w, tz.QuantConfig(method, "row"), v if needs_v else None)
-        t2 = tz.ternarize(-w, tz.QuantConfig(method, "row"), v if needs_v else None)
+        t1 = tz.quantize(w, method, "row", v if needs_v else None)
+        t2 = tz.quantize(-w, method, "row", v if needs_v else None)
         np.testing.assert_array_equal(t1.codes, -t2.codes)
         np.testing.assert_array_equal(t1.scales, t2.scales)
-
-    def test_threshold_indicator_strictness(self):
-        codes = tz.threshold_indicator(np.array([0.5, -0.5, 0.6, -0.7]), 0.5)
-        np.testing.assert_array_equal(codes, [0, 0, 1, -1])
 
     @given(st.lists(st.floats(-10, 10, allow_nan=False, width=32),
                     min_size=1, max_size=40))
@@ -302,6 +293,37 @@ class TestInvariants:
         assert t.max_level == 127
         deq = tz.dequantize(t)
         assert np.abs(deq - w).max() <= t.scales[0] / 2 + 1e-6
+
+
+class TestQuantize:
+    @pytest.mark.parametrize("method", list(tz.METHODS))
+    @pytest.mark.parametrize("gran", ["layer", "row"])
+    def test_same_result_as_the_public_quantizer(self, method, gran):
+        rng = np.random.default_rng(18)
+        w = rng.standard_normal((5, 8))
+        v = rng.random((5, 8))
+        got = tz.quantize(w, method, gran, v)
+        want = _quantize("int8" if method == "int8_sym" else method, w, v, gran)
+        np.testing.assert_array_equal(got.codes, want.codes)
+        assert got.scales.tobytes() == want.scales.tobytes()
+        assert got.max_level == 2 ** (tz.METHODS[method][0] - 1) - 1
+
+    @pytest.mark.parametrize("call", [
+        lambda w: tz.twn_approx(w, "Layer"),
+        lambda w: tz.twn_exact(w, "rows"),
+        lambda w: tz.quantize_int8(w, "rows"),
+        lambda w: tz.lat_subproblem(w, np.ones_like(w), "layer", "approx", iters=0),
+        lambda w: tz.lat_subproblem(w, np.zeros_like(w), "layer", "exact", v_floor=0.0),
+        lambda w: tz.laq3(w, np.ones_like(w), "row", v_floor=-1.0),
+        lambda w: tz.lat_subproblem(w, None),
+        lambda w: tz.quantize(w, "laq3"),
+        lambda w: tz.quantize(w, "twn"),
+    ], ids=["twn_approx-Layer", "twn_exact-rows", "int8-rows", "lat-iters-0",
+            "lat-v_floor-0", "laq3-v_floor-negative", "lat-no-v", "quantize-no-v",
+            "quantize-alias"])
+    def test_bad_arguments_raise_value_error(self, call):
+        with pytest.raises(ValueError):
+            call(np.random.default_rng(19).standard_normal((3, 4)))
 
 
 # -- differential: the blocked group-matrix solvers against the frozen

@@ -1,7 +1,8 @@
 """8-bit activation quantization with straight-through gradients.
 
-Two schemes over a per-tensor dynamic range, recomputed on every forward
-pass:
+Two schemes over a dynamic range recomputed on every forward pass, one
+range per tensor or, in ``fake_quantize``, one per slice of the leading
+axis (the model gives each attention head its own range):
 
 * ``minmax8``    -- affine codes in [0, 255] over [min(x), max(x)],
   ``q(x) = round((x - x_min) / s) * s + x_min`` with
@@ -53,47 +54,47 @@ class QuantizedActivation:
         return self.codes.shape
 
 
-def quantize_minmax(x) -> QuantizedActivation:
+def quantize(x, scheme: str, groups: int = 1) -> QuantizedActivation:
+    """Codes over one range per tensor, or with ``groups > 1`` one range per
+    equal slice of the leading axis; the codes are then ``(groups, m)`` and
+    the params hold ``(groups, 1)`` arrays."""
     arr = np.asarray(getattr(x, "data", x), dtype=np.float64)
-    x_min = float(arr.min())
-    x_max = float(arr.max())
-    s = (x_max - x_min) / 255.0
-    if s == 0.0:
-        codes = np.zeros(arr.shape, dtype=np.uint8)
+    if groups != 1 and arr.shape[0] % groups:
+        raise T.ShapeError(f"leading axis of {arr.shape} does not split into {groups} groups")
+    rows = arr.reshape(groups, -1)
+    x_min = rows.min(axis=1, keepdims=True)
+    x_max = rows.max(axis=1, keepdims=True)
+    if scheme == "minmax8":
+        s = (x_max - x_min) / 255.0
+    elif scheme == "symmetric8":
+        peak = np.maximum(-x_min, x_max)     # max |x|, exactly
+        s = np.where(peak == 0.0, 1.0, peak / 127.0)   # all-zero rows keep scale 1
     else:
-        codes = np.clip(round_half_away((arr - x_min) / s), 0, 255).astype(np.uint8)
-    return QuantizedActivation(codes, ActQuantParams("minmax8", x_min, x_max, s))
+        raise ValueError(f"unknown activation scheme {scheme!r}")
+    params = ActQuantParams(scheme, x_min, x_max, s)
+    if groups == 1:     # float params, and codes in x's shape
+        params = ActQuantParams(scheme, x_min.item(), x_max.item(), s.item())
+        rows = arr
+    return QuantizedActivation(encode(rows, params), params)
+
+
+def quantize_minmax(x) -> QuantizedActivation:
+    return quantize(x, "minmax8")
 
 
 def quantize_symmetric(x) -> QuantizedActivation:
-    arr = np.asarray(getattr(x, "data", x), dtype=np.float64)
-    peak = float(np.abs(arr).max())
-    x_min = float(arr.min())
-    x_max = float(arr.max())
-    if peak == 0.0:
-        return QuantizedActivation(np.zeros(arr.shape, dtype=np.int8),
-                                   ActQuantParams("symmetric8", x_min, x_max, 1.0))
-    s = peak / 127.0
-    codes = np.clip(round_half_away(arr / s), -127, 127).astype(np.int8)
-    return QuantizedActivation(codes, ActQuantParams("symmetric8", x_min, x_max, s))
-
-
-def quantize(x, scheme: str) -> QuantizedActivation:
-    if scheme == "minmax8":
-        return quantize_minmax(x)
-    if scheme == "symmetric8":
-        return quantize_symmetric(x)
-    raise ValueError(f"unknown activation scheme {scheme!r}")
+    return quantize(x, "symmetric8")
 
 
 def encode(x, params: ActQuantParams) -> np.ndarray:
-    """Codes for x under fixed params (no range recomputation)."""
+    """Codes for x under fixed params (no range recomputation); params that
+    hold ``(groups, 1)`` arrays apply row by row to a ``(groups, m)`` x."""
     arr = np.asarray(getattr(x, "data", x), dtype=np.float64)
     if params.scheme == "minmax8":
-        if params.scale == 0.0:
-            return np.zeros(arr.shape, dtype=np.uint8)
-        return np.clip(round_half_away((arr - params.x_min) / params.scale),
-                       0, 255).astype(np.uint8)
+        # a zero scale (a constant range) gives every element code 0
+        t = arr - params.x_min
+        t = np.divide(t, params.scale, out=np.zeros_like(t), where=params.scale != 0.0)
+        return np.clip(round_half_away(t), 0, 255).astype(np.uint8)
     return np.clip(round_half_away(arr / params.scale), -127, 127).astype(np.int8)
 
 
@@ -111,6 +112,9 @@ def ste_mask(x: np.ndarray, params: ActQuantParams) -> np.ndarray:
     else:
         hi = 127.0 * params.scale
         lo = -hi
+    # the bounds round to x's dtype first, as Python floats would, so float32
+    # activations compare in float32 for scalar and array params alike
+    lo, hi = np.asarray(lo, dtype=x.dtype), np.asarray(hi, dtype=x.dtype)
     return ((x >= lo) & (x <= hi))
 
 
@@ -121,14 +125,16 @@ def ste_backward(grad_out: np.ndarray, x: np.ndarray,
     return grad_out * ste_mask(x, params).astype(grad_out.dtype)
 
 
-def fake_quantize(x: T.Tensor, scheme: str) -> tuple[T.Tensor, QuantizedActivation]:
-    """Quantize-dequantize as a tape op with the clipped-STE backward."""
-    qa = quantize(x.data, scheme)
+def fake_quantize(x: T.Tensor, scheme: str,
+                  groups: int = 1) -> tuple[T.Tensor, QuantizedActivation]:
+    """Quantize-dequantize as one tape op with the clipped-STE backward;
+    ``groups`` ranges as in :func:`quantize`."""
+    qa = quantize(x.data, scheme, groups)
     out_data = dequantize(qa).astype(x.data.dtype).reshape(x.shape)
-    x_data = x.data
+    x_data = x.data.reshape(qa.shape)
 
     def backward(g):
-        return (ste_backward(g, x_data, qa.params),)
+        return (ste_backward(g.reshape(qa.shape), x_data, qa.params).reshape(x.shape),)
 
     return T.custom_op([x], out_data, backward, name="fake_quant"), qa
 

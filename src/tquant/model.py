@@ -2,7 +2,7 @@
 
 The forward pass follows the standard pre-LN-free encoder:
 
-    A_h   = (H W_h^Q)(H W_h^K)^T           (raw scores, traced per head)
+    A_h   = (H W_h^Q)(H W_h^K)^T           (raw scores of every head, traced)
     head  = Softmax(A_h / sqrt(d)) H W_h^V
     X     = LN(H + Concat(heads) W^O)
     H'    = LN(X + GeLU(X W^1 + b^1) W^2 + b^2)
@@ -305,9 +305,9 @@ class ForwardTrace:
     logits: Tensor            # (batch, classes)
 
 
-def _maybe_fq(x: Tensor, plan: QuantPlan | None) -> Tensor:
+def _maybe_fq(x: Tensor, plan: QuantPlan | None, groups: int = 1) -> Tensor:
     if plan is not None and plan.quantizes_activations:
-        return actquant.fake_quantize(x, plan.act_scheme)[0]
+        return actquant.fake_quantize(x, plan.act_scheme, groups)[0]
     return x
 
 
@@ -348,7 +348,7 @@ def forward(leaves: dict[str, Tensor], config: ModelConfig,
 
     scale = 1.0 / math.sqrt(config.hidden if config.attn_scale == "sqrt_d"
                             else config.d_head)
-    dh = config.d_head
+    heads = config.heads
     hidden = [h]
     attention = []
     for i in range(config.layers):
@@ -358,19 +358,12 @@ def forward(leaves: dict[str, Tensor], config: ModelConfig,
         k = _linear(h_q, leaves[f"{p}.wk"], leaves[f"{p}.bk"])
         v = _linear(h_q, leaves[f"{p}.wv"], leaves[f"{p}.bv"])
         q, k, v = _maybe_fq(q, plan), _maybe_fq(k, plan), _maybe_fq(v, plan)
-        head_outs = []
-        scores = []
-        for hh in range(config.heads):
-            q_h = T.narrow(q, 2, hh * dh, dh)
-            k_h = T.narrow(k, 2, hh * dh, dh)
-            v_h = T.narrow(v, 2, hh * dh, dh)
-            a_h = T.matmul(q_h, T.transpose_last2(k_h))   # raw scores, traced
-            scores.append(a_h)
-            probs = T.softmax_rows(T.scale(a_h, scale))
-            probs = drop(probs)
-            head_outs.append(T.matmul(_maybe_fq(probs, plan), v_h))
-        attention.append(T.concat(scores, axis=0) if len(scores) > 1 else scores[0])
-        ctx = T.concat(head_outs, axis=2) if len(head_outs) > 1 else head_outs[0]
+        q, k, v = (T.split_heads(t, heads) for t in (q, k, v))
+        scores = T.matmul(q, T.transpose_last2(k))   # raw, (heads*batch, n, n)
+        attention.append(scores)
+        probs = drop(T.softmax_rows(T.scale(scores, scale)))
+        probs = _maybe_fq(probs, plan, groups=heads)   # one range per head
+        ctx = T.merge_heads(T.matmul(probs, v), heads)
         attn_out = drop(_linear(_maybe_fq(ctx, plan), leaves[f"{p}.wo"],
                                 leaves[f"{p}.bo"]))
         x = T.layer_norm(h + attn_out, leaves[f"{p}.ln1_g"], leaves[f"{p}.ln1_b"])
@@ -384,17 +377,6 @@ def forward(leaves: dict[str, Tensor], config: ModelConfig,
     first = T.reshape(T.narrow(h, 1, 0, 1), (batch, config.hidden))
     logits = _linear(first, leaves["head.w"], leaves["head.b"])
     return ForwardTrace(hidden=hidden, attention=attention, logits=logits)
-
-
-def attention_scores(h: Tensor, wq: Tensor, wk: Tensor,
-                     config: ModelConfig) -> list[Tensor]:
-    """Raw per-head scores (H W_h^Q)(H W_h^K)^T, no normalization."""
-    q = T.matmul(h, T.transpose_last2(wq))
-    k = T.matmul(h, T.transpose_last2(wk))
-    dh = config.d_head
-    return [T.matmul(T.narrow(q, h.ndim - 1, i * dh, dh),
-                     T.transpose_last2(T.narrow(k, h.ndim - 1, i * dh, dh)))
-            for i in range(config.heads)]
 
 
 def predict(params: dict[str, np.ndarray], config: ModelConfig,

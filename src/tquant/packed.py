@@ -23,6 +23,7 @@ full-precision BERT-base comes out at ~418 MB and the 2-2-8 plan at
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ternarize import TernaryTensor
+from .ternarize import GRANULARITIES, TernaryTensor
 
 MAGIC = b"TQM1"
 FORMAT_VERSION = 1
@@ -50,6 +51,10 @@ class TruncatedFileError(ModelFileError):
 
 class ChecksumError(ModelFileError):
     pass
+
+
+class ManifestError(ModelFileError):
+    """A manifest record is malformed or disagrees with its blob."""
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +137,12 @@ CODE_WIDTHS = {
 }
 
 
+def _check_codes(codes: np.ndarray, bits: int, what: str) -> None:
+    level = CODE_WIDTHS[bits][0]
+    if codes.size and (codes.min() < -level or codes.max() > level):
+        raise ValueError(f"{what}: codes outside -{level}..{level} do not fit {bits} bits")
+
+
 @dataclass
 class PackedTernaryBlob:
     """Ternary codes packed four-per-byte plus the scale vector."""
@@ -149,6 +160,7 @@ class PackedTernaryBlob:
 def pack(t: TernaryTensor) -> PackedTernaryBlob:
     if t.max_level != 1:
         raise ValueError("2-bit packing holds ternary codes only")
+    _check_codes(t.codes, 2, "pack")
     rows, cols = t.codes.shape
     return PackedTernaryBlob(rows=rows, cols=cols, data=pack_codes_2bit(t.codes),
                              scales=t.scales.copy(), granularity=t.granularity)
@@ -296,29 +308,34 @@ def _encode_blob(entry: "SavedTensor") -> bytes:
         return np.ascontiguousarray(entry.array, dtype="<f4").tobytes()
     if entry.bits not in CODE_WIDTHS:
         raise ValueError(f"unsupported bit width {entry.bits}")
-    level, pack_codes, _ = CODE_WIDTHS[entry.bits]
     t = entry.quant
-    if t.codes.size and (t.codes.min() < -level or t.codes.max() > level):
-        raise ValueError(f"{entry.name}: codes outside -{level}..{level} "
-                         f"do not fit {entry.bits} bits")
+    _check_codes(t.codes, entry.bits, entry.name)
+    _, pack_codes, _ = CODE_WIDTHS[entry.bits]
     return np.ascontiguousarray(t.scales, dtype="<f4").tobytes() + pack_codes(t.codes)
 
 
 def _decode_blob(rec: TensorRecord, blob: bytes) -> LoadedTensor:
-    if rec.bits == 32:
-        arr = np.frombuffer(blob, dtype="<f4").reshape(rec.shape).copy()
-        return LoadedTensor(rec.role, 32, rec.method, rec.granularity, array=arr)
-    rows, cols = rec.shape
-    n_scales = 1 if rec.granularity == "layer" else rows
-    scale_bytes = n_scales * 4
-    if len(blob) < scale_bytes:
-        raise TruncatedFileError(f"blob for {rec.name} too short for scales")
-    scales = np.frombuffer(blob[:scale_bytes], dtype="<f4").copy()
-    if rec.bits not in CODE_WIDTHS:
+    if rec.bits != 32 and rec.bits not in CODE_WIDTHS:
         raise ModelFileError(f"unsupported bit width {rec.bits} for {rec.name}")
+    shape = rec.shape
+    if not all(type(s) is int and s >= 0 for s in shape) or rec.bits != 32 and (
+            len(shape) != 2 or rec.granularity not in GRANULARITIES):
+        raise ManifestError(f"{rec.name}: bad shape {list(shape)} or granularity "
+                            f"{rec.granularity!r} for a {rec.bits}-bit tensor")
+    count = math.prod(shape)
+    n_scales = 0 if rec.bits == 32 else 1 if rec.granularity == "layer" else shape[0]
+    # every width packs its codes densely: ceil(count * bits / 8) bytes
+    expected = 4 * n_scales + (count * rec.bits + 7) // 8
+    if len(blob) != expected:
+        raise ManifestError(f"{rec.name}: shape {list(shape)} at {rec.bits} bits "
+                            f"needs a {expected}-byte blob, got {len(blob)}")
+    if rec.bits == 32:
+        arr = np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
+        return LoadedTensor(rec.role, 32, rec.method, rec.granularity, array=arr)
+    scales = np.frombuffer(blob[:4 * n_scales], dtype="<f4").copy()
     max_level, _, unpack_codes = CODE_WIDTHS[rec.bits]
-    codes = unpack_codes(blob[scale_bytes:], rows * cols)
-    t = TernaryTensor(codes=codes.reshape(rows, cols), scales=scales,
+    codes = unpack_codes(blob[4 * n_scales:], count)
+    t = TernaryTensor(codes=codes.reshape(shape), scales=scales,
                       granularity=rec.granularity, max_level=max_level)
     return LoadedTensor(rec.role, rec.bits, rec.method, rec.granularity, quant=t)
 
@@ -440,6 +457,10 @@ def load_model(path: str) -> LoadedModel:
                                length=t["length"], crc32=t["crc32"])
         except (KeyError, TypeError) as e:
             raise ModelFileError(f"malformed tensor record: {e}") from e
+        if not isinstance(rec.name, str) \
+                or any(type(v) is not int for v in (rec.bits, rec.offset, rec.length)) \
+                or rec.offset < 8 + mlen or rec.length < 0:
+            raise ManifestError(f"malformed record for tensor {rec.name!r}")
         if rec.offset + rec.length > len(data):
             raise TruncatedFileError(f"blob for {rec.name} extends past end of file")
         spans.append((rec.offset, rec.offset + rec.length, rec.name))

@@ -8,14 +8,17 @@ dtype, which keeps forward results stable enough to compare bit-for-bit
 against scalar reference implementations in the tests.
 
 Tensors are immutable values once produced; ops are pure functions.  A
-:class:`GradTape` is confined to a single thread: while active it records
-every primitive whose inputs are tracked, and ``gradients(loss)`` replays
-the record in reverse order.
+:class:`GradTape`, while active, records every primitive whose inputs are
+tracked, and ``gradients(loss)`` replays the record in reverse order.
+Each thread has its own stack of active tapes, so threads may each record
+on their own tape at the same time; a tape records only the ops of the
+thread that entered it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -147,7 +150,14 @@ class Gradients:
         return id(t) in self._grads
 
 
-_TAPE_STACK: list["GradTape"] = []
+class _TapeStack(threading.local):
+    """The active tapes of the current thread, innermost last."""
+
+    def __init__(self):
+        self.tapes: list[GradTape] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 
 class GradTape:
@@ -157,11 +167,11 @@ class GradTape:
         self._entries: list[_TapeEntry] = []
 
     def __enter__(self) -> "GradTape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
+        popped = _TAPE_STACK.tapes.pop()
         assert popped is self
 
     def __len__(self) -> int:
@@ -199,7 +209,8 @@ class GradTape:
 
 
 def _active_tape() -> GradTape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...],
@@ -319,16 +330,27 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _emit(out, (a,), backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    ts = tuple(tensors)
-    out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
+def split_heads(a: Tensor, heads: int) -> Tensor:
+    """``(batch, n, heads*d_head)`` to ``(heads*batch, n, d_head)``: row
+    ``h*batch + b`` holds head ``h`` of batch element ``b``.  The inverse of
+    :func:`merge_heads`, which is its backward."""
+    batch, n, d = a.shape
+    if d % heads:
+        raise ShapeError(f"last axis of {a.shape} does not split into {heads} heads")
+    out = a.data.reshape(batch, n, heads, d // heads).transpose(2, 0, 1, 3)
+    return _emit(out.reshape(heads * batch, n, d // heads), (a,),
+                 lambda g: (merge_heads(Tensor(g), heads).data,))
 
-    def backward(g):
-        pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-        return tuple(pieces)
 
-    return _emit(out, ts, backward)
+def merge_heads(a: Tensor, heads: int) -> Tensor:
+    """``(heads*batch, n, d_head)`` to ``(batch, n, heads*d_head)``.  The
+    inverse of :func:`split_heads`, which is its backward."""
+    hb, n, dh = a.shape
+    if hb % heads:
+        raise ShapeError(f"first axis of {a.shape} does not split into {heads} heads")
+    out = a.data.reshape(heads, hb // heads, n, dh).transpose(1, 2, 0, 3)
+    return _emit(out.reshape(hb // heads, n, heads * dh), (a,),
+                 lambda g: (split_heads(Tensor(g), heads).data,))
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:

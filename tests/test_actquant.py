@@ -5,6 +5,8 @@ from tquant import actquant as aq
 from tquant import tensor as T
 from tquant.tensor import GradTape, Tensor
 
+import reference_attention
+
 
 def scalar_minmax_reference(arr):
     """Quantize-dequantize each element with explicit scalar arithmetic."""
@@ -112,6 +114,40 @@ class TestSte:
         g = tape.gradients(loss).wrt(x)
         np.testing.assert_array_equal(g, np.ones((1, 3), dtype=np.float32))
         np.testing.assert_allclose(y.data, x.data, atol=qa.params.scale / 2 + 1e-6)
+
+
+class TestGroups:
+    @pytest.mark.parametrize("scheme", ["minmax8", "symmetric8"])
+    def test_matches_frozen_per_slice_fake_quant(self, scheme):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((6, 2, 3)).astype(np.float32)
+        # 127 * (p / 127) < p in float64 for this float32 peak, so the clip
+        # bound only holds it when rounded to float32 first
+        x[0:2] = np.clip(x[0:2], -1.5, 1.5)
+        x[0, 1, 2] = 1.9995038509368896
+        x[2:4] = 0.5      # a constant slice
+        x[4:6] = 0.0      # an all-zero slice
+        c = rng.standard_normal(x.shape).astype(np.float32)
+
+        def run(fq, arr, weights):
+            leaf = Tensor(arr, requires_grad=True)
+            with GradTape() as tape:
+                y = fq(leaf)
+                loss = T.sum_all(T.mul(y, Tensor(weights)))
+            return y.data, tape.gradients(loss).wrt(leaf)
+
+        y, g = run(lambda t: aq.fake_quantize(t, scheme, groups=3)[0], x, c)
+        for i in range(3):
+            sl = slice(2 * i, 2 * i + 2)
+            y_ref, g_ref = run(lambda t: reference_attention.fake_quantize(t, scheme)[0],
+                               x[sl], c[sl])
+            np.testing.assert_array_equal(y[sl], y_ref)
+            np.testing.assert_array_equal(g[sl], g_ref)
+        assert g[0, 1, 2] == c[0, 1, 2]
+
+    def test_leading_axis_must_split(self):
+        with pytest.raises(T.ShapeError):
+            aq.fake_quantize(Tensor(np.zeros((5, 2), dtype=np.float32)), "minmax8", 2)
 
 
 class TestIdempotence:

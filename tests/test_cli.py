@@ -1,11 +1,13 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from tquant import cli, metrics, tasks
 from tquant import ternarize as tz
-from tquant.model import ModelConfig, init_params, params_from_loaded, to_saved_tensors
+from tquant.model import (ModelConfig, init_params, params_from_loaded,
+                          plan_from_notation, to_saved_tensors)
 from tquant.packed import load_model, save_model
 
 CFG = ModelConfig(layers=1, hidden=16, heads=2, ffn=32, vocab=8,
@@ -250,6 +252,49 @@ class TestInspectCommand:
         hists = metrics.read_records(tmp_path / "histograms.jsonl")
         assert len(hists) == CFG.layers + 1
         assert all(sum(h["counts"]) == h["total"] for h in hists)
+
+
+def rewrite_manifest(path, edit):
+    """Apply ``edit`` to a model file's manifest, moving the blob offsets by
+    the change in the manifest's length."""
+    data = path.read_bytes()
+    (mlen,) = struct.unpack("<I", data[4:8])
+    manifest = json.loads(data[8:8 + mlen])
+    tensors = manifest["tensors"]
+    edit({t["name"]: t for t in tensors})
+    shift = len(json.dumps(manifest)) - mlen
+    for t in tensors:
+        if type(t["offset"]) is int:
+            t["offset"] += shift
+    body = json.dumps(manifest).encode()
+    assert len(body) == mlen + shift
+    path.write_bytes(data[:4] + struct.pack("<I", len(body)) + body + data[8 + mlen:])
+
+
+class TestBadManifest:
+    def test_rewritten_manifest_with_a_harmless_edit_loads(self, tmp_path):
+        path = tmp_path / "m.tqm"
+        write_float_checkpoint(path)
+        rewrite_manifest(path, lambda ts: ts["head.b"].update(method="none "))
+        assert run(["inspect", path, "--out", tmp_path]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("edit", [
+        lambda ts: ts["head.b"].update(shape=[8]),           # fp32 count
+        lambda ts: ts["emb.word"].update(shape=[128]),       # quantized rank
+        lambda ts: ts["emb.word"].update(granularity="col"),
+        lambda ts: ts["layer0.wq"].update(offset="0"),
+        lambda ts: ts["head.b"].update(bits=32.0),
+        lambda ts: ts["head.b"].update(name=["head.b"]),
+    ], ids=["fp32-count", "rank", "granularity", "offset-type", "bits-type",
+            "name-type"])
+    def test_inspect_exits_with_io_error(self, tmp_path, capsys, edit):
+        params = init_params(CFG, np.random.default_rng(0))
+        path = tmp_path / "m.tqm"
+        save_model(str(path), CFG.to_dict(),
+                   to_saved_tensors(params, plan_from_notation("2-2-8")))
+        rewrite_manifest(path, edit)
+        assert run(["inspect", path, "--out", tmp_path]) == cli.EXIT_IO
+        assert "io error" in capsys.readouterr().err
 
 
 class TestBenchCommand:

@@ -6,6 +6,7 @@ from tquant import tensor as T
 from tquant import ternarize as tz
 from tquant.tensor import GradTape, ShapeError, Tensor
 
+import reference_attention
 from oracles import fd_gradient, rel_norm_error
 
 CFG = M.ModelConfig(layers=2, hidden=8, heads=2, ffn=16, vocab=10,
@@ -170,26 +171,29 @@ class TestForward:
         assert all(a.shape == (heads * 3, 5, 5) for a in trace.attention)
 
 
+def attention_scores(h, wq, wk, heads):
+    """Raw scores of every head, (heads*batch, n, n), as forward computes them."""
+    q = T.split_heads(T.matmul(h, T.transpose_last2(wq)), heads)
+    k = T.split_heads(T.matmul(h, T.transpose_last2(wk)), heads)
+    return T.matmul(q, T.transpose_last2(k))
+
+
 class TestAttentionScores:
     def test_single_nonzero_row_pattern(self):
-        cfg = M.ModelConfig(layers=1, hidden=4, heads=1, ffn=8, vocab=4,
-                            max_positions=4, classes=2, dropout=0.0)
         rng = np.random.default_rng(8)
         h = np.zeros((1, 3, 4), dtype=np.float32)
         h[0, 1] = rng.standard_normal(4)
         wq = Tensor(rng.standard_normal((4, 4)).astype(np.float32))
         wk = Tensor(rng.standard_normal((4, 4)).astype(np.float32))
-        scores = M.attention_scores(Tensor(h), wq, wk, cfg)[0].data[0]
+        scores = attention_scores(Tensor(h), wq, wk, 1).data[0]
         mask = np.zeros((3, 3), dtype=bool)
         mask[1, 1] = True
         np.testing.assert_array_equal(scores[~mask], 0.0)
 
     def test_orthonormal_rows_give_gram_matrix(self):
-        cfg = M.ModelConfig(layers=1, hidden=4, heads=1, ffn=8, vocab=4,
-                            max_positions=4, classes=2, dropout=0.0)
         h = np.eye(4, dtype=np.float32).reshape(1, 4, 4)
         eye = Tensor(np.eye(4, dtype=np.float32))
-        scores = M.attention_scores(Tensor(h), eye, eye, cfg)[0].data[0]
+        scores = attention_scores(Tensor(h), eye, eye, 1).data[0]
         np.testing.assert_allclose(scores, np.eye(4), atol=1e-6)
         assert all(scores[i, i] >= scores[i].max() for i in range(4))
 
@@ -198,13 +202,51 @@ class TestAttentionScores:
         h = rng.standard_normal((2, 5, 8)).astype(np.float32)
         wq = rng.standard_normal((8, 8)).astype(np.float32)
         wk = rng.standard_normal((8, 8)).astype(np.float32)
-        scores = M.attention_scores(Tensor(h), Tensor(wq), Tensor(wk), CFG)
+        scores = attention_scores(Tensor(h), Tensor(wq), Tensor(wk), CFG.heads)
         q = h.astype(np.float64) @ wq.T.astype(np.float64)
         k = h.astype(np.float64) @ wk.T.astype(np.float64)
         for hh in range(CFG.heads):
             sl = slice(hh * CFG.d_head, (hh + 1) * CFG.d_head)
             expected = q[:, :, sl] @ np.swapaxes(k[:, :, sl], 1, 2)
-            np.testing.assert_allclose(scores[hh].data, expected, atol=1e-5)
+            b = h.shape[0]
+            np.testing.assert_allclose(scores.data[hh * b:(hh + 1) * b], expected,
+                                       atol=1e-5)
+
+
+class TestFrozenPerHeadForward:
+    """The batched-heads forward against the frozen per-head loop."""
+
+    @staticmethod
+    def run(fwd, params, cfg, tokens, segments, plan, seed):
+        leaves, _ = M.build_leaves(params, plan, trainable=True)
+        with GradTape() as tape:
+            trace = fwd(leaves, cfg, tokens, segments, plan=plan, train=True,
+                        rng=np.random.default_rng(seed))
+            loss = None
+            for t in trace.hidden + trace.attention + [trace.logits]:
+                term = T.mean_all(T.mul(t, t))
+                loss = term if loss is None else loss + term
+        grads = tape.gradients(loss)
+        return trace, {name: grads.wrt(leaf) for name, leaf in leaves.items()}
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("act", ["minmax8", "symmetric8", None])
+    def test_bit_identical_with_dropout(self, act, heads):
+        cfg = M.ModelConfig(layers=2, hidden=16, heads=heads, ffn=24, vocab=12,
+                            max_positions=8, classes=3, dropout=0.2)
+        rng = np.random.default_rng(40 + heads)
+        params = M.init_params(cfg, rng, std=0.5)
+        tokens, segments = batch(rng, cfg, b=3, n=6)
+        plan = None if act is None else M.plan_from_notation("2-2-8", act=act)
+        got, got_g = self.run(M.forward, params, cfg, tokens, segments, plan, 5)
+        ref, ref_g = self.run(reference_attention.forward, params, cfg, tokens,
+                              segments, plan, 5)
+        for a, b in zip(got.hidden + got.attention, ref.hidden + ref.attention):
+            np.testing.assert_array_equal(a.data, b.data)
+        assert len(got.attention) == len(ref.attention) == cfg.layers
+        np.testing.assert_array_equal(got.logits.data, ref.logits.data)
+        for name in params:
+            np.testing.assert_array_equal(got_g[name], ref_g[name], err_msg=name)
 
 
 class TestHeadPermutation:

@@ -53,6 +53,12 @@ class TestBitPacking:
         with pytest.raises(pk.ModelFileError):
             pk.unpack_codes_2bit(b"\xff", 4)
 
+    def test_pack_rejects_codes_outside_the_width(self):
+        t = tz.TernaryTensor(codes=np.array([[3, -2, 1, 0]], dtype=np.int8),
+                             scales=np.array([1.0]), granularity="layer")
+        with pytest.raises(ValueError):
+            pk.pack(t)
+
     def test_pack_rejects_non_ternary(self):
         t = tz.TernaryTensor(codes=np.array([[3]], dtype=np.int8),
                              scales=np.array([1.0]), granularity="layer",

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -188,6 +191,8 @@ PRIMITIVES = [
     ("gelu", lambda a: T.gelu(a), 1),
     ("transpose", lambda a: T.transpose_last2(a), 1),
     ("narrow", lambda a: T.narrow(a, 1, 1, 2), 1),
+    ("split_heads", lambda a: T.split_heads(a, 2), 1),
+    ("merge_heads", lambda a: T.merge_heads(a, 2), 1),
 ]
 
 
@@ -196,7 +201,8 @@ class TestPrimitiveGradients:
     def test_primitive_vs_central_differences(self, name, fn, arity):
         rng = np.random.default_rng(hash(name) % 2**32)
         for _ in range(10):
-            shapes = {"matmul": [(3, 4), (4, 2)]}.get(name, [(3, 4)] * arity)
+            shapes = {"matmul": [(3, 4), (4, 2)], "split_heads": [(2, 3, 4)],
+                      "merge_heads": [(4, 3, 2)]}.get(name, [(3, 4)] * arity)
             arrays = {f"x{i}": rng.standard_normal(s) for i, s in enumerate(shapes)}
 
             def apply(tensors):
@@ -236,24 +242,74 @@ class TestPrimitiveGradients:
             fd = fd_gradient(loss_fn, arrays, key)
             assert rel_norm_error(grads.wrt(leaves[key]), fd) < 1e-3
 
-    def test_gather_and_concat_gradients(self):
+    def test_gather_gradients(self):
         rng = np.random.default_rng(12)
         table = rng.standard_normal((5, 3))
         ids = np.array([[0, 2, 2], [4, 0, 1]])
 
         def loss_fn(p):
-            rowsum = T.gather_rows(Tensor(p["t"]), ids)
-            both = T.concat([rowsum, rowsum], axis=2)
-            return float(T.sum_all(T.mul(both, both)).data)
+            rows = T.gather_rows(Tensor(p["t"]), ids)
+            return float(T.sum_all(T.mul(rows, rows)).data)
 
         arrays = {"t": table}
         leaf = t64(table)
         with GradTape() as tape:
-            rowsum = T.gather_rows(leaf, ids)
-            both = T.concat([rowsum, rowsum], axis=2)
-            loss = T.sum_all(T.mul(both, both))
+            rows = T.gather_rows(leaf, ids)
+            loss = T.sum_all(T.mul(rows, rows))
         fd = fd_gradient(loss_fn, arrays, "t")
         assert rel_norm_error(tape.gradients(loss).wrt(leaf), fd) < 1e-3
+
+
+class TestHeadOps:
+    def test_split_layout_and_merge_inverse(self):
+        x = np.arange(2 * 3 * 6, dtype=np.float32).reshape(2, 3, 6)
+        split = T.split_heads(Tensor(x), 3)
+        assert split.shape == (6, 3, 2)
+        for h in range(3):
+            np.testing.assert_array_equal(split.data[2 * h:2 * h + 2],
+                                          x[:, :, 2 * h:2 * h + 2])
+        np.testing.assert_array_equal(T.merge_heads(split, 3).data, x)
+
+    def test_indivisible_shapes_rejected(self):
+        with pytest.raises(T.ShapeError):
+            T.split_heads(Tensor(np.zeros((2, 3, 5))), 2)
+        with pytest.raises(T.ShapeError):
+            T.merge_heads(Tensor(np.zeros((3, 3, 5))), 2)
+
+
+class TestThreads:
+    def test_each_thread_records_on_its_own_tape(self):
+        values = (2.0, 3.0, 5.0, 7.0)
+        barrier = threading.Barrier(len(values), timeout=30)
+        errors = []
+
+        def work(value):
+            try:
+                for _ in range(20):
+                    x = t64([value])
+                    with GradTape() as tape:
+                        barrier.wait()      # every thread's tape is active
+                        loss = T.sum_all(T.mul(x, x))
+                        barrier.wait()      # every thread has recorded
+                    assert len(tape) == 2
+                    np.testing.assert_array_equal(tape.gradients(loss).wrt(x),
+                                                  [2 * value])
+            except Exception as e:          # reported below, not lost in the thread
+                errors.append(e)
+                barrier.abort()
+
+        threads = [threading.Thread(target=work, args=(v,)) for v in values]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
 
 
 class TestDeterminismAndMisc:

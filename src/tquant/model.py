@@ -139,11 +139,6 @@ class QuantPlan:
     def quantizes_activations(self) -> bool:
         return self.a_bits < 32
 
-    @property
-    def is_noop(self) -> bool:
-        return not (self.quantizes_weights or self.quantizes_embedding
-                    or self.quantizes_activations)
-
     def slot(self, slot: str) -> tuple[int, str, str]:
         """(bits, method, granularity) of the 'w' or the 'e' slot."""
         if slot == "w":

@@ -1,4 +1,4 @@
-"""Integer-domain GEMM between ternary weights and 8-bit activations.
+"""Exact GEMM between ternary weights and 8-bit activation codes.
 
 The weight is stored transposed (out_features x in_features) so that row
 scales fold into a per-output-column pass.  For activation codes c with
@@ -7,9 +7,10 @@ value alpha*b, the product column j decomposes as
 
     out[:, j] = s * alpha_j * (C @ B^T)[:, j] + x_min * alpha_j * colsum_j
 
-where the matmul runs entirely in 32-bit integers and colsum_j is the
-precomputed sign sum of weight row j.  A plan guards the accumulator:
-k * 255 must fit in int32.
+where colsum_j is the sign sum of weight row j.  C @ B^T is an integer
+product computed by float64 BLAS: a plan admits only k * 255 <= 2^31 - 1,
+so every partial sum is an integer below 2^53, which float64 holds
+exactly.  The result is bit-identical to an int32 or int64 accumulation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ INT32_MAX = 2**31 - 1
 
 
 class PlanError(ValueError):
-    """The requested GEMM cannot be accumulated safely in 32 bits."""
+    """The requested GEMM has an unknown scheme or cannot be accumulated exactly."""
 
 
 @dataclass
@@ -43,6 +44,8 @@ class GemmPlan:
     def __post_init__(self):
         if self.acc_bits != 32:
             raise PlanError("only 32-bit accumulation is supported")
+        if self.act_scheme not in ("minmax8", "symmetric8"):
+            raise PlanError(f"unknown activation scheme {self.act_scheme!r}")
         peak = 255 if self.act_scheme == "minmax8" else 127
         if self.k * peak > INT32_MAX:
             raise PlanError(f"k={self.k} overflows int32 accumulation")
@@ -58,27 +61,23 @@ def _weight_parts(w) -> tuple[np.ndarray, np.ndarray, str]:
     return w.codes, w.scales, w.granularity
 
 
-def ternary_gemm(act: QuantizedActivation, w, plan: GemmPlan | None = None) -> np.ndarray:
+def ternary_gemm(act: QuantizedActivation, w) -> np.ndarray:
     """act (m x k) codes times stored-transposed ternary weight (n x k)."""
     signs, scales, gran = _weight_parts(w)
     m, k = act.codes.shape
     n, k2 = signs.shape
     if k != k2:
         raise ValueError(f"inner dimensions differ: act k={k}, weight k={k2}")
-    if plan is None:
-        plan = GemmPlan(m=m, n=n, k=k, act_scheme=act.params.scheme,
-                        w_granularity=gran)
+    GemmPlan(m=m, n=n, k=k, act_scheme=act.params.scheme, w_granularity=gran)
 
-    c = act.codes.astype(np.int32)
-    b_t = signs.astype(np.int32).T                      # (k, n)
-    acc = c @ b_t                                       # int32 accumulation
+    b = signs.astype(np.float64)
+    acc = act.codes.astype(np.float64) @ b.T            # exact: see module doc
     alpha = (np.full(n, scales[0], dtype=np.float64) if gran == "layer"
              else scales.astype(np.float64))
     s = act.params.scale
-    out64 = acc.astype(np.float64) * (s * alpha)
+    out64 = acc * (s * alpha)
     if act.params.scheme == "minmax8":
-        colsum = signs.astype(np.int32).sum(axis=1)     # per output column
-        out64 = out64 + act.params.x_min * alpha * colsum.astype(np.float64)
+        out64 = out64 + act.params.x_min * alpha * b.sum(axis=1)
     return out64.astype(np.float32)
 
 
@@ -119,7 +118,7 @@ def traffic_bytes(plan: GemmPlan) -> int:
 
 def bench_gemm(plan: GemmPlan, repetitions: int,
                rng: np.random.Generator | None = None) -> BenchRecord:
-    """Time the integer path against the float path; informational only."""
+    """Time the ternary kernel against a float matmul; informational only."""
     if repetitions <= 0:
         return BenchRecord(plan.m, plan.n, plan.k, 0, 0.0, 0.0, 0)
     rng = rng or np.random.default_rng(0)
@@ -131,7 +130,7 @@ def bench_gemm(plan: GemmPlan, repetitions: int,
 
     t0 = time.perf_counter_ns()
     for _ in range(repetitions):
-        ternary_gemm(act, w, plan)
+        ternary_gemm(act, w)
     t1 = time.perf_counter_ns()
     xd = actquant.dequantize(act)
     wd = dequantize(w)

@@ -271,3 +271,33 @@ class TestModelFiles:
         got2, _ = params_from_loaded(reloaded.tensors, MICRO)
         for name in got:
             np.testing.assert_array_equal(got[name], got2[name])
+
+    def test_byte_mutants_raise_only_model_file_errors(self, tmp_path):
+        # 1200 seeded mutants of a 2-2-8 file: a load either succeeds or
+        # raises a ModelFileError subclass, never anything else
+        import struct
+        path, _ = self._save_micro(tmp_path, plan=plan_from_notation("2-2-8"))
+        data = path.read_bytes()
+        (mlen,) = struct.unpack("<I", data[4:8])
+        digits = [i for i in range(8, 8 + mlen) if chr(data[i]).isdigit()]
+        rng = np.random.default_rng(2024)
+        mutant_path = tmp_path / "mutant.tqm"
+        for i in range(1200):
+            mutant = bytearray(data)
+            kind = i % 4
+            if kind == 0:                   # flip bits anywhere
+                for pos in rng.integers(0, len(data), rng.integers(1, 4)):
+                    mutant[pos] ^= int(rng.integers(1, 256))
+            elif kind == 1:                 # truncate
+                del mutant[int(rng.integers(0, len(data))):]
+            elif kind == 2:                 # flip bits in the header or manifest
+                pos = int(rng.integers(0, 8 + mlen))
+                mutant[pos] ^= 1 << int(rng.integers(0, 8))
+            else:                           # rewrite a manifest digit: JSON stays valid
+                pos = digits[int(rng.integers(0, len(digits)))]
+                mutant[pos] = ord("0123456789"[int(rng.integers(0, 10))])
+            mutant_path.write_bytes(bytes(mutant))
+            try:
+                pk.load_model(str(mutant_path))
+            except pk.ModelFileError:
+                pass

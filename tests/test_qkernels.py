@@ -25,6 +25,10 @@ class TestGemmPlan:
         with pytest.raises(qk.PlanError):
             qk.GemmPlan(m=1, n=1, k=1, acc_bits=16)
 
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(qk.PlanError):
+            qk.GemmPlan(m=1, n=1, k=1, act_scheme="bogus")
+
 
 class TestTernaryGemm:
     def test_identity_selection(self):
@@ -90,6 +94,30 @@ class TestTernaryGemm:
         a = qk.ternary_gemm(act, w)
         b = qk.ternary_gemm(act, w)
         np.testing.assert_array_equal(a, b)
+
+    def test_guard_sees_the_operands(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((2, 16))
+        w = make_weight(rng, 3, 16)
+        with pytest.raises(TypeError):        # no caller-supplied plan
+            qk.ternary_gemm(aq.quantize(x, "symmetric8"), w,
+                            qk.GemmPlan(m=99, n=1, k=1, act_scheme="symmetric8"))
+        # a limit that 16 minmax8 codes exceed and 16 symmetric8 codes do not
+        monkeypatch.setattr(qk, "INT32_MAX", 16 * 255 - 1)
+        with pytest.raises(qk.PlanError):
+            qk.ternary_gemm(aq.quantize(x, "minmax8"), w)
+        qk.ternary_gemm(aq.quantize(x, "symmetric8"), w)
+
+    def test_exact_where_float32_accumulation_is_not(self):
+        # row sums near 3.3e7 > 2^24: only an accumulator wider than a
+        # float32 mantissa gets them right
+        x = np.random.default_rng(9).standard_normal((2, 2**18)).astype(np.float32)
+        act = aq.quantize_minmax(x)
+        w = tz.TernaryTensor(codes=np.ones((2, 2**18), dtype=np.int8),
+                             scales=np.array([0.03]), granularity="layer")
+        assert act.codes.astype(np.int64).sum(axis=1).min() > 2**24
+        ref = integer_gemm_reference(act.codes, act.params, w.codes, w.scales, "layer")
+        np.testing.assert_array_equal(qk.ternary_gemm(act, w), ref)
 
     def test_zero_point_term_equals_naive_expansion(self):
         # out[:, j] = s*alpha_j*(C B^T)[:, j] + x_min*alpha_j*colsum_j must

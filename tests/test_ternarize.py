@@ -303,7 +303,8 @@ class TestQuantize:
         w = rng.standard_normal((5, 8))
         v = rng.random((5, 8))
         got = tz.quantize(w, method, gran, v)
-        want = _quantize("int8" if method == "int8_sym" else method, w, v, gran)
+        want = reference_ternarize.quantize("int8" if method == "int8_sym" else method,
+                                            w, v, gran)
         np.testing.assert_array_equal(got.codes, want.codes)
         assert got.scales.tobytes() == want.scales.tobytes()
         assert got.max_level == 2 ** (tz.METHODS[method][0] - 1) - 1
@@ -328,20 +329,6 @@ class TestQuantize:
 
 # -- differential: the blocked group-matrix solvers against the frozen
 # per-group ones, bit for bit
-
-
-def _quantize(method, w, v, gran):
-    if method == "twn_approx":
-        return tz.twn_approx(w, gran)
-    if method == "twn_exact":
-        return tz.twn_exact(w, gran)
-    if method == "lat_exact":
-        return tz.lat_subproblem(w, v, gran, "exact")
-    if method == "lat_approx":
-        return tz.lat_subproblem(w, v, gran, "approx")
-    if method == "laq3":
-        return tz.laq3(w, v, gran)
-    return tz.quantize_int8(w, gran)
 
 
 def _differential_cases():
@@ -377,7 +364,7 @@ def test_matches_frozen_per_group_solvers(method, gran, block, monkeypatch):
     monkeypatch.setattr(tz, "BLOCK_ELEMENTS", block)
     for name, (w, v) in _differential_cases().items():
         want = reference_ternarize.quantize(method, w, v, gran)
-        got = _quantize(method, w, v, gran)
+        got = tz.quantize(w, "int8_sym" if method == "int8" else method, gran, v)
         assert got.granularity == want.granularity and got.max_level == want.max_level
         assert got.codes.shape == want.codes.shape, name
         np.testing.assert_array_equal(got.codes, want.codes, err_msg=name)

@@ -1,8 +1,8 @@
 """8-bit activation quantization with straight-through gradients.
 
 Two schemes over a dynamic range recomputed on every forward pass, one
-range per tensor or, in ``fake_quantize``, one per slice of the leading
-axis (the model gives each attention head its own range):
+range per tensor or one per equal slice of the leading axis (the model
+gives each attention head its own range):
 
 * ``minmax8``    -- affine codes in [0, 255] over [min(x), max(x)],
   ``q(x) = round((x - x_min) / s) * s + x_min`` with
@@ -10,9 +10,16 @@ axis (the model gives each attention head its own range):
 * ``symmetric8`` -- codes in [-127, 127] with ``s = max|x| / 127``.
 
 Rounding is half-away-from-zero everywhere so codes are bit-reproducible
-across platforms.  The backward rule is clipped straight-through: the
-gradient passes unchanged where x lies inside the representable range and
-is zeroed outside it.
+across platforms.  ``quantize`` builds the integer codes, for the GEMM and
+for inspection; ``fake_quantize`` computes the dequantized values directly
+in one float64 buffer, bit-identical to ``dequantize(quantize(x))``.
+
+The backward rule is clipped straight-through: the gradient passes
+unchanged where x lies inside the representable range and is zeroed
+outside it.  Under a dynamic range every x lies inside the minmax8 range
+by construction, so minmax8's backward is the identity.  Symmetric8 keeps
+the clipped STE (``ste_backward``): its bound ``127 * (max|x| / 127)`` can
+round below the peak.
 """
 
 from __future__ import annotations
@@ -54,16 +61,14 @@ class QuantizedActivation:
         return self.codes.shape
 
 
-def quantize(x, scheme: str, groups: int = 1) -> QuantizedActivation:
-    """Codes over one range per tensor, or with ``groups > 1`` one range per
-    equal slice of the leading axis; the codes are then ``(groups, m)`` and
-    the params hold ``(groups, 1)`` arrays."""
-    arr = np.asarray(getattr(x, "data", x), dtype=np.float64)
-    if groups != 1 and arr.shape[0] % groups:
-        raise T.ShapeError(f"leading axis of {arr.shape} does not split into {groups} groups")
-    rows = arr.reshape(groups, -1)
-    x_min = rows.min(axis=1, keepdims=True)
-    x_max = rows.max(axis=1, keepdims=True)
+def _ranges(x: np.ndarray, scheme: str, groups: int):
+    """x as ``(groups, m)`` rows, and each row's x_min, x_max and scale as
+    ``(groups, 1)`` float64 arrays."""
+    if groups != 1 and x.shape[0] % groups:
+        raise T.ShapeError(f"leading axis of {x.shape} does not split into {groups} groups")
+    rows = x.reshape(groups, -1)
+    x_min = rows.min(axis=1, keepdims=True).astype(np.float64)
+    x_max = rows.max(axis=1, keepdims=True).astype(np.float64)
     if scheme == "minmax8":
         s = (x_max - x_min) / 255.0
     elif scheme == "symmetric8":
@@ -71,6 +76,18 @@ def quantize(x, scheme: str, groups: int = 1) -> QuantizedActivation:
         s = np.where(peak == 0.0, 1.0, peak / 127.0)   # all-zero rows keep scale 1
     else:
         raise ValueError(f"unknown activation scheme {scheme!r}")
+    return rows, x_min, x_max, s
+
+
+def quantize(x, scheme: str, groups: int = 1) -> QuantizedActivation:
+    """Codes over one range per tensor, or with ``groups > 1`` one range per
+    equal slice of the leading axis; the codes are then ``(groups, m)`` and
+    the params hold ``(groups, 1)`` arrays.  A range that is not finite
+    (x holds NaN or inf) has no codes and raises ``ValueError``."""
+    arr = np.asarray(getattr(x, "data", x), dtype=np.float64)
+    rows, x_min, x_max, s = _ranges(arr, scheme, groups)
+    if not (np.isfinite(x_min).all() and np.isfinite(x_max).all()):
+        raise ValueError("activation range is not finite")
     params = ActQuantParams(scheme, x_min, x_max, s)
     if groups == 1:     # float params, and codes in x's shape
         params = ActQuantParams(scheme, x_min.item(), x_max.item(), s.item())
@@ -125,18 +142,46 @@ def ste_backward(grad_out: np.ndarray, x: np.ndarray,
     return grad_out * ste_mask(x, params).astype(grad_out.dtype)
 
 
-def fake_quantize(x: T.Tensor, scheme: str,
-                  groups: int = 1) -> tuple[T.Tensor, QuantizedActivation]:
-    """Quantize-dequantize as one tape op with the clipped-STE backward;
-    ``groups`` ranges as in :func:`quantize`."""
-    qa = quantize(x.data, scheme, groups)
-    out_data = dequantize(qa).astype(x.data.dtype).reshape(x.shape)
-    x_data = x.data.reshape(qa.shape)
+def fake_quantize(x: T.Tensor, scheme: str, groups: int = 1) -> T.Tensor:
+    """Quantize-dequantize as one tape op; ``groups`` ranges as in
+    :func:`quantize`.
 
-    def backward(g):
-        return (ste_backward(g.reshape(qa.shape), x_data, qa.params).reshape(x.shape),)
+    The values equal ``dequantize(quantize(x, scheme, groups))`` bit for
+    bit, cast to x's dtype, but no codes are built: the float64 buffer is
+    rounded in place.  NaN or inf in x comes out as non-finite values.
+    """
+    rows, x_min, x_max, s = _ranges(x.data, scheme, groups)
+    buf = rows.astype(np.float64)
+    if scheme == "minmax8":
+        # t = (x - x_min) / s lies in [0, 255]: the clip is a no-op and
+        # half-away rounding is floor(t + 0.5).  A constant group (s = 0)
+        # has t = 0 over a unit divisor, so it gives x_min.
+        buf -= x_min
+        buf /= np.where(s == 0.0, 1.0, s)
+        buf += 0.5
+        np.floor(buf, out=buf)
+        buf *= s
+        buf += x_min
 
-    return T.custom_op([x], out_data, backward, name="fake_quant"), qa
+        def backward(g):    # every x lies in its own [x_min, x_max]
+            return (g,)
+    else:
+        # copysign(floor(|t| + 0.5), t) is round_half_away(t), and t = x / s
+        # has x's sign; |t| rounds to at most 127, so the clip is a no-op
+        buf /= s
+        np.abs(buf, out=buf)
+        buf += 0.5
+        np.floor(buf, out=buf)
+        np.copysign(buf, rows, out=buf)
+        buf *= s
+        buf += 0.0          # int8 codes have no -0
+        params = ActQuantParams(scheme, x_min, x_max, s)
+
+        def backward(g):
+            return (ste_backward(g.reshape(rows.shape), rows, params).reshape(x.shape),)
+
+    out = buf.astype(np.float32).astype(x.data.dtype, copy=False).reshape(x.shape)
+    return T.custom_op([x], out, backward, name="fake_quant")
 
 
 @dataclass

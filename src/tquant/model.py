@@ -128,14 +128,6 @@ class QuantPlan:
         return f"{self.w_bits}-{self.e_bits}-{self.a_bits}"
 
     @property
-    def quantizes_weights(self) -> bool:
-        return self.w_bits < 32
-
-    @property
-    def quantizes_embedding(self) -> bool:
-        return self.e_bits < 32
-
-    @property
     def quantizes_activations(self) -> bool:
         return self.a_bits < 32
 
@@ -302,7 +294,7 @@ class ForwardTrace:
 
 def _maybe_fq(x: Tensor, plan: QuantPlan | None, groups: int = 1) -> Tensor:
     if plan is not None and plan.quantizes_activations:
-        return actquant.fake_quantize(x, plan.act_scheme, groups)[0]
+        return actquant.fake_quantize(x, plan.act_scheme, groups)
     return x
 
 

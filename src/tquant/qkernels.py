@@ -39,16 +39,14 @@ class GemmPlan:
     k: int
     act_scheme: str = "minmax8"
     w_granularity: str = "layer"
-    acc_bits: int = 32
 
     def __post_init__(self):
-        if self.acc_bits != 32:
-            raise PlanError("only 32-bit accumulation is supported")
         if self.act_scheme not in ("minmax8", "symmetric8"):
             raise PlanError(f"unknown activation scheme {self.act_scheme!r}")
         peak = 255 if self.act_scheme == "minmax8" else 127
         if self.k * peak > INT32_MAX:
-            raise PlanError(f"k={self.k} overflows int32 accumulation")
+            raise PlanError(f"k={self.k} breaks the exactness bound "
+                            f"k * {peak} <= 2^31 - 1")
         if min(self.m, self.n, self.k) < 0:
             raise PlanError("negative dimension")
 

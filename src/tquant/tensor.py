@@ -439,14 +439,30 @@ def log_softmax_rows(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact GeLU, x * Phi(x) with the Gaussian CDF."""
+    """Exact GeLU, x * Phi(x) with the Gaussian CDF.
+
+    Forward and backward each work in place on one float64 buffer.  Every
+    ``*`` and ``+`` takes the same operands as in the plain formula, at
+    most swapped, and IEEE ``*`` and ``+`` commute, so the bits are the
+    plain formula's.
+    """
     x64 = x.data.astype(np.float64)
-    cdf = 0.5 * (1.0 + erf(x64 * _INV_SQRT2))
-    out = (x64 * cdf).astype(x.data.dtype)
+    cdf = np.multiply(x64, _INV_SQRT2)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    out = np.multiply(x64, cdf, out=np.empty(x.shape, x.data.dtype))
 
     def backward(g):
-        pdf = np.exp(-0.5 * x64 * x64) * _INV_SQRT2PI
-        return ((g * (cdf + x64 * pdf)).astype(x.data.dtype),)
+        # g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi)
+        t = np.multiply(x64, -0.5)
+        t *= x64
+        np.exp(t, out=t)
+        t *= _INV_SQRT2PI
+        t *= x64
+        t += cdf
+        t *= g
+        return (t.astype(x.data.dtype),)
 
     return _emit(out, (x,), backward)
 

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from tquant import actquant as aq
 from tquant import tensor as T
 from tquant.tensor import GradTape, Tensor
 
+import reference_actquant
 import reference_attention
 
 
@@ -109,11 +113,12 @@ class TestSte:
         x = Tensor(np.array([[0.1, -0.4, 0.9]], dtype=np.float32),
                    requires_grad=True)
         with GradTape() as tape:
-            y, qa = aq.fake_quantize(x, "minmax8")
+            y = aq.fake_quantize(x, "minmax8")
             loss = T.sum_all(y)
         g = tape.gradients(loss).wrt(x)
         np.testing.assert_array_equal(g, np.ones((1, 3), dtype=np.float32))
-        np.testing.assert_allclose(y.data, x.data, atol=qa.params.scale / 2 + 1e-6)
+        scale = aq.quantize(x, "minmax8").params.scale
+        np.testing.assert_allclose(y.data, x.data, atol=scale / 2 + 1e-6)
 
 
 class TestGroups:
@@ -136,7 +141,7 @@ class TestGroups:
                 loss = T.sum_all(T.mul(y, Tensor(weights)))
             return y.data, tape.gradients(loss).wrt(leaf)
 
-        y, g = run(lambda t: aq.fake_quantize(t, scheme, groups=3)[0], x, c)
+        y, g = run(lambda t: aq.fake_quantize(t, scheme, groups=3), x, c)
         for i in range(3):
             sl = slice(2 * i, 2 * i + 2)
             y_ref, g_ref = run(lambda t: reference_attention.fake_quantize(t, scheme)[0],
@@ -148,6 +153,130 @@ class TestGroups:
     def test_leading_axis_must_split(self):
         with pytest.raises(T.ShapeError):
             aq.fake_quantize(Tensor(np.zeros((5, 2), dtype=np.float32)), "minmax8", 2)
+
+
+def run_op(op, arr, weights):
+    """Values and gradient of ``sum(op(x) * weights)`` at x = arr."""
+    leaf = Tensor(arr, requires_grad=True)
+    with GradTape() as tape:
+        y = op(leaf)
+        loss = T.sum_all(T.mul(y, Tensor(weights)))
+    return y.data, tape.gradients(loss).wrt(leaf)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def frozen_cases():
+    """Inputs that stress fake-quant's rounding, ranges and signed zeros."""
+    rng = np.random.default_rng(11)
+    ties = np.concatenate([np.arange(0, 511) * 0.25,            # minmax8: t = k / 2
+                           np.arange(-254, 255) * 0.5])          # symmetric8: s = 1
+    peak = rng.standard_normal((4, 3, 5)).astype(np.float32)
+    peak = np.clip(peak, -1.5, 1.5)
+    peak[1, 2, 3] = 1.9995038509368896     # 127 * (p / 127) < p in float64
+    grouped = rng.standard_normal((8, 3, 5)).astype(np.float32)
+    grouped[2:4] = 0.5                      # a constant group: minmax8 s = 0
+    grouped[4:6] = 0.0                      # an all-zero group
+    grouped[4, 0, 0] = -0.0
+    small_neg = (rng.standard_normal(64) * 3).astype(np.float32)
+    small_neg[:8] = -np.float32(1e-4) * np.arange(1, 9)   # codes round to -0
+    small_neg[8] = -0.0
+    return {
+        "ties_minmax": (np.arange(0, 511, dtype=np.float32) * 0.25, 1),
+        "ties_symmetric": (np.arange(-254, 255, dtype=np.float32) * 0.5, 1),
+        "ties_mixed": (ties.astype(np.float32).reshape(2, -1), 2),
+        "constant": (np.full((3, 4), 0.7, dtype=np.float32), 1),
+        "all_zero": (np.array([0.0, -0.0, 0.0, -0.0], dtype=np.float32), 1),
+        "grouped_heads": (grouped, 4),
+        "float32_peak": (peak, 1),
+        "float32_peak_grouped": (peak, 2),
+        "small_negatives": (small_neg, 1),
+        "float64_input": (rng.standard_normal((6, 7)) * 2.5, 3),
+        "float64_peak": (peak.astype(np.float64), 1),   # symmetric8 clips the peak
+        "random": (rng.standard_normal((4, 8, 16)).astype(np.float32) * 40, 4),
+    }
+
+
+class TestFrozenFakeQuant:
+    """The one-buffer fake-quant against the frozen codes-then-dequantize path."""
+
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    @pytest.mark.parametrize("case", sorted(frozen_cases()))
+    def test_values_and_gradients_match_frozen(self, scheme, case):
+        x, groups = frozen_cases()[case]
+        c = np.random.default_rng(12).standard_normal(x.shape).astype(x.dtype)
+        y, g = run_op(lambda t: aq.fake_quantize(t, scheme, groups), x, c)
+        y_ref, g_ref = run_op(
+            lambda t: reference_actquant.fake_quantize(t, scheme, groups)[0], x, c)
+        assert_same_bits(y, y_ref)
+        assert_same_bits(g, g_ref)
+
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    def test_random_inputs_match_frozen(self, scheme):
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            x = (rng.standard_normal((4, 6, 8)) * rng.uniform(0.01, 50)).astype(np.float32)
+            c = rng.standard_normal(x.shape).astype(np.float32)
+            for groups in (1, 4):
+                y, g = run_op(lambda t: aq.fake_quantize(t, scheme, groups), x, c)
+                y_ref, g_ref = run_op(
+                    lambda t: reference_actquant.fake_quantize(t, scheme, groups)[0], x, c)
+                assert_same_bits(y, y_ref)
+                assert_same_bits(g, g_ref)
+
+    def test_codes_path_unchanged(self):
+        for x, groups in frozen_cases().values():
+            for scheme in aq.SCHEMES:
+                qa = aq.quantize(x, scheme, groups)
+                ref = reference_actquant.quantize(x, scheme, groups)
+                assert_same_bits(qa.codes, ref.codes)
+                assert_same_bits(aq.dequantize(qa), reference_actquant.dequantize(ref))
+
+
+@pytest.mark.parametrize("scheme", aq.SCHEMES)
+def test_fake_quantize_peak_memory_within_two_float64_copies(scheme):
+    x = Tensor(np.random.default_rng(14).standard_normal((32, 32, 512), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        aq.fake_quantize(x, scheme)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * x.size * np.dtype(np.float64).itemsize
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_codes_refuse_a_nonfinite_range(self, scheme, bad):
+        x = np.linspace(-1, 1, 12).astype(np.float32).reshape(4, 3)
+        x[3, 1] = bad
+        for groups in (1, 2):
+            with pytest.raises(ValueError, match="not finite"):
+                aq.quantize(x, scheme, groups)
+
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    def test_fake_quant_passes_nan_through_without_a_cast(self, scheme):
+        x = np.linspace(-1, 1, 12).astype(np.float32).reshape(4, 3)
+        x[3, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            y = aq.fake_quantize(Tensor(x), scheme, groups=2).data
+        assert np.isnan(y[2:]).all()
+        ref = reference_actquant.fake_quantize(Tensor(x[:2]), scheme)[0].data
+        assert_same_bits(y[:2], ref)
+
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_fake_quant_passes_inf_through_as_nonfinite(self, scheme, bad):
+        x = np.linspace(-1, 1, 12).astype(np.float32)
+        x[5] = bad
+        with np.errstate(invalid="ignore"):
+            y = aq.fake_quantize(Tensor(x), scheme).data
+        assert not np.isfinite(y[5])
 
 
 class TestIdempotence:

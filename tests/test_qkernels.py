@@ -21,10 +21,6 @@ class TestGemmPlan:
     def test_desk_scale_fits(self):
         qk.GemmPlan(m=64, n=64, k=3072, act_scheme="minmax8")
 
-    def test_only_32bit_accumulation(self):
-        with pytest.raises(qk.PlanError):
-            qk.GemmPlan(m=1, n=1, k=1, acc_bits=16)
-
     def test_unknown_scheme_rejected(self):
         with pytest.raises(qk.PlanError):
             qk.GemmPlan(m=1, n=1, k=1, act_scheme="bogus")

@@ -9,6 +9,7 @@ from tquant.tensor import GradTape, Tensor
 
 from oracles import (fd_gradient, gaussian_cdf_quadrature, matmul_triple_loop,
                      rel_norm_error, softmax_reference)
+import reference_actquant
 
 
 def t64(data, grad=True):
@@ -95,6 +96,24 @@ class TestGelu:
         for x in rng.uniform(-3, 3, size=10):
             got = float(T.gelu(Tensor([np.float32(x)])).data[0])
             assert abs(got - x * gaussian_cdf_quadrature(float(np.float32(x)))) < 1e-5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_frozen_plain_formula(self, dtype):
+        rng = np.random.default_rng(15)
+        x = (rng.standard_normal((8, 16, 32)) * 4).astype(dtype)
+        x.flat[:8] = [0.0, -0.0, 12.0, -12.0, 40.0, -40.0, 1e-30, -1e-30]
+        c = rng.standard_normal(x.shape).astype(dtype)
+
+        def run(op):
+            leaf = Tensor(x, requires_grad=True)
+            with GradTape() as tape:
+                y = op(leaf)
+                loss = T.sum_all(T.mul(y, Tensor(c)))
+            return y.data, tape.gradients(loss).wrt(leaf)
+
+        for got, want in zip(run(T.gelu), run(reference_actquant.gelu)):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLayerNorm:

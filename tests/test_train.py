@@ -225,6 +225,17 @@ class TestTrainStep:
             TR.train_step(state, tokens, segments, labels)
         assert "hidden" in str(err.value) or "logits" in str(err.value)
 
+    @pytest.mark.parametrize("act", ["minmax", "sym"])
+    def test_nonfinite_under_quantized_plan_names_hidden_state(self, act):
+        teacher, data = self._teacher(epochs=1)
+        plan = M.plan_from_notation("2-2-8", act=act)
+        state = fresh_state(teacher, plan=plan,
+                            loss_cfg=TR.DistillLossConfig(False, False))
+        state.params["layer0.bq"][3] = np.nan     # a bias: never quantized
+        tokens, segments, labels = tasks.as_arrays(data[:4])
+        with pytest.raises(TR.TrainingDiverged, match=r"first bad tensor: hidden\[2\]"):
+            TR.train_step(state, tokens, segments, labels)
+
     def test_method_swap_mid_run_rejected(self):
         teacher, data = self._teacher(epochs=1)
         plan = M.plan_from_notation("2-2-8", method="twn")

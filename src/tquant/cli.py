@@ -38,8 +38,9 @@ ABLATIONS = {
 def _add_plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plan", default="2-2-8", help="W-E-A bit triple, e.g. 2-2-8")
     p.add_argument("--method", default="twn", choices=list(METHOD_ALIASES))
-    p.add_argument("--w-gran", default="layer", choices=["layer", "row"])
-    p.add_argument("--e-gran", default="row", choices=["layer", "row"])
+    p.add_argument("--w-gran", choices=["layer", "row"], help="default: layer")
+    p.add_argument("--e-gran", choices=["layer", "row"],
+                   help="default: row, or layer for an 8-bit embedding")
     p.add_argument("--act", default="minmax", choices=list(ACT_ALIASES))
 
 

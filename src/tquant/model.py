@@ -17,7 +17,9 @@ and the task head stay in full precision.
 
 Weight matrices are stored transposed, (out_features, in_features), so
 row granularity means one scale per output feature, and the word
-embedding keeps one scale per vocabulary row.
+embedding keeps one scale per vocabulary row.  Every dense layer (the six
+transformer linears and the task head) is one :func:`tensor.linear` tape
+primitive.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ class QuantPlan:
     a_bits: int = 8
     w_method: str = "twn_approx"
     e_method: str = "twn_approx"
-    w_gran: str = "layer"
-    e_gran: str = "row"
+    w_gran: str | None = None       # None: layer
+    e_gran: str | None = None       # None: row, or layer when 8-bit
     act_scheme: str = "minmax8"
     lat_iters: int = 3
     v_floor: float = 1e-12
@@ -116,6 +118,10 @@ class QuantPlan:
             raise ValueError(f"unknown activation scheme {self.act_scheme!r}")
         self.w_method = _method_for_bits(self.w_bits, self.w_method)
         self.e_method = _method_for_bits(self.e_bits, self.e_method)
+        if self.w_gran is None:
+            self.w_gran = "layer"
+        if self.e_gran is None:
+            self.e_gran = "layer" if self.e_bits == 8 else "row"
         for bits, gran, what in ((self.w_bits, self.w_gran, "weights"),
                                  (self.e_bits, self.e_gran, "embedding")):
             if gran not in ternarize.GRANULARITIES:
@@ -155,9 +161,10 @@ ACT_ALIASES = {"minmax": "minmax8", "sym": "symmetric8"}
 
 
 def plan_from_notation(notation: str, method: str = "twn",
-                       w_gran: str = "layer", e_gran: str = "row",
+                       w_gran: str | None = None, e_gran: str | None = None,
                        act: str = "minmax") -> QuantPlan:
-    """Parse a Table-1 style ``W-E-A`` triple like ``2-2-8``."""
+    """Parse a Table-1 style ``W-E-A`` triple like ``2-2-8``; a granularity
+    left as None takes the :class:`QuantPlan` default."""
     parts = notation.split("-")
     if len(parts) != 3:
         raise ValueError(f"plan must look like W-E-A, got {notation!r}")
@@ -298,13 +305,6 @@ def _maybe_fq(x: Tensor, plan: QuantPlan | None, groups: int = 1) -> Tensor:
     return x
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    out = T.matmul(x, T.transpose_last2(w))
-    if b is not None:
-        out = out + b
-    return out
-
-
 def forward(leaves: dict[str, Tensor], config: ModelConfig,
             tokens: np.ndarray, segments: np.ndarray,
             plan: QuantPlan | None = None, train: bool = False,
@@ -341,9 +341,9 @@ def forward(leaves: dict[str, Tensor], config: ModelConfig,
     for i in range(config.layers):
         p = layer_prefix(i)
         h_q = _maybe_fq(h, plan)
-        q = _linear(h_q, leaves[f"{p}.wq"], leaves[f"{p}.bq"])
-        k = _linear(h_q, leaves[f"{p}.wk"], leaves[f"{p}.bk"])
-        v = _linear(h_q, leaves[f"{p}.wv"], leaves[f"{p}.bv"])
+        q = T.linear(h_q, leaves[f"{p}.wq"], leaves[f"{p}.bq"])
+        k = T.linear(h_q, leaves[f"{p}.wk"], leaves[f"{p}.bk"])
+        v = T.linear(h_q, leaves[f"{p}.wv"], leaves[f"{p}.bv"])
         q, k, v = _maybe_fq(q, plan), _maybe_fq(k, plan), _maybe_fq(v, plan)
         q, k, v = (T.split_heads(t, heads) for t in (q, k, v))
         scores = T.matmul(q, T.transpose_last2(k))   # raw, (heads*batch, n, n)
@@ -351,18 +351,18 @@ def forward(leaves: dict[str, Tensor], config: ModelConfig,
         probs = drop(T.softmax_rows(T.scale(scores, scale)))
         probs = _maybe_fq(probs, plan, groups=heads)   # one range per head
         ctx = T.merge_heads(T.matmul(probs, v), heads)
-        attn_out = drop(_linear(_maybe_fq(ctx, plan), leaves[f"{p}.wo"],
-                                leaves[f"{p}.bo"]))
+        attn_out = drop(T.linear(_maybe_fq(ctx, plan), leaves[f"{p}.wo"],
+                                 leaves[f"{p}.bo"]))
         x = T.layer_norm(h + attn_out, leaves[f"{p}.ln1_g"], leaves[f"{p}.ln1_b"])
-        inner = T.gelu(_linear(_maybe_fq(x, plan), leaves[f"{p}.w1"],
-                               leaves[f"{p}.b1"]))
-        ffn_out = drop(_linear(_maybe_fq(inner, plan), leaves[f"{p}.w2"],
-                               leaves[f"{p}.b2"]))
+        inner = T.gelu(T.linear(_maybe_fq(x, plan), leaves[f"{p}.w1"],
+                                leaves[f"{p}.b1"]))
+        ffn_out = drop(T.linear(_maybe_fq(inner, plan), leaves[f"{p}.w2"],
+                                leaves[f"{p}.b2"]))
         h = T.layer_norm(x + ffn_out, leaves[f"{p}.ln2_g"], leaves[f"{p}.ln2_b"])
         hidden.append(h)
 
     first = T.reshape(T.narrow(h, 1, 0, 1), (batch, config.hidden))
-    logits = _linear(first, leaves["head.w"], leaves["head.b"])
+    logits = T.linear(first, leaves["head.w"], leaves["head.b"])
     return ForwardTrace(hidden=hidden, attention=attention, logits=logits)
 
 

@@ -310,6 +310,41 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Dense layer ``x @ w^T + b`` for ``w`` stored ``(out, in)``, as one
+    tape entry.
+
+    ``x`` is flattened to ``(rows, in)``, so the forward, ``dx`` and ``dw``
+    are each one 2-D float64 GEMM, rounded once to the operand's dtype; the
+    bias is added afterwards in x's dtype and ``db`` is one sum of the
+    output gradient over the leading axes.  The backward recasts ``x`` and
+    ``w`` to float64 rather than keeping the forward's copies alive.
+    """
+    if w.ndim != 2 or x.ndim < 2:
+        raise ShapeError(f"linear needs x with >= 2 dims and a 2-D weight, "
+                         f"got {x.shape} and {w.shape}")
+    n_out, n_in = w.shape
+    if x.shape[-1] != n_in:
+        raise ShapeError(f"input features differ: x {x.shape}, weight {w.shape}")
+    if b is not None and b.shape != (n_out,):
+        raise ShapeError(f"bias must have shape ({n_out},), got {b.shape}")
+    out_shape = x.shape[:-1] + (n_out,)
+    out64 = x.data.reshape(-1, n_in).astype(np.float64) @ w.data.astype(np.float64).T
+    out = out64.reshape(out_shape).astype(x.data.dtype)
+    if b is not None:
+        out += b.data
+
+    def backward(g):
+        g64 = g.reshape(-1, n_out).astype(np.float64)
+        dx = (g64 @ w.data.astype(np.float64)).reshape(x.shape).astype(x.data.dtype)
+        dw = (g64.T @ x.data.reshape(-1, n_in).astype(np.float64)).astype(w.data.dtype)
+        if b is None:
+            return dx, dw
+        return dx, dw, g.sum(axis=tuple(range(g.ndim - 1)))
+
+    return _emit(out, (x, w) if b is None else (x, w, b), backward)
+
+
 def transpose_last2(a: Tensor) -> Tensor:
     if a.ndim < 2:
         raise ShapeError("transpose_last2 needs at least 2 dims")

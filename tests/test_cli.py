@@ -61,6 +61,14 @@ class TestQuantizeCommand:
                     "--out", tmp_path])
         assert code == cli.EXIT_CONFIG
 
+    def test_8bit_plan_with_default_granularity_is_layer_wise(self, tmp_path):
+        ckpt = tmp_path / "in.tqm"
+        write_float_checkpoint(ckpt)
+        assert run(["quantize", ckpt, "--plan", "8-8-8", "--out", tmp_path]) == 0
+        loaded = load_model(str(tmp_path / "quantized.tqm"))
+        assert {rec.granularity for rec in loaded.manifest.records
+                if rec.bits == 8} == {"layer"}
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert run(["quantize", tmp_path / "nope.tqm", "--out", tmp_path]) == \
             cli.EXIT_IO
@@ -86,6 +94,13 @@ class TestTrainCommand:
                                "w_gran": "layer", "e_gran": "row",
                                "act": "minmax"})))
         np.testing.assert_array_equal(qinfo["layer0.wq"].codes, q.codes)
+
+    def test_8bit_plan_with_default_granularity_trains(self, tmp_path):
+        code = run(["train", "--plan", "8-8-8", "--task", "majority", "--epochs", 1,
+                    "--teacher-epochs", 1, "--train-n", 16, "--eval-n", 8,
+                    "--layers", 1, "--hidden", 16, "--ffn", 32, "--seq-len", 8,
+                    "--out", tmp_path, "--seed", 3])
+        assert code == 0
 
     def test_metrics_file_nonempty_with_monotone_steps(self, tmp_path):
         code = run(["train", "--task", "majority", "--epochs", 2,

@@ -40,6 +40,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             M.plan_from_notation("8-8-8", w_gran="row")
 
+    def test_default_granularities(self):
+        for notation, grans in (("2-2-8", ("layer", "row")),
+                                ("8-8-8", ("layer", "layer"))):
+            plan = M.plan_from_notation(notation)
+            assert (plan.w_gran, plan.e_gran) == grans
+        assert M.plan_from_notation("2-8-8").e_gran == "layer"
+        assert M.QuantPlan(w_bits=8, e_bits=8).e_gran == "layer"
+
     def test_activation_bits_restricted(self):
         with pytest.raises(ValueError):
             M.plan_from_notation("2-2-2")
@@ -247,6 +255,29 @@ class TestFrozenPerHeadForward:
         np.testing.assert_array_equal(got.logits.data, ref.logits.data)
         for name in params:
             np.testing.assert_array_equal(got_g[name], ref_g[name], err_msg=name)
+
+
+class TestTapeSize:
+    @pytest.mark.parametrize("layers", [0, 1, 3])
+    def test_each_linear_is_one_entry(self, monkeypatch, layers):
+        # the frozen composition records transpose, matmul and the bias add
+        # for each of the 6 transformer linears per layer and the task head
+        cfg = M.ModelConfig(layers=layers, hidden=16, heads=2, ffn=24, vocab=12,
+                            max_positions=8, classes=3, dropout=0.0)
+        rng = np.random.default_rng(50)
+        params = M.init_params(cfg, rng)
+        tokens, segments = batch(rng, cfg, b=3, n=6)
+        plan = M.plan_from_notation("2-2-8")
+
+        def tape_length():
+            leaves, _ = M.build_leaves(params, plan, trainable=True)
+            with GradTape() as tape:
+                M.forward(leaves, cfg, tokens, segments, plan=plan)
+            return len(tape)
+
+        fused = tape_length()
+        monkeypatch.setattr(T, "linear", reference_attention._linear)
+        assert fused == tape_length() - 2 * (6 * layers + 1)
 
 
 class TestHeadPermutation:

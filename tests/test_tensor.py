@@ -10,6 +10,7 @@ from tquant.tensor import GradTape, Tensor
 from oracles import (fd_gradient, gaussian_cdf_quadrature, matmul_triple_loop,
                      rel_norm_error, softmax_reference)
 import reference_actquant
+import reference_attention
 
 
 def t64(data, grad=True):
@@ -53,6 +54,67 @@ class TestMatmul:
         left = T.matmul(T.matmul(a, eye), a)
         right = T.matmul(a, T.matmul(eye, a))
         np.testing.assert_array_equal(left.data, right.data)
+
+
+class TestLinear:
+    """``linear`` against the frozen ``matmul(x, transpose_last2(w)) + b``."""
+
+    @staticmethod
+    def run(op, x, w, b, c):
+        leaves = [None if a is None else Tensor(a, requires_grad=True) for a in (x, w, b)]
+        with GradTape() as tape:
+            y = op(*leaves)
+            loss = T.sum_all(T.mul(y, Tensor(c)))
+        grads = tape.gradients(loss)
+        return [y.data] + [grads.wrt(t) for t in leaves if t is not None]
+
+    @pytest.mark.parametrize("x_shape,n_out", [
+        ((4, 5), 3), ((2, 3, 5), 3), ((3, 5, 7), 11),
+        ((32, 32, 128), 384), ((32, 32, 128), 512), ((32, 32, 512), 128)])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_frozen_composition(self, x_shape, n_out, bias, dtype):
+        rng = np.random.default_rng(x_shape[-1] * n_out + bias)
+        x = rng.standard_normal(x_shape).astype(dtype)
+        w = (rng.standard_normal((n_out, x_shape[-1])) * 0.1).astype(dtype)
+        b = rng.standard_normal(n_out).astype(dtype) if bias else None
+        c = rng.standard_normal(x_shape[:-1] + (n_out,)).astype(dtype)
+        got = self.run(T.linear, x, w, b, c)
+        want = self.run(reference_attention._linear, x, w, b, c)
+        assert len(got) == len(want) == (3 if bias else 2) + 1
+        for name, g, r in zip(("y", "dx", "dw", "db"), got, want):
+            assert g.dtype == r.dtype == dtype, name
+            if name == "dw" and dtype == np.float64 and len(x_shape) > 2:
+                # one flat GEMM sums the rows in another order than the
+                # per-batch products summed over the batch; float32 rounds
+                # the difference away, float64 keeps it in the last bits
+                assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
+            else:
+                np.testing.assert_array_equal(g, r, err_msg=name)
+
+    def test_one_tape_entry_owning_its_gradients(self):
+        x, w, b = (Tensor(np.ones(s), requires_grad=True)
+                   for s in ((2, 3, 4), (5, 4), (5,)))
+        with GradTape() as tape:
+            y = T.linear(x, w, b)
+        assert len(tape) == 1
+        # C-contiguous arrays of their own, which the tape stores uncopied
+        for g in tape._entries[0].backward(np.ones(y.shape)):
+            assert g.flags.c_contiguous and g.base is None
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+        ((2, 4), (4,), None),            # weight not 2-D
+        ((2, 4), (1, 5, 4), None),
+        ((2, 4), (5, 3), None),          # inner dimensions differ
+        ((2, 3, 4), (4, 5), (5,)),       # weight given as (in, out)
+        ((2, 4), (5, 4), (4,)),          # bias of the wrong length
+        ((2, 4), (5, 4), (1, 5)),        # bias not 1-D
+        ((4,), (5, 4), None),            # x is a vector
+    ])
+    def test_bad_shapes_raise_shape_error(self, x_shape, w_shape, b_shape):
+        b = None if b_shape is None else Tensor(np.ones(b_shape))
+        with pytest.raises(T.ShapeError):
+            T.linear(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), b)
 
 
 class TestSoftmax:
@@ -209,6 +271,7 @@ PRIMITIVES = [
     ("log_softmax", lambda a: T.log_softmax_rows(a), 1),
     ("gelu", lambda a: T.gelu(a), 1),
     ("transpose", lambda a: T.transpose_last2(a), 1),
+    ("linear", lambda x, w, b: T.linear(x, w, b), 3),
     ("narrow", lambda a: T.narrow(a, 1, 1, 2), 1),
     ("split_heads", lambda a: T.split_heads(a, 2), 1),
     ("merge_heads", lambda a: T.merge_heads(a, 2), 1),
@@ -221,6 +284,7 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(hash(name) % 2**32)
         for _ in range(10):
             shapes = {"matmul": [(3, 4), (4, 2)], "split_heads": [(2, 3, 4)],
+                      "linear": [(2, 3, 4), (5, 4), (5,)],
                       "merge_heads": [(4, 3, 2)]}.get(name, [(3, 4)] * arity)
             arrays = {f"x{i}": rng.standard_normal(s) for i, s in enumerate(shapes)}
 

@@ -10,9 +10,11 @@ against scalar reference implementations in the tests.
 Tensors are immutable values once produced; ops are pure functions.  A
 :class:`GradTape`, while active, records every primitive whose inputs are
 tracked, and ``gradients(loss)`` replays the record in reverse order.
-Each thread has its own stack of active tapes, so threads may each record
-on their own tape at the same time; a tape records only the ops of the
-thread that entered it.
+The replay frees each intermediate gradient as soon as the op that
+produced that tensor has read it, so only leaves (tracked tensors that no
+recorded op produced) keep a gradient.  Each thread has its own stack of
+active tapes, so threads may each record on their own tape at the same
+time; a tape records only the ops of the thread that entered it.
 """
 
 from __future__ import annotations
@@ -131,17 +133,27 @@ class _TapeEntry:
 
 
 class Gradients:
-    """Gradient per tracked tensor; untouched tensors read as zero."""
+    """Gradient per leaf of a replayed tape; untouched leaves read as zero.
 
-    def __init__(self, grads: dict[int, np.ndarray], tensors: dict[int, Tensor]):
+    Only leaves, the tracked tensors that no recorded op produced, keep a
+    gradient: the replay frees every intermediate one once it is used.
+    Asking for a tensor that a recorded op produced is a
+    :class:`ContractError`.  The object keeps the tape alive, so every
+    tensor of the graph keeps its identity while it is asked about.
+    """
+
+    def __init__(self, grads: dict[int, np.ndarray], tape: "GradTape"):
         self._grads = grads
-        self._tensors = tensors
+        self._tape = tape
 
     def wrt(self, t: Tensor) -> np.ndarray:
         g = self._grads.get(id(t))
-        if g is None:
-            return np.zeros_like(t.data)
-        return g
+        if g is not None:
+            return g
+        if any(entry.output is t for entry in self._tape._entries):
+            raise ContractError("gradients are kept for leaves only; "
+                                f"{t!r} was produced by a recorded op")
+        return np.zeros_like(t.data)
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
         return self.wrt(t)
@@ -181,17 +193,19 @@ class GradTape:
         self._entries.append(entry)
 
     def gradients(self, loss: Tensor) -> Gradients:
-        """Accumulated gradient of a scalar loss for every tracked tensor.
+        """Accumulated gradient of a scalar loss for every tracked leaf.
 
         Entries were appended in execution order, so iterating them in
-        reverse visits the graph in reverse topological order.
+        reverse visits the graph in reverse topological order: when an
+        entry is reached, its output's gradient is complete, and the entry
+        that produced a tensor is the last to read that gradient, so it is
+        dropped right there.
         """
         if loss.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        tensors: dict[int, Tensor] = {id(loss): loss}
         for entry in reversed(self._entries):
-            g_out = grads.get(id(entry.output))
+            g_out = grads.pop(id(entry.output), None)
             if g_out is None:
                 continue
             in_grads = entry.backward(g_out)
@@ -202,10 +216,9 @@ class GradTape:
                 prev = grads.get(id(inp))
                 if prev is None:
                     grads[id(inp)] = g.copy() if g.base is not None else g
-                    tensors[id(inp)] = inp
                 else:
                     grads[id(inp)] = prev + g
-        return Gradients(grads, tensors)
+        return Gradients(grads, self)
 
 
 def _active_tape() -> GradTape | None:
@@ -479,7 +492,9 @@ def gelu(x: Tensor) -> Tensor:
     Forward and backward each work in place on one float64 buffer.  Every
     ``*`` and ``+`` takes the same operands as in the plain formula, at
     most swapped, and IEEE ``*`` and ``+`` commute, so the bits are the
-    plain formula's.
+    plain formula's.  Until the backward runs, the tape holds only ``cdf``:
+    the backward recasts ``x`` to float64 itself, while recomputing ``cdf``
+    would cost a second ``erf``.
     """
     x64 = x.data.astype(np.float64)
     cdf = np.multiply(x64, _INV_SQRT2)
@@ -490,6 +505,7 @@ def gelu(x: Tensor) -> Tensor:
 
     def backward(g):
         # g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi)
+        x64 = x.data.astype(np.float64)
         t = np.multiply(x64, -0.5)
         t *= x64
         np.exp(t, out=t)
@@ -537,10 +553,10 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
         raise ContractError("dropout rate must be < 1")
     keep = (rng.random(x.shape) >= p)
     factor = x.data.dtype.type(1.0 / (1.0 - p))
-    m = keep.astype(x.data.dtype) * factor
-    out = x.data * m
+    out = x.data * (keep.astype(x.data.dtype) * factor)
 
     def backward(g):
-        return (g * m,)
+        # the boolean mask is a quarter of a float32 one; rebuild the scale
+        return (g * (keep.astype(x.data.dtype) * factor),)
 
     return _emit(out, (x,), backward)

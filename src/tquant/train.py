@@ -114,12 +114,14 @@ def loss_trm(student: ForwardTrace, teacher: ForwardTrace) -> Tensor:
     for hs, ht in zip(student.hidden, teacher.hidden):
         if hs.shape != ht.shape:
             raise T.ShapeError("hidden state shape mismatch")
-        term = T.mean_all(T.mul(hs - ht, hs - ht))
+        d = hs - ht
+        term = T.mean_all(T.mul(d, d))
         total = term if total is None else total + term
     for as_, at in zip(student.attention, teacher.attention):
         if as_.shape != at.shape:
             raise T.ShapeError("attention score shape mismatch")
-        term = T.mean_all(T.mul(as_ - at, as_ - at))
+        d = as_ - at
+        term = T.mean_all(T.mul(d, d))
         total = term if total is None else total + term
     return total
 

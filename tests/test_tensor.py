@@ -1,9 +1,11 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tquant import model as M
 from tquant import tensor as T
 from tquant.tensor import GradTape, Tensor
 
@@ -259,6 +261,64 @@ class TestBackward:
         with GradTape() as tape:
             loss = T.sum_all(x + x)
         np.testing.assert_array_equal(tape.gradients(loss).wrt(x), [2.0])
+
+    def test_produced_tensor_has_no_gradient(self):
+        x = t64([1.0, -2.0])
+        with GradTape() as tape:
+            y = T.mul(x, x)
+            loss = T.sum_all(y)
+        g = tape.gradients(loss)
+        for produced in (y, loss):
+            assert produced not in g
+            with pytest.raises(T.ContractError, match="leaves only"):
+                g.wrt(produced)
+        np.testing.assert_array_equal(g.wrt(x), [2.0, -4.0])
+
+
+class TestTapeMemory:
+    def test_gradients_hold_one_entry_per_leaf_reached(self):
+        cfg = M.ModelConfig(layers=2, hidden=16, heads=2, ffn=24, vocab=12,
+                            max_positions=8, classes=3)
+        rng = np.random.default_rng(60)
+        params = M.init_params(cfg, rng)
+        tokens = rng.integers(0, cfg.vocab, size=(3, 6))
+        segments = rng.integers(0, cfg.segments, size=(3, 6))
+        plan = M.plan_from_notation("2-2-8")
+        leaves, _ = M.build_leaves(params, plan, trainable=True)
+        with GradTape() as tape:
+            trace = M.forward(leaves, cfg, tokens, segments, plan=plan, train=True,
+                              rng=np.random.default_rng(61))
+            loss = T.sum_all(T.mul(trace.logits, trace.logits))
+        produced = {id(e.output) for e in tape._entries}
+        reached = {id(i) for e in tape._entries for i in e.inputs
+                   if i.requires_grad and id(i) not in produced}
+        grads = tape.gradients(loss)
+        assert set(grads._grads) == reached
+        assert {id(leaf) for leaf in leaves.values() if leaf in grads} == reached
+
+    @staticmethod
+    def _held_bytes(op, x):
+        tracemalloc.start()
+        try:
+            with GradTape():
+                before = tracemalloc.get_traced_memory()[0]
+                y = op(x)
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return y, held
+
+    def test_gelu_holds_output_and_one_float64_buffer(self):
+        x = Tensor(np.random.default_rng(62).standard_normal((32, 32, 512))
+                   .astype(np.float32), requires_grad=True)
+        y, held = self._held_bytes(T.gelu, x)
+        assert held <= y.data.nbytes + 8 * x.size + 64 * 1024
+
+    def test_dropout_holds_output_and_boolean_mask(self):
+        x = Tensor(np.ones((32, 32, 512), dtype=np.float32), requires_grad=True)
+        y, held = self._held_bytes(
+            lambda a: T.dropout(a, 0.1, np.random.default_rng(63)), x)
+        assert held <= y.data.nbytes + x.size + 64 * 1024
 
 
 PRIMITIVES = [

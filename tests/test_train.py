@@ -70,6 +70,49 @@ class TestLossTrm:
             TR.loss_trm(a, b)
 
 
+def _two_subtraction_loss_trm(student, teacher):
+    """The earlier loss_trm, which took each difference twice."""
+    total = None
+    for hs, ht in zip(student.hidden, teacher.hidden):
+        term = T.mean_all(T.mul(hs - ht, hs - ht))
+        total = term if total is None else total + term
+    for as_, at in zip(student.attention, teacher.attention):
+        term = T.mean_all(T.mul(as_ - at, as_ - at))
+        total = term if total is None else total + term
+    return total
+
+
+class TestLossTrmFrozen:
+    def test_matches_two_subtraction_form(self):
+        cfg = M.ModelConfig(layers=2, hidden=16, heads=2, ffn=32, vocab=6,
+                            max_positions=8, classes=3, dropout=0.0)
+        tokens, segments, _ = tasks.as_arrays(make_data(n=4, seed=5))
+        teacher = M.forward(M.build_leaves(
+            M.init_params(cfg, np.random.default_rng(70), std=0.5), trainable=False)[0],
+            cfg, tokens, segments)
+        student = M.forward(M.build_leaves(
+            M.init_params(cfg, np.random.default_rng(71), std=0.5), trainable=False)[0],
+            cfg, tokens, segments, plan=M.plan_from_notation("2-2-8"))
+
+        def run(loss_fn):
+            trace = ForwardTrace(
+                hidden=[Tensor(h.data, requires_grad=True) for h in student.hidden],
+                attention=[Tensor(a.data, requires_grad=True) for a in student.attention],
+                logits=student.logits)
+            with T.GradTape() as tape:
+                loss = loss_fn(trace, teacher)
+            grads = tape.gradients(loss)
+            return loss.data, [grads.wrt(t) for t in trace.hidden + trace.attention]
+
+        loss, grads = run(TR.loss_trm)
+        frozen_loss, frozen_grads = run(_two_subtraction_loss_trm)
+        assert loss > 0 and len(grads) == 3 + 2
+        np.testing.assert_array_equal(loss, frozen_loss)
+        for g, f in zip(grads, frozen_grads):
+            assert np.abs(g).max() > 0
+            np.testing.assert_array_equal(g, f)
+
+
 class TestLossPred:
     def test_identical_logits_equal_teacher_entropy(self):
         rng = np.random.default_rng(2)

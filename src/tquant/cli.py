@@ -16,9 +16,9 @@ import numpy as np
 
 from . import actquant, metrics, qkernels, tasks
 from .model import (ACT_ALIASES, METHOD_ALIASES, ModelConfig, QuantPlan,
-                    bert_base_config, build_leaves, forward, params_from_loaded,
-                    plan_from_notation, to_saved_tensors)
-from .packed import ModelFileError, load_model, save_model, size_report
+                    bert_base_config, build_leaves, forward, load_checkpoint,
+                    plan_from_notation, save_checkpoint)
+from .packed import ModelFileError, size_report
 from .train import (DistillLossConfig, OptimizerConfig, TrainSettings,
                     TrainState, TrainingDiverged, evaluate, run_training,
                     train_float_baseline)
@@ -75,43 +75,18 @@ def _out_path(args, name: str):
     return metrics.metrics_path(name, args.out)
 
 
-def _save_checkpoint(path, config: ModelConfig, params, plan: QuantPlan | None,
-                     second_moments=None, extras=None) -> None:
-    extras = dict(extras or {})
-    if plan is not None:
-        extras["plan"] = plan.to_dict()
-    tensors = to_saved_tensors(params, plan, second_moments)
-    save_model(str(path), config.to_dict(), tensors, extras)
-
-
-def _load_checkpoint(path):
-    loaded = load_model(str(path))
-    config = ModelConfig.from_dict(loaded.manifest.config)
-    params, qinfo = params_from_loaded(loaded.tensors, config)
-    return loaded, config, params, qinfo
-
-
-def _eval_plan_for(loaded) -> QuantPlan | None:
-    """Activation-only plan for a checkpoint whose weights are already coded."""
-    stored = loaded.manifest.extras.get("plan")
-    if not stored or stored.get("a_bits", 32) == 32:
-        return None
-    return QuantPlan(w_bits=32, e_bits=32, a_bits=stored["a_bits"],
-                     act_scheme=stored.get("act_scheme", "minmax8"))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_quantize(args) -> int:
-    _, config, params, _ = _load_checkpoint(args.input)
+    ckpt = load_checkpoint(args.input)
     plan = _plan_from_args(args)
-    report = size_report(config, plan, include_task_head=args.include_head)
+    report = size_report(ckpt.config, plan, include_task_head=args.include_head)
     out = _out_path(args, "quantized.tqm")
     # post-training quantization has no optimizer history; loss-aware
     # methods fall back to a uniform curvature proxy
-    _save_checkpoint(out, config, params, plan, extras={"seed": args.seed})
+    save_checkpoint(out, ckpt.config, ckpt.params, plan, extras={"seed": args.seed})
     record = report.to_dict()
     record["seed"] = args.seed
     record["plan"] = plan.notation
@@ -155,14 +130,15 @@ def cmd_train(args) -> int:
     tasks.save_dataset(str(_out_path(args, "eval_data.jsonl")), data_eval)
 
     if args.teacher:
-        _, tconfig, teacher, _ = _load_checkpoint(args.teacher)
-        if tconfig != config:
+        ckpt = load_checkpoint(args.teacher)
+        if ckpt.config != config:
             raise ValueError("teacher checkpoint config does not match run config")
+        teacher = ckpt.params
         teacher_acc = evaluate(teacher, config, data_eval)
     else:
         teacher, teacher_acc = _train_teacher(args, config, data_train, data_eval)
-        _save_checkpoint(_out_path(args, "teacher.tqm"), config, teacher, None,
-                         extras={"seed": args.seed, "eval_acc": teacher_acc})
+        save_checkpoint(_out_path(args, "teacher.tqm"), config, teacher,
+                        extras={"seed": args.seed, "eval_acc": teacher_acc})
 
     loss_cfg = ABLATIONS[args.ablation]
     state = TrainState.create(config, teacher, teacher, plan,
@@ -182,11 +158,11 @@ def cmd_train(args) -> int:
 
     student_acc = evaluate(state.params, config, data_eval, plan=plan,
                            second_moments=state.opt.v)
-    _save_checkpoint(_out_path(args, "student.tqm"), config, state.params, plan,
-                     second_moments=state.opt.v,
-                     extras={"seed": args.seed, "eval_acc": student_acc,
-                             "teacher_acc": teacher_acc,
-                             "ablation": args.ablation, "stages": args.stages})
+    save_checkpoint(_out_path(args, "student.tqm"), config, state.params, plan,
+                    second_moments=state.opt.v,
+                    extras={"seed": args.seed, "eval_acc": student_acc,
+                            "teacher_acc": teacher_acc,
+                            "ablation": args.ablation, "stages": args.stages})
     print(json.dumps({"teacher_acc": teacher_acc, "student_acc": student_acc,
                       "plan": plan.notation, "ablation": args.ablation,
                       "steps": len(history), "seed": args.seed}))
@@ -194,9 +170,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    loaded, config, params, _ = _load_checkpoint(args.model)
+    ckpt = load_checkpoint(args.model)
     examples = tasks.load_dataset(args.data)
-    acc = evaluate(params, config, examples, plan=_eval_plan_for(loaded))
+    acc = evaluate(ckpt.params, ckpt.config, examples, plan=ckpt.plan)
     record = {"kind": "eval", "model": str(args.model), "data": str(args.data),
               "n": len(examples), "accuracy": acc, "seed": args.seed}
     metrics.append_records(_out_path(args, "eval.jsonl"), [record])
@@ -205,16 +181,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    loaded, config, params, qinfo = _load_checkpoint(args.model)
-    print(json.dumps({"config": loaded.manifest.config,
-                      "extras": loaded.manifest.extras}, indent=2))
+    ckpt = load_checkpoint(args.model)
+    manifest = ckpt.file.manifest
+    print(json.dumps({"config": manifest.config, "extras": manifest.extras}, indent=2))
     rows = []
-    for rec in loaded.manifest.records:
+    for rec in manifest.records:
         row = {"name": rec.name, "role": rec.role, "bits": rec.bits,
                "method": rec.method, "granularity": rec.granularity,
                "shape": list(rec.shape), "bytes": rec.length}
-        if rec.name in qinfo:
-            codes = qinfo[rec.name].codes
+        if rec.name in ckpt.qinfo:
+            codes = ckpt.qinfo[rec.name].codes
             total = codes.size
             row["zero_frac"] = float((codes == 0).sum() / total)
             row["pos_frac"] = float((codes > 0).sum() / total)
@@ -224,8 +200,8 @@ def cmd_inspect(args) -> int:
     if args.probe:
         examples = tasks.load_dataset(args.probe)
         tokens, segments, _ = tasks.as_arrays(examples)
-        leaves, _ = build_leaves(params, None, trainable=False)
-        trace = forward(leaves, config, tokens, segments)
+        leaves, _ = build_leaves(ckpt.params, None, trainable=False)
+        trace = forward(leaves, ckpt.config, tokens, segments)
         hists = []
         for i, h in enumerate(trace.hidden):
             rec = actquant.histogram_export(h, args.bins).to_dict()

@@ -25,13 +25,13 @@ primitive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import actquant, ternarize
 from . import tensor as T
-from .packed import SavedTensor
+from .packed import LoadedModel, ManifestError, SavedTensor, load_model, save_model
 from .tensor import ShapeError, Tensor
 
 WEIGHT_BITS = (2, 3, 8, 32)
@@ -52,12 +52,15 @@ class ModelConfig:
     attn_scale: str = "sqrt_d"      # paper form; "sqrt_dh" for the usual variant
 
     def __post_init__(self):
-        if self.hidden % self.heads != 0:
-            raise ValueError("hidden size must be divisible by head count")
         for f in ("layers", "hidden", "heads", "ffn", "vocab", "segments",
                   "max_positions", "classes"):
-            if getattr(self, f) < 0 or (f not in ("layers",) and getattr(self, f) == 0):
-                raise ValueError(f"{f} must be positive")
+            value, least = getattr(self, f), 0 if f == "layers" else 1
+            if type(value) is not int or value < least:
+                raise ValueError(f"{f} must be an integer >= {least}, got {value!r}")
+        if type(self.dropout) not in (int, float) or not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be a number in [0, 1), got {self.dropout!r}")
+        if self.hidden % self.heads != 0:
+            raise ValueError("hidden size must be divisible by head count")
         if self.attn_scale not in ("sqrt_d", "sqrt_dh"):
             raise ValueError("attn_scale must be sqrt_d or sqrt_dh")
 
@@ -66,14 +69,20 @@ class ModelConfig:
         return self.hidden // self.heads
 
     def to_dict(self) -> dict:
-        return {"layers": self.layers, "hidden": self.hidden, "heads": self.heads,
-                "ffn": self.ffn, "vocab": self.vocab, "segments": self.segments,
-                "max_positions": self.max_positions, "classes": self.classes,
-                "dropout": self.dropout, "attn_scale": self.attn_scale}
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(**d)
+        return _from_fields(ModelConfig, d)
+
+
+def _from_fields(cls, d):
+    """``cls(**d)`` for a dict that names every field of ``cls`` and no other key."""
+    names = [f.name for f in fields(cls)]
+    if not isinstance(d, dict) or d.keys() != set(names):
+        raise ValueError(f"a {cls.__name__} record needs exactly the keys {names}, "
+                         f"got {list(d) if isinstance(d, dict) else d!r}")
+    return cls(**d)
 
 
 def bert_base_config(classes: int = 2) -> ModelConfig:
@@ -144,15 +153,11 @@ class QuantPlan:
         return self.e_bits, self.e_method, self.e_gran
 
     def to_dict(self) -> dict:
-        return {"w_bits": self.w_bits, "e_bits": self.e_bits, "a_bits": self.a_bits,
-                "w_method": self.w_method, "e_method": self.e_method,
-                "w_gran": self.w_gran, "e_gran": self.e_gran,
-                "act_scheme": self.act_scheme, "lat_iters": self.lat_iters,
-                "v_floor": self.v_floor}
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "QuantPlan":
-        return QuantPlan(**d)
+        return _from_fields(QuantPlan, d)
 
 
 METHOD_ALIASES = {"twn": "twn_approx", "twn-exact": "twn_exact",
@@ -173,11 +178,9 @@ def plan_from_notation(notation: str, method: str = "twn",
     except ValueError as exc:
         raise ValueError(f"plan bits must be integers, got {notation!r}") from exc
     resolved = METHOD_ALIASES.get(method, method)
-    scheme = ACT_ALIASES.get(act, act)
-    base = "twn_approx" if resolved == "laq3" else resolved
     return QuantPlan(w_bits=w, e_bits=e, a_bits=a,
-                     w_method=base, e_method=base,
-                     w_gran=w_gran, e_gran=e_gran, act_scheme=scheme)
+                     w_method=resolved, e_method=resolved,
+                     w_gran=w_gran, e_gran=e_gran, act_scheme=ACT_ALIASES.get(act, act))
 
 
 NOOP_PLAN = QuantPlan(w_bits=32, e_bits=32, a_bits=32)
@@ -399,20 +402,72 @@ def to_saved_tensors(params: dict[str, np.ndarray], plan: QuantPlan | None = Non
     return out
 
 
-def params_from_loaded(loaded_tensors: dict, config: ModelConfig
+def params_from_loaded(loaded_tensors: dict[str, SavedTensor], config: ModelConfig
                        ) -> tuple[dict[str, np.ndarray], dict]:
-    """Dequantized parameter arrays plus the quantized originals by name."""
+    """Dequantized parameter arrays plus the quantized originals by name.
+
+    The tensors must be exactly those of ``param_shapes(config)``, each
+    stored in its own shape; anything else raises ``ManifestError``.
+    """
     expected = param_shapes(config)
+    if loaded_tensors.keys() != expected.keys():
+        raise ManifestError(
+            f"tensors do not match the config: missing "
+            f"{sorted(expected.keys() - loaded_tensors.keys())}, unexpected "
+            f"{sorted(loaded_tensors.keys() - expected.keys())}")
     params = {}
     qinfo = {}
     for name, shape in expected.items():
-        if name not in loaded_tensors:
-            raise KeyError(f"model file is missing tensor {name!r}")
-        lt = loaded_tensors[name]
-        if lt.array is not None:
-            arr = lt.array.reshape(shape)
+        t = loaded_tensors[name]
+        if t.shape != shape:
+            raise ManifestError(f"{name}: stored shape {list(t.shape)}, the config "
+                                f"needs {list(shape)}")
+        if t.quant is None:
+            params[name] = t.array
         else:
-            qinfo[name] = lt.quant
-            arr = ternarize.dequantize(lt.quant).reshape(shape)
-        params[name] = arr.astype(np.float32)
+            qinfo[name] = t.quant
+            params[name] = ternarize.dequantize(t.quant)
     return params, qinfo
+
+
+def save_checkpoint(path, config: ModelConfig, params: dict[str, np.ndarray],
+                    plan: QuantPlan | None = None,
+                    second_moments: dict[str, np.ndarray] | None = None,
+                    extras: dict | None = None) -> None:
+    """Write a ``.tqm`` of ``params`` coded under ``plan``; the extras record
+    the plan, so that :func:`load_checkpoint` can run the activations it
+    was trained with."""
+    extras = dict(extras or {})
+    if plan is not None:
+        extras["plan"] = plan.to_dict()
+    save_model(str(path), config.to_dict(),
+               to_saved_tensors(params, plan, second_moments), extras)
+
+
+@dataclass
+class Checkpoint:
+    config: ModelConfig
+    params: dict[str, np.ndarray]       # dequantized, float32
+    qinfo: dict[str, ternarize.TernaryTensor]
+    plan: QuantPlan | None              # activation-only: the weights are coded
+    file: LoadedModel
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read a ``.tqm`` written by :func:`save_checkpoint`.  A config, tensor
+    set or recorded plan that does not describe one model raises
+    ``ManifestError``."""
+    file = load_model(str(path))
+    stored = file.manifest.extras.get("plan")
+    try:
+        config = ModelConfig.from_dict(file.manifest.config)
+        plan = None if stored is None else QuantPlan.from_dict(stored)
+    except ValueError as e:
+        raise ManifestError(f"{path}: {e}") from e
+    params, qinfo = params_from_loaded(file.tensors, config)
+    if plan is not None and plan.quantizes_activations:
+        plan = QuantPlan(w_bits=32, e_bits=32, a_bits=plan.a_bits,
+                         act_scheme=plan.act_scheme)
+    else:
+        plan = None
+    return Checkpoint(config, params, qinfo, plan, file)

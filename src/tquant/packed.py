@@ -294,16 +294,26 @@ class ModelManifest:
 
 
 @dataclass
-class LoadedTensor:
+class SavedTensor:
+    """One tensor of a model file, as written by ``save_model`` and as read
+    back by ``load_model``: float32 ``array`` at 32 bits, else ``quant``."""
+
+    name: str
     role: str
     bits: int
-    method: str
-    granularity: str
-    array: np.ndarray | None = None        # fp32 tensors
-    quant: TernaryTensor | None = None     # quantized tensors
+    method: str = "none"
+    granularity: str = "layer"
+    array: np.ndarray | None = None
+    quant: TernaryTensor | None = None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        if self.bits == 32:
+            return tuple(self.array.shape)
+        return tuple(self.quant.codes.shape)
 
 
-def _encode_blob(entry: "SavedTensor") -> bytes:
+def _encode_blob(entry: SavedTensor) -> bytes:
     if entry.bits == 32:
         return np.ascontiguousarray(entry.array, dtype="<f4").tobytes()
     if entry.bits not in CODE_WIDTHS:
@@ -314,7 +324,7 @@ def _encode_blob(entry: "SavedTensor") -> bytes:
     return np.ascontiguousarray(t.scales, dtype="<f4").tobytes() + pack_codes(t.codes)
 
 
-def _decode_blob(rec: TensorRecord, blob: bytes) -> LoadedTensor:
+def _decode_blob(rec: TensorRecord, blob: bytes) -> SavedTensor:
     if rec.bits != 32 and rec.bits not in CODE_WIDTHS:
         raise ModelFileError(f"unsupported bit width {rec.bits} for {rec.name}")
     shape = rec.shape
@@ -331,30 +341,14 @@ def _decode_blob(rec: TensorRecord, blob: bytes) -> LoadedTensor:
                             f"needs a {expected}-byte blob, got {len(blob)}")
     if rec.bits == 32:
         arr = np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
-        return LoadedTensor(rec.role, 32, rec.method, rec.granularity, array=arr)
+        return SavedTensor(rec.name, rec.role, 32, rec.method, rec.granularity, array=arr)
     scales = np.frombuffer(blob[:4 * n_scales], dtype="<f4").copy()
     max_level, _, unpack_codes = CODE_WIDTHS[rec.bits]
     codes = unpack_codes(blob[4 * n_scales:], count)
     t = TernaryTensor(codes=codes.reshape(shape), scales=scales,
                       granularity=rec.granularity, max_level=max_level)
-    return LoadedTensor(rec.role, rec.bits, rec.method, rec.granularity, quant=t)
-
-
-@dataclass
-class SavedTensor:
-    name: str
-    role: str
-    bits: int
-    method: str = "none"
-    granularity: str = "layer"
-    array: np.ndarray | None = None
-    quant: TernaryTensor | None = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        if self.bits == 32:
-            return tuple(self.array.shape)
-        return tuple(self.quant.codes.shape)
+    return SavedTensor(rec.name, rec.role, rec.bits, rec.method, rec.granularity,
+                       quant=t)
 
 
 def save_model(path: str, config: dict, tensors: list[SavedTensor],
@@ -422,7 +416,7 @@ def save_model(path: str, config: dict, tensors: list[SavedTensor],
 @dataclass
 class LoadedModel:
     manifest: ModelManifest
-    tensors: dict[str, LoadedTensor]
+    tensors: dict[str, SavedTensor]
 
 
 def load_model(path: str) -> LoadedModel:
@@ -439,16 +433,21 @@ def load_model(path: str) -> LoadedModel:
         manifest_dict = json.loads(data[8:8 + mlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelFileError(f"manifest is not valid JSON: {e}") from e
+    if not isinstance(manifest_dict, dict):
+        raise ManifestError("manifest is not a JSON object")
     version = manifest_dict.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatVersionError(f"format version {version} not supported")
+    tensor_entries = manifest_dict.get("tensors")
+    config = manifest_dict.get("config")
+    extras = manifest_dict.get("extras", {})
+    if not (isinstance(tensor_entries, list) and isinstance(config, dict)
+            and isinstance(extras, dict)):
+        raise ManifestError("manifest needs a tensor list, a config object "
+                            "and an extras object")
 
     records = []
     spans = []
-    try:
-        tensor_entries = manifest_dict["tensors"]
-    except KeyError as e:
-        raise ModelFileError("manifest has no tensor table") from e
     for t in tensor_entries:
         try:
             rec = TensorRecord(name=t["name"], role=t["role"], bits=t["bits"],
@@ -481,6 +480,5 @@ def load_model(path: str) -> LoadedModel:
             raise ChecksumError(f"checksum mismatch for tensor {rec.name!r}")
         tensors[rec.name] = _decode_blob(rec, blob)
 
-    manifest = ModelManifest(config=manifest_dict["config"], records=records,
-                             extras=manifest_dict.get("extras", {}))
+    manifest = ModelManifest(config=config, records=records, extras=extras)
     return LoadedModel(manifest=manifest, tensors=tensors)

@@ -28,12 +28,14 @@ teacher.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .model import (ForwardTrace, ModelConfig, QuantPlan, build_leaves, forward)
+from .model import (ForwardTrace, ModelConfig, QuantPlan, build_leaves, forward,
+                    save_checkpoint)
 from .tasks import Example, as_arrays
 from .tensor import GradTape, Tensor
 
@@ -46,7 +48,6 @@ class TrainingDiverged(ArithmeticError):
 class DistillLossConfig:
     use_trm: bool = True
     use_logits: bool = True
-    temperature: float = 1.0
 
 
 @dataclass
@@ -126,26 +127,27 @@ def loss_trm(student: ForwardTrace, teacher: ForwardTrace) -> Tensor:
     return total
 
 
-def loss_pred(student_logits: Tensor, teacher_logits: Tensor,
-              temperature: float = 1.0) -> Tensor:
+def _soft_cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
+    """-sum target * log_softmax(logits) / batch, for fixed float32 target rows."""
+    log_sm = T.log_softmax_rows(logits)
+    return T.scale(T.sum_all(T.mul(log_sm, Tensor(target))), -1.0 / logits.shape[0])
+
+
+def loss_pred(student_logits: Tensor, teacher_logits: Tensor) -> Tensor:
     """Soft cross-entropy -sum softmax(teacher) * log_softmax(student) / batch."""
     if student_logits.shape != teacher_logits.shape:
         raise T.ShapeError("logit shape mismatch")
-    t64 = teacher_logits.data.astype(np.float64) / temperature
+    t64 = teacher_logits.data.astype(np.float64)
     t64 = t64 - t64.max(axis=-1, keepdims=True)
     probs = np.exp(t64)
     probs /= probs.sum(axis=-1, keepdims=True)
-    log_sm = T.log_softmax_rows(T.scale(student_logits, 1.0 / temperature))
-    weighted = T.mul(log_sm, Tensor(probs.astype(np.float32)))
-    return T.scale(T.sum_all(weighted), -1.0 / student_logits.shape[0])
+    return _soft_cross_entropy(student_logits, probs.astype(np.float32))
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    batch, classes = logits.shape
-    onehot = np.zeros((batch, classes), dtype=np.float32)
-    onehot[np.arange(batch), labels] = 1.0
-    log_sm = T.log_softmax_rows(logits)
-    return T.scale(T.sum_all(T.mul(log_sm, Tensor(onehot))), -1.0 / batch)
+    onehot = np.zeros(logits.shape, dtype=np.float32)
+    onehot[np.arange(logits.shape[0]), labels] = 1.0
+    return _soft_cross_entropy(logits, onehot)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +230,7 @@ def train_step(state: TrainState, tokens: np.ndarray, segments: np.ndarray,
             if use_trm:
                 l_trm_t = loss_trm(student, teacher)
             if use_logits:
-                l_pred_t = loss_pred(student.logits, teacher.logits,
-                                     cfg.temperature)
+                l_pred_t = loss_pred(student.logits, teacher.logits)
             total = l_trm_t
             if l_pred_t is not None:
                 total = l_pred_t if total is None else total + l_pred_t
@@ -325,20 +326,12 @@ def run_training(state: TrainState, train_set: list[Example],
             metrics.append(rec)
             if settings.checkpoint_every and settings.checkpoint_dir and \
                     rec["step"] % settings.checkpoint_every == 0:
-                _write_checkpoint(state, settings, rec["step"])
+                save_checkpoint(
+                    os.path.join(settings.checkpoint_dir, f"step{rec['step']:06d}.tqm"),
+                    state.config, state.params, state.plan, state.opt.v,
+                    extras={"step": rec["step"], "stage": state.stage,
+                            "seed": settings.seed})
     return metrics
-
-
-def _write_checkpoint(state: TrainState, settings: TrainSettings, step: int) -> None:
-    import os
-
-    from .model import to_saved_tensors
-    from .packed import save_model
-    path = os.path.join(settings.checkpoint_dir, f"step{step:06d}.tqm")
-    tensors = to_saved_tensors(state.params, state.plan, state.opt.v)
-    save_model(path, state.config.to_dict(), tensors,
-               extras={"step": step, "stage": state.stage,
-                       "seed": settings.seed})
 
 
 def train_float_baseline(config: ModelConfig, train_set: list[Example],

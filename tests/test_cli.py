@@ -6,9 +6,9 @@ import pytest
 
 from tquant import cli, metrics, tasks
 from tquant import ternarize as tz
-from tquant.model import (ModelConfig, init_params, params_from_loaded,
-                          plan_from_notation, to_saved_tensors)
-from tquant.packed import load_model, save_model
+from tquant.model import (ModelConfig, init_params, load_checkpoint,
+                          params_from_loaded, plan_from_notation, to_saved_tensors)
+from tquant.packed import ManifestError, SavedTensor, load_model, save_model
 
 CFG = ModelConfig(layers=1, hidden=16, heads=2, ffn=32, vocab=8,
                   max_positions=16, classes=4)
@@ -141,6 +141,36 @@ class TestTrainCommand:
                     "--hidden", 16, "--ffn", 32, "--seq-len", 8,
                     "--out", tmp_path])
         assert code == cli.EXIT_CONFIG
+
+    def test_laq3_needs_a_3bit_width(self, tmp_path):
+        args = ["train", "--task", "majority", "--epochs", 0, "--teacher-epochs", 0,
+                "--train-n", 8, "--eval-n", 8, "--layers", 1, "--hidden", 16,
+                "--ffn", 32, "--seq-len", 8, "--method", "laq3", "--out", tmp_path]
+        assert run(args + ["--plan", "2-2-8"]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "student.tqm").exists()
+        assert run(args + ["--plan", "3-3-8"]) == cli.EXIT_OK
+        plan = load_model(str(tmp_path / "student.tqm")).manifest.extras["plan"]
+        assert (plan["w_method"], plan["e_method"]) == ("laq3", "laq3")
+
+    def test_step_checkpoint_records_the_plan(self, tmp_path, capsys):
+        # 64 examples in batches of 32 for one epoch: the step file of step
+        # 2 holds the same weights as student.tqm
+        assert run(["train", "--task", "majority", "--epochs", 1,
+                    "--teacher-epochs", 1, "--train-n", 64, "--eval-n", 32,
+                    "--layers", 1, "--hidden", 16, "--ffn", 32, "--seq-len", 8,
+                    "--act", "sym", "--checkpoint-every", 2, "--out", tmp_path,
+                    "--seed", 4]) == 0
+        step = tmp_path / "checkpoints" / "step000002.tqm"
+        student = tmp_path / "student.tqm"
+        assert load_checkpoint(step).plan is not None
+        assert load_checkpoint(step).plan == load_checkpoint(student).plan
+        capsys.readouterr()
+        accs = []
+        for path in (step, student):
+            assert run(["eval", path, tmp_path / "eval_data.jsonl",
+                        "--out", tmp_path]) == 0
+            accs.append(json.loads(capsys.readouterr().out)["accuracy"])
+        assert accs[0] == accs[1]
 
     def test_ablation_flag_controls_losses(self, tmp_path):
         code = run(["train", "--task", "majority", "--epochs", 1,
@@ -310,6 +340,52 @@ class TestBadManifest:
         rewrite_manifest(path, edit)
         assert run(["inspect", path, "--out", tmp_path]) == cli.EXIT_IO
         assert "io error" in capsys.readouterr().err
+
+
+def _transpose_w1(f):
+    i = next(i for i, t in enumerate(f["tensors"]) if t.name == "layer0.w1")
+    old = f["tensors"][i]
+    f["tensors"][i] = SavedTensor(
+        name=old.name, role=old.role, bits=2, method=old.method, granularity="layer",
+        quant=tz.TernaryTensor(codes=old.quant.codes.T, scales=old.quant.scales,
+                               granularity="layer"))
+
+
+class TestCheckpointMismatch:
+    """A file whose config, tensor set or plan does not describe one model:
+    ``load_checkpoint`` raises ``ManifestError``, eval and inspect exit 3."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda f: f["config"].update(heads=3),
+        lambda f: f["config"].update(pooler=True),
+        lambda f: f["config"].pop("layers"),
+        lambda f: f.update(config=[1]),
+        lambda f: f["config"].update(layers="1"),
+        lambda f: f.update(tensors=[t for t in f["tensors"] if t.name != "head.b"]),
+        lambda f: f["tensors"].append(SavedTensor(
+            name="layer0.extra", role="other", bits=32, array=np.zeros(4, np.float32))),
+        _transpose_w1,
+        lambda f: f["extras"]["plan"].update(a_bits=4),
+        lambda f: f["extras"].update(plan="2-2-8"),
+    ], ids=["heads-divide-hidden", "unknown-key", "missing-key", "config-array",
+            "layers-string", "missing-tensor", "extra-tensor", "transposed-w1",
+            "plan-a_bits-4", "plan-string"])
+    def test_rejected_by_load_eval_and_inspect(self, tmp_path, capsys, edit):
+        plan = plan_from_notation("2-2-8")
+        params = init_params(CFG, np.random.default_rng(0))
+        f = {"config": CFG.to_dict(), "tensors": to_saved_tensors(params, plan),
+             "extras": {"plan": plan.to_dict()}}
+        edit(f)
+        path = tmp_path / "m.tqm"
+        save_model(str(path), f["config"], f["tensors"], f["extras"])
+        data = tmp_path / "data.jsonl"
+        tasks.save_dataset(str(data), tasks.make_majority_dataset(
+            4, seq_len=8, classes=4, vocab=8, seed=0))
+        with pytest.raises(ManifestError):
+            load_checkpoint(path)
+        assert run(["eval", path, data, "--out", tmp_path]) == cli.EXIT_IO
+        assert run(["inspect", path, "--out", tmp_path]) == cli.EXIT_IO
+        assert capsys.readouterr().err.count("io error") == 2
 
 
 class TestBenchCommand:

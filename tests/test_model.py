@@ -56,6 +56,31 @@ class TestConfig:
         plan = M.plan_from_notation("3-3-8")
         assert plan.w_method == "laq3"
 
+    def test_laq3_needs_a_3bit_width(self):
+        for notation in ("2-2-8", "2-3-8", "3-2-8"):
+            with pytest.raises(ValueError):
+                M.plan_from_notation(notation, method="laq3")
+        plan = M.plan_from_notation("3-3-8", method="laq3")
+        assert (plan.w_method, plan.e_method) == ("laq3", "laq3")
+        # a width with one method still takes it whatever was asked for
+        plan = M.plan_from_notation("2-3-8", method="twn")
+        assert (plan.w_method, plan.e_method) == ("twn_approx", "laq3")
+
+    @pytest.mark.parametrize("field,value", [
+        ("layers", "1"), ("layers", -1), ("hidden", 8.0), ("heads", 0),
+        ("vocab", True), ("dropout", "0.1"), ("dropout", 1.0)])
+    def test_field_types_and_ranges(self, field, value):
+        with pytest.raises(ValueError):
+            M.ModelConfig(**{**CFG.to_dict(), field: value})
+
+    def test_from_dict_needs_every_field_and_no_other(self):
+        d = CFG.to_dict()
+        assert M.ModelConfig.from_dict(d) == CFG
+        for bad in ({k: v for k, v in d.items() if k != "dropout"},
+                    {**d, "pooler": True}, [1]):
+            with pytest.raises(ValueError):
+                M.ModelConfig.from_dict(bad)
+
     def test_plan_slots(self):
         plan = M.plan_from_notation("8-2-8", "lat-exact", "layer", "row")
         assert plan.slot("w") == (8, "int8_sym", "layer")
@@ -352,3 +377,28 @@ class TestGradients:
         grads = tape.gradients(loss)
         assert "layer0.wq" in qinfo
         assert np.abs(grads.wrt(leaves["layer0.wq"])).sum() > 0
+
+
+class TestCheckpoint:
+    def test_round_trip_records_the_activation_plan(self, tmp_path):
+        params = M.init_params(CFG, np.random.default_rng(60))
+        plan = M.plan_from_notation("2-2-8", act="sym")
+        path = tmp_path / "m.tqm"
+        M.save_checkpoint(path, CFG, params, plan, extras={"seed": 60})
+        ckpt = M.load_checkpoint(path)
+        assert ckpt.config == CFG
+        assert ckpt.file.manifest.extras == {"seed": 60, "plan": plan.to_dict()}
+        assert ckpt.plan == M.QuantPlan(w_bits=32, e_bits=32, a_bits=8,
+                                        act_scheme="symmetric8")
+        assert set(ckpt.qinfo) == {n for n in params if M.quant_slot(n)}
+        for name, value in params.items():
+            q = M.quantize_param(name, value, plan)
+            want = value if q is None else tz.dequantize(q)
+            assert ckpt.params[name].dtype == np.float32
+            np.testing.assert_array_equal(ckpt.params[name], want)
+
+    @pytest.mark.parametrize("plan", [None, M.plan_from_notation("2-2-32")])
+    def test_float_activations_give_no_plan(self, tmp_path, plan):
+        params = M.init_params(CFG, np.random.default_rng(61))
+        M.save_checkpoint(tmp_path / "m.tqm", CFG, params, plan)
+        assert M.load_checkpoint(tmp_path / "m.tqm").plan is None

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from tquant import packed as pk
 from tquant import ternarize as tz
 from tquant.model import (ModelConfig, QuantPlan, bert_base_config, init_params,
-                          params_from_loaded, plan_from_notation, to_saved_tensors)
+                          load_checkpoint, params_from_loaded, plan_from_notation,
+                          save_checkpoint, to_saved_tensors)
 
 from oracles import pack_2bit_reference
 
@@ -228,6 +229,22 @@ class TestModelFiles:
         with pytest.raises(pk.ModelFileError):
             pk.load_model(str(path))
 
+    @pytest.mark.parametrize("manifest", [
+        [1, 2],
+        {"format_version": 1, "config": {}, "extras": {}, "tensors": 5},
+        {"format_version": 1, "config": {}, "extras": [1], "tensors": []},
+        {"format_version": 1, "config": [1], "extras": {}, "tensors": []},
+        {"format_version": 1, "extras": {}, "tensors": []},
+    ], ids=["array", "tensors-int", "extras-array", "config-array", "no-config"])
+    def test_top_level_types_are_manifest_errors(self, tmp_path, manifest):
+        import json
+        import struct
+        enc = json.dumps(manifest).encode()
+        path = tmp_path / "top.tqm"
+        path.write_bytes(pk.MAGIC + struct.pack("<I", len(enc)) + enc)
+        with pytest.raises(pk.ManifestError):
+            pk.load_model(str(path))
+
     def test_duplicate_names_rejected_on_save(self, tmp_path):
         arr = np.ones((2, 2), dtype=np.float32)
         tensors = [pk.SavedTensor(name="a", role="other", bits=32, array=arr),
@@ -273,10 +290,13 @@ class TestModelFiles:
             np.testing.assert_array_equal(got[name], got2[name])
 
     def test_byte_mutants_raise_only_model_file_errors(self, tmp_path):
-        # 1200 seeded mutants of a 2-2-8 file: a load either succeeds or
-        # raises a ModelFileError subclass, never anything else
+        # 1200 seeded mutants of a 2-2-8 checkpoint: a load, with the
+        # config, tensor set and plan checks of load_checkpoint, either
+        # succeeds or raises a ModelFileError subclass, never anything else
         import struct
-        path, _ = self._save_micro(tmp_path, plan=plan_from_notation("2-2-8"))
+        path = tmp_path / "model.tqm"
+        save_checkpoint(path, MICRO, init_params(MICRO, np.random.default_rng(0)),
+                        plan_from_notation("2-2-8"), extras={"seed": 0})
         data = path.read_bytes()
         (mlen,) = struct.unpack("<I", data[4:8])
         digits = [i for i in range(8, 8 + mlen) if chr(data[i]).isdigit()]
@@ -298,6 +318,6 @@ class TestModelFiles:
                 mutant[pos] = ord("0123456789"[int(rng.integers(0, 10))])
             mutant_path.write_bytes(bytes(mutant))
             try:
-                pk.load_model(str(mutant_path))
+                load_checkpoint(mutant_path)
             except pk.ModelFileError:
                 pass

@@ -200,8 +200,10 @@ def cmd_inspect(args) -> int:
     if args.probe:
         examples = tasks.load_dataset(args.probe)
         tokens, segments, _ = tasks.as_arrays(examples)
-        leaves, _ = build_leaves(ckpt.params, None, trainable=False)
-        trace = forward(leaves, ckpt.config, tokens, segments)
+        # the file's activation plan, as in cmd_eval: a 2-2-8 student's
+        # layers see 8-bit inputs
+        leaves, _ = build_leaves(ckpt.params, trainable=False)
+        trace = forward(leaves, ckpt.config, tokens, segments, plan=ckpt.plan)
         hists = []
         for i, h in enumerate(trace.hidden):
             rec = actquant.histogram_export(h, args.bins).to_dict()

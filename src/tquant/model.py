@@ -242,23 +242,28 @@ def quant_slot(name: str) -> str | None:
     return None
 
 
-def param_role(name: str) -> str:
+# a parameter's role by its plan slot, else by its name
+_ROLES = {"w": "transformer_weight", "e": "word_embedding",
+          "emb.seg": "segment_embedding", "emb.pos": "position_embedding"}
+
+
+def tensor_format(name: str, plan: QuantPlan | None) -> tuple[str, int, str, str]:
+    """(role, bits, method, granularity) of parameter ``name`` in a model
+    coded under ``plan``: the four fields its ``.tqm`` record carries.  A
+    tensor that stays fp32 is ``(role, 32, "none", "layer")``."""
     slot = quant_slot(name)
-    if slot == "w":
-        return "transformer_weight"
-    if slot == "e":
-        return "word_embedding"
-    return {"emb.seg": "segment_embedding", "emb.pos": "position_embedding"}.get(
+    role = _ROLES.get(slot) or _ROLES.get(
         name, "task_head" if name.startswith("head.") else "other")
+    if slot is None or plan is None or plan.slot(slot)[0] == 32:
+        return role, 32, "none", "layer"
+    return (role, *plan.slot(slot))
 
 
-def quantize_param(name: str, value: np.ndarray, plan: QuantPlan,
+def quantize_param(name: str, value: np.ndarray, plan: QuantPlan | None,
                    second_moment: np.ndarray | None = None):
-    """Quantize one parameter per its plan slot; None if it stays fp32."""
-    slot = quant_slot(name)
-    if slot is None or plan is None:
-        return None
-    bits, method, gran = plan.slot(slot)
+    """Quantize one parameter as :func:`tensor_format` says; None if it
+    stays fp32."""
+    _, bits, method, gran = tensor_format(name, plan)
     if bits == 32:
         return None
     # without optimizer history, loss-aware methods see zero second moments
@@ -388,17 +393,10 @@ def to_saved_tensors(params: dict[str, np.ndarray], plan: QuantPlan | None = Non
                      ) -> list[SavedTensor]:
     out = []
     for name in sorted(params):
-        value = params[name]
         v = second_moments.get(name) if second_moments else None
-        q = quantize_param(name, value, plan, v) if plan else None
-        if q is None:
-            out.append(SavedTensor(name=name, role=param_role(name), bits=32,
-                                   array=value))
-        else:
-            bits, method, _ = plan.slot(quant_slot(name))
-            out.append(SavedTensor(name=name, role=param_role(name), bits=bits,
-                                   method=method, granularity=q.granularity,
-                                   quant=q))
+        q = quantize_param(name, params[name], plan, v)
+        out.append(SavedTensor(name, *tensor_format(name, plan),
+                               array=params[name] if q is None else None, quant=q))
     return out
 
 
@@ -456,7 +454,8 @@ class Checkpoint:
 def load_checkpoint(path) -> Checkpoint:
     """Read a ``.tqm`` written by :func:`save_checkpoint`.  A config, tensor
     set or recorded plan that does not describe one model raises
-    ``ManifestError``."""
+    ``ManifestError``; so does a tensor stored other than the recorded plan
+    codes it (:func:`tensor_format`)."""
     file = load_model(str(path))
     stored = file.manifest.extras.get("plan")
     try:
@@ -464,6 +463,12 @@ def load_checkpoint(path) -> Checkpoint:
         plan = None if stored is None else QuantPlan.from_dict(stored)
     except ValueError as e:
         raise ManifestError(f"{path}: {e}") from e
+    if plan is not None:
+        for name, t in file.tensors.items():
+            have, want = (t.role, t.bits, t.method, t.granularity), tensor_format(name, plan)
+            if have != want:
+                raise ManifestError(f"{name}: stored as {have}, but the recorded "
+                                    f"{plan.notation} plan codes it as {want}")
     params, qinfo = params_from_loaded(file.tensors, config)
     if plan is not None and plan.quantizes_activations:
         plan = QuantPlan(w_bits=32, e_bits=32, a_bits=plan.a_bits,

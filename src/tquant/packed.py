@@ -223,49 +223,33 @@ class SizeReport:
         return "\n".join(lines)
 
 
-def _transformer_row_scales(config) -> int:
-    # weights are stored (out, in): q/k/v/o have d rows, w1 has d_ff, w2 has d
-    return config.layers * (5 * config.hidden + config.ffn)
+def _n_scales(bits: int, granularity: str, shape: tuple[int, ...]) -> int:
+    """Scales stored with a tensor: none at 32 bits, else one per layer or row."""
+    return 0 if bits == 32 else 1 if granularity == "layer" else shape[0]
 
 
 def size_report(config, plan, include_task_head: bool = False) -> SizeReport:
-    """Bit counts for a model under a quantization plan.
-
-    ``config`` needs layers/hidden/ffn/vocab/segments/max_positions/classes;
-    ``plan`` needs w_bits/e_bits/w_gran/e_gran.
-    """
-    d, dff, L = config.hidden, config.ffn, config.layers
-    trans_elems = L * (4 * d * d + 2 * d * dff)
-    word_elems = config.vocab * d
-    seg_elems = config.segments * d
-    pos_elems = config.max_positions * d
-    bias_elems = L * (4 * d + dff + d)
-    ln_elems = L * 4 * d + 2 * d
-    head_elems = config.classes * d + config.classes if include_task_head else 0
-
-    def quant_bits(elems: int, bits: int, n_scales: int) -> int:
-        if bits == 32:
-            return elems * 32
-        return elems * bits + n_scales * 32
-
-    w_scales = (6 * L if plan.w_gran == "layer" else _transformer_row_scales(config))
-    e_scales = (1 if plan.e_gran == "layer" else config.vocab)
-
-    cats = [
-        SizeCategory("transformer_weights", trans_elems,
-                     quant_bits(trans_elems, plan.w_bits, w_scales)),
-        SizeCategory("word_embedding", word_elems,
-                     quant_bits(word_elems, plan.e_bits, e_scales)),
-        SizeCategory("segment_embedding", seg_elems, seg_elems * 32),
-        SizeCategory("position_embedding", pos_elems, pos_elems * 32),
-        SizeCategory("biases", bias_elems, bias_elems * 32),
-        SizeCategory("layernorm", ln_elems, ln_elems * 32),
-    ]
-    if include_task_head:
-        cats.append(SizeCategory("task_head", head_elems, head_elems * 32))
-    total = sum(c.bits for c in cats)
-    fp32 = sum(c.elements for c in cats) * 32
-    return SizeReport(categories=cats, total_bits=total, fp32_bits=fp32)
+    """Bit counts for a ``model.ModelConfig`` coded under a
+    ``model.QuantPlan``: every tensor at the bits ``model.tensor_format``
+    gives it, plus 32 bits per scale.  The task head counts only when
+    ``include_task_head`` is set."""
+    from .model import param_shapes, tensor_format
+    names = ["transformer_weights", "word_embedding", "segment_embedding",
+             "position_embedding", "biases", "layernorm"]
+    cats = {n: SizeCategory(n, 0, 0)
+            for n in names + (["task_head"] if include_task_head else [])}
+    for name, shape in param_shapes(config).items():
+        role, bits, _, gran = tensor_format(name, plan)
+        if role == "other":
+            role = "layernorm" if ".ln" in name else "biases"
+        # roles name their size category, but for the plural of the weights
+        cat = cats.get("transformer_weights" if role == "transformer_weight" else role)
+        if cat is not None:
+            cat.elements += math.prod(shape)
+            cat.bits += math.prod(shape) * bits + 32 * _n_scales(bits, gran, shape)
+    total = sum(c.bits for c in cats.values())
+    fp32 = sum(c.elements for c in cats.values()) * 32
+    return SizeReport(categories=list(cats.values()), total_bits=total, fp32_bits=fp32)
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +312,11 @@ def _decode_blob(rec: TensorRecord, blob: bytes) -> SavedTensor:
     if rec.bits != 32 and rec.bits not in CODE_WIDTHS:
         raise ModelFileError(f"unsupported bit width {rec.bits} for {rec.name}")
     shape = rec.shape
-    if not all(type(s) is int and s >= 0 for s in shape) or rec.bits != 32 and (
-            len(shape) != 2 or rec.granularity not in GRANULARITIES):
+    if rec.bits != 32 and (len(shape) != 2 or rec.granularity not in GRANULARITIES):
         raise ManifestError(f"{rec.name}: bad shape {list(shape)} or granularity "
                             f"{rec.granularity!r} for a {rec.bits}-bit tensor")
     count = math.prod(shape)
-    n_scales = 0 if rec.bits == 32 else 1 if rec.granularity == "layer" else shape[0]
+    n_scales = _n_scales(rec.bits, rec.granularity, shape)
     # every width packs its codes densely: ceil(count * bits / 8) bytes
     expected = 4 * n_scales + (count * rec.bits + 7) // 8
     if len(blob) != expected:
@@ -452,14 +435,19 @@ def load_model(path: str) -> LoadedModel:
         try:
             rec = TensorRecord(name=t["name"], role=t["role"], bits=t["bits"],
                                method=t["method"], granularity=t["granularity"],
-                               shape=tuple(t["shape"]), offset=t["offset"],
+                               shape=t["shape"], offset=t["offset"],
                                length=t["length"], crc32=t["crc32"])
         except (KeyError, TypeError) as e:
             raise ModelFileError(f"malformed tensor record: {e}") from e
-        if not isinstance(rec.name, str) \
-                or any(type(v) is not int for v in (rec.bits, rec.offset, rec.length)) \
+        if any(type(v) is not str
+               for v in (rec.name, rec.role, rec.method, rec.granularity)) \
+                or any(type(v) is not int
+                       for v in (rec.bits, rec.offset, rec.length, rec.crc32)) \
+                or type(rec.shape) is not list \
+                or any(type(n) is not int or n < 0 for n in rec.shape) \
                 or rec.offset < 8 + mlen or rec.length < 0:
             raise ManifestError(f"malformed record for tensor {rec.name!r}")
+        rec.shape = tuple(rec.shape)
         if rec.offset + rec.length > len(data):
             raise TruncatedFileError(f"blob for {rec.name} extends past end of file")
         spans.append((rec.offset, rec.offset + rec.length, rec.name))

@@ -46,16 +46,12 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "name")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None,
-                 dtype=None):
-        if dtype is not None:
-            arr = np.asarray(data, dtype=dtype)
-        else:
-            # float64 passes through so oracle tests can run an extended-
-            # precision twin of the float32 production path
-            arr = np.asarray(data)
-            if arr.dtype not in (np.float32, np.float64):
-                arr = arr.astype(DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+        # float64 passes through so oracle tests can run an extended-
+        # precision twin of the float32 production path
+        arr = np.asarray(data)
+        if arr.dtype not in (np.float32, np.float64):
+            arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = requires_grad
         self.name = name
@@ -72,54 +68,16 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
 
     # Arithmetic sugar; the real work lives in the module-level ops.
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self))
+    def __add__(self, other: "Tensor") -> "Tensor":
+        return add(self, other)
 
-    def __radd__(self, other):
-        return add(_as_tensor(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        raise TypeError("tensor/tensor division is not a primitive; use mul + reciprocal data")
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
+    def __sub__(self, other: "Tensor") -> "Tensor":
+        return sub(self, other)
 
 
 class _TapeEntry:
@@ -154,9 +112,6 @@ class Gradients:
             raise ContractError("gradients are kept for leaves only; "
                                 f"{t!r} was produced by a recorded op")
         return np.zeros_like(t.data)
-
-    def __getitem__(self, t: Tensor) -> np.ndarray:
-        return self.wrt(t)
 
     def __contains__(self, t: Tensor) -> bool:
         return id(t) in self._grads
@@ -520,18 +475,26 @@ def gelu(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
                eps: float = LAYER_NORM_EPS) -> Tensor:
-    """Per-row zero mean / unit variance over the last axis, then affine."""
+    """Per-row zero mean / unit variance over the last axis, then affine.
+
+    The tape keeps only the per-row mean and inverse deviation: the
+    backward recasts ``x`` and rebuilds ``xhat`` from them, bit for bit.
+    """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},)")
     x64 = x.data.astype(np.float64)
     mu = x64.mean(axis=-1, keepdims=True)
-    var = ((x64 - mu) ** 2).mean(axis=-1, keepdims=True)
+    x64 -= mu
+    var = (x64 ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x64 - mu) * inv
-    out = (xhat * gain.data + bias.data).astype(x.data.dtype)
+    x64 *= inv                                  # xhat
+    out = (x64 * gain.data + bias.data).astype(x.data.dtype)
 
     def backward(g):
+        xhat = x.data.astype(np.float64)
+        xhat -= mu
+        xhat *= inv
         g64 = g.astype(np.float64)
         lead = tuple(range(g.ndim - 1))
         dgain = (g64 * xhat).sum(axis=lead).astype(gain.data.dtype)

@@ -75,10 +75,6 @@ class TernaryTensor:
         else:
             self.thresholds = np.ascontiguousarray(self.thresholds, dtype=np.float32)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.codes.shape
-
     def validate(self) -> None:
         rows = self.codes.shape[0]
         if self.granularity == "layer" and self.scales.shape != (1,):

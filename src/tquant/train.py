@@ -35,7 +35,7 @@ import numpy as np
 
 from . import tensor as T
 from .model import (ForwardTrace, ModelConfig, QuantPlan, build_leaves, forward,
-                    save_checkpoint)
+                    init_params, predict, save_checkpoint)
 from .tasks import Example, as_arrays
 from .tensor import GradTape, Tensor
 
@@ -137,11 +137,7 @@ def loss_pred(student_logits: Tensor, teacher_logits: Tensor) -> Tensor:
     """Soft cross-entropy -sum softmax(teacher) * log_softmax(student) / batch."""
     if student_logits.shape != teacher_logits.shape:
         raise T.ShapeError("logit shape mismatch")
-    t64 = teacher_logits.data.astype(np.float64)
-    t64 = t64 - t64.max(axis=-1, keepdims=True)
-    probs = np.exp(t64)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return _soft_cross_entropy(student_logits, probs.astype(np.float32))
+    return _soft_cross_entropy(student_logits, T.softmax_rows(teacher_logits).data)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -257,7 +253,6 @@ def evaluate(params: dict[str, np.ndarray], config: ModelConfig,
              second_moments: dict[str, np.ndarray] | None = None) -> float:
     if not examples:
         raise ValueError("cannot evaluate on an empty dataset")
-    from .model import predict
     tokens, segments, labels = as_arrays(examples)
     preds = predict(params, config, tokens, segments, plan=plan,
                     second_moments=second_moments)
@@ -340,7 +335,6 @@ def train_float_baseline(config: ModelConfig, train_set: list[Example],
                          init: dict[str, np.ndarray] | None = None
                          ) -> tuple[dict[str, np.ndarray], list[dict]]:
     """Supervised full-precision training; the usual way to make a teacher."""
-    from .model import init_params
     params = init if init is not None else \
         init_params(config, np.random.default_rng(settings.seed))
     state = TrainState.create(config, params, teacher=None, plan=None,

@@ -4,10 +4,11 @@ import struct
 import numpy as np
 import pytest
 
-from tquant import cli, metrics, tasks
+from tquant import actquant, cli, metrics, tasks
 from tquant import ternarize as tz
-from tquant.model import (ModelConfig, init_params, load_checkpoint,
-                          params_from_loaded, plan_from_notation, to_saved_tensors)
+from tquant.model import (ModelConfig, build_leaves, forward, init_params,
+                          load_checkpoint, params_from_loaded, plan_from_notation,
+                          save_checkpoint, to_saved_tensors)
 from tquant.packed import ManifestError, SavedTensor, load_model, save_model
 
 CFG = ModelConfig(layers=1, hidden=16, heads=2, ffn=32, vocab=8,
@@ -141,6 +142,22 @@ class TestTrainCommand:
                     "--hidden", 16, "--ffn", 32, "--seq-len", 8,
                     "--out", tmp_path])
         assert code == cli.EXIT_CONFIG
+
+    def test_teacher_file_gives_the_in_process_student(self, tmp_path):
+        args = ["train", "--task", "majority", "--epochs", 1, "--teacher-epochs", 1,
+                "--train-n", 32, "--eval-n", 16, "--layers", 1, "--hidden", 16,
+                "--ffn", 32, "--seq-len", 8, "--seed", 2]
+        assert run(args + ["--out", tmp_path / "a"]) == 0
+        assert run(args + ["--teacher", tmp_path / "a" / "teacher.tqm",
+                           "--out", tmp_path / "b"]) == 0
+        assert (tmp_path / "b" / "student.tqm").read_bytes() == \
+            (tmp_path / "a" / "student.tqm").read_bytes()
+        # same tensor shapes, different attention scale: still another model
+        other = ModelConfig(layers=1, hidden=16, heads=2, ffn=32, vocab=8,
+                            max_positions=8, classes=4, attn_scale="sqrt_dh")
+        write_float_checkpoint(tmp_path / "other.tqm", config=other)
+        assert run(args + ["--teacher", tmp_path / "other.tqm",
+                           "--out", tmp_path / "c"]) == cli.EXIT_CONFIG
 
     def test_laq3_needs_a_3bit_width(self, tmp_path):
         args = ["train", "--task", "majority", "--epochs", 0, "--teacher-epochs", 0,
@@ -298,6 +315,25 @@ class TestInspectCommand:
         assert len(hists) == CFG.layers + 1
         assert all(sum(h["counts"]) == h["total"] for h in hists)
 
+    def test_probe_runs_the_activation_plan(self, tmp_path):
+        cfg = ModelConfig(layers=2, hidden=16, heads=2, ffn=32, vocab=8,
+                          max_positions=16, classes=4)
+        params = init_params(cfg, np.random.default_rng(5), std=1.0)
+        save_checkpoint(tmp_path / "m.tqm", cfg, params, plan_from_notation("2-2-8"))
+        data = tasks.make_majority_dataset(8, seq_len=8, classes=4, vocab=8,
+                                           seed=0)
+        tasks.save_dataset(str(tmp_path / "probe.jsonl"), data)
+        assert run(["inspect", tmp_path / "m.tqm", "--probe",
+                    tmp_path / "probe.jsonl", "--bins", 16,
+                    "--out", tmp_path]) == 0
+        ckpt = load_checkpoint(tmp_path / "m.tqm")
+        leaves, _ = build_leaves(ckpt.params, trainable=False)
+        tokens, segments, _ = tasks.as_arrays(data)
+        trace = forward(leaves, cfg, tokens, segments, plan=ckpt.plan)
+        want = [actquant.histogram_export(h, 16).to_dict() for h in trace.hidden]
+        got = metrics.read_records(tmp_path / "histograms.jsonl")
+        assert [{k: r[k] for k in want[0]} for r in got] == want
+
 
 def rewrite_manifest(path, edit):
     """Apply ``edit`` to a model file's manifest, moving the blob offsets by
@@ -322,6 +358,24 @@ class TestBadManifest:
         write_float_checkpoint(path)
         rewrite_manifest(path, lambda ts: ts["head.b"].update(method="none "))
         assert run(["inspect", path, "--out", tmp_path]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("edit", [
+        dict(role=[1], method={"a": 1}),
+        dict(granularity=None),
+        dict(shape="4"),
+        dict(shape=[4.0]),
+        dict(shape=[-4]),
+        dict(crc32="0"),
+    ], ids=["role-method", "granularity", "shape-string", "shape-float",
+            "shape-negative", "crc32"])
+    def test_record_field_types(self, tmp_path, capsys, edit):
+        path = tmp_path / "m.tqm"
+        write_float_checkpoint(path)
+        rewrite_manifest(path, lambda ts: ts["head.b"].update(edit))
+        with pytest.raises(ManifestError):
+            load_checkpoint(path)
+        assert run(["inspect", path, "--out", tmp_path]) == cli.EXIT_IO
+        assert "io error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
         lambda ts: ts["head.b"].update(shape=[8]),           # fp32 count
@@ -367,9 +421,17 @@ class TestCheckpointMismatch:
         _transpose_w1,
         lambda f: f["extras"]["plan"].update(a_bits=4),
         lambda f: f["extras"].update(plan="2-2-8"),
+        lambda f: f.update(tensors=to_saved_tensors(
+            init_params(CFG, np.random.default_rng(0)), None)),
+        lambda f: f["extras"]["plan"].update(w_gran="row"),
+        lambda f: f["extras"]["plan"].update(w_method="lat_approx",
+                                             e_method="lat_approx"),
+        lambda f: setattr(next(t for t in f["tensors"] if t.name == "layer0.wq"),
+                          "role", "other"),
     ], ids=["heads-divide-hidden", "unknown-key", "missing-key", "config-array",
             "layers-string", "missing-tensor", "extra-tensor", "transposed-w1",
-            "plan-a_bits-4", "plan-string"])
+            "plan-a_bits-4", "plan-string", "float-tensors-2-2-8-plan",
+            "layer-tensors-row-plan", "twn-tensors-lat-plan", "wq-role-other"])
     def test_rejected_by_load_eval_and_inspect(self, tmp_path, capsys, edit):
         plan = plan_from_notation("2-2-8")
         params = init_params(CFG, np.random.default_rng(0))

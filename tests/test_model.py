@@ -380,6 +380,21 @@ class TestGradients:
 
 
 class TestCheckpoint:
+    def test_tensor_format(self):
+        plan = M.plan_from_notation("2-2-8", "lat", w_gran="row")
+        assert M.tensor_format("layer1.w2", plan) == ("transformer_weight", 2,
+                                                       "lat_approx", "row")
+        assert M.tensor_format("emb.word", plan) == ("word_embedding", 2,
+                                                      "lat_approx", "row")
+        fp32 = ("none", "layer")
+        for name, role in [("emb.seg", "segment_embedding"),
+                           ("emb.pos", "position_embedding"), ("head.w", "task_head"),
+                           ("layer0.b1", "other"), ("emb.ln_g", "other")]:
+            assert M.tensor_format(name, plan) == (role, 32, *fp32)
+        assert M.tensor_format("emb.word", None) == ("word_embedding", 32, *fp32)
+        assert M.tensor_format("layer0.wq", M.plan_from_notation("32-2-8")) == \
+            ("transformer_weight", 32, *fp32)
+
     def test_round_trip_records_the_activation_plan(self, tmp_path):
         params = M.init_params(CFG, np.random.default_rng(60))
         plan = M.plan_from_notation("2-2-8", act="sym")

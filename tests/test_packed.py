@@ -123,6 +123,19 @@ class TestSizeReport:
         assert with_head.total_bits > without.total_bits
 
 
+@pytest.mark.parametrize("notation,w_gran", [
+    ("2-2-8", "layer"), ("2-2-8", "row"), ("3-3-8", None), ("8-8-8", None)])
+def test_size_report_matches_the_written_file(tmp_path, notation, w_gran):
+    # the report counts bits, the file rounds each blob up to whole bytes
+    plan = plan_from_notation(notation, w_gran=w_gran)
+    save_checkpoint(tmp_path / "m.tqm", MICRO,
+                    init_params(MICRO, np.random.default_rng(0)), plan)
+    records = pk.load_model(str(tmp_path / "m.tqm")).manifest.records
+    report = pk.size_report(MICRO, plan, include_task_head=True)
+    slack = 8 * sum(r.length for r in records) - report.total_bits
+    assert 0 <= slack < 8 * len(records)
+
+
 class TestModelFiles:
     def _save_micro(self, tmp_path, plan=None, seed=0):
         rng = np.random.default_rng(seed)

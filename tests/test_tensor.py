@@ -314,6 +314,15 @@ class TestTapeMemory:
         y, held = self._held_bytes(T.gelu, x)
         assert held <= y.data.nbytes + 8 * x.size + 64 * 1024
 
+    def test_layer_norm_holds_output_and_two_floats_per_row(self):
+        x = Tensor(np.random.default_rng(64).standard_normal((32, 32, 512))
+                   .astype(np.float32), requires_grad=True)
+        gain = Tensor(np.ones(512, dtype=np.float32), requires_grad=True)
+        bias = Tensor(np.zeros(512, dtype=np.float32), requires_grad=True)
+        y, held = self._held_bytes(lambda a: T.layer_norm(a, gain, bias), x)
+        rows = x.size // x.shape[-1]
+        assert held <= y.data.nbytes + 16 * rows + 64 * 1024
+
     def test_dropout_holds_output_and_boolean_mask(self):
         x = Tensor(np.ones((32, 32, 512), dtype=np.float32), requires_grad=True)
         y, held = self._held_bytes(

@@ -19,9 +19,9 @@ from .model import (ACT_ALIASES, METHOD_ALIASES, ModelConfig, QuantPlan,
                     bert_base_config, build_leaves, forward, load_checkpoint,
                     plan_from_notation, save_checkpoint)
 from .packed import ModelFileError, size_report
-from .train import (DistillLossConfig, OptimizerConfig, TrainSettings,
-                    TrainState, TrainingDiverged, evaluate, run_training,
-                    train_float_baseline)
+from .train import (DistillLossConfig, OptimizerConfig, TeacherTargets,
+                    TrainSettings, TrainState, TrainingDiverged, evaluate,
+                    run_training, train_float_baseline)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -133,6 +133,13 @@ def cmd_train(args) -> int:
         ckpt = load_checkpoint(args.teacher)
         if ckpt.config != config:
             raise ValueError("teacher checkpoint config does not match run config")
+        # load_checkpoint has checked that a recorded plan is a valid one
+        recorded = ckpt.file.manifest.extras.get("plan")
+        t_plan = None if recorded is None else QuantPlan.from_dict(recorded)
+        if t_plan is not None and min(t_plan.w_bits, t_plan.e_bits, t_plan.a_bits) < 32:
+            raise ValueError(f"teacher checkpoint {args.teacher} was quantized under "
+                             f"plan {t_plan.notation}; distillation needs a "
+                             "full-precision teacher")
         teacher = ckpt.params
         teacher_acc = evaluate(teacher, config, data_eval)
     else:
@@ -231,6 +238,9 @@ def cmd_ablate(args) -> int:
     config = _config_from_args(args, classes)
     data_train, data_eval = _datasets(args)
     teacher, teacher_acc = _train_teacher(args, config, data_train, data_eval)
+    # one store for the whole grid: each distinct example meets the
+    # teacher's forward once, whichever run sees it first
+    targets = TeacherTargets(teacher, config)
 
     grid: list[tuple[str, QuantPlan, DistillLossConfig]] = []
     for wg in ("layer", "row"):
@@ -251,7 +261,7 @@ def cmd_ablate(args) -> int:
     print(f"{'configuration':28s} {'eval_acc':>8s}   (teacher {teacher_acc:.3f})")
     for i, (label, plan, loss_cfg) in enumerate(grid):
         seed = args.seed + 100 + i
-        state = TrainState.create(config, teacher, teacher, plan,
+        state = TrainState.create(config, teacher, targets, plan,
                                   OptimizerConfig(lr=args.lr),
                                   loss_cfg=loss_cfg, seed=seed)
         settings = TrainSettings(epochs=args.epochs, batch_size=args.batch,

@@ -313,6 +313,19 @@ def _maybe_fq(x: Tensor, plan: QuantPlan | None, groups: int = 1) -> Tensor:
     return x
 
 
+def attention_scores(leaves: dict[str, Tensor], config: ModelConfig, layer: int,
+                     h_q: Tensor, plan: QuantPlan | None = None) -> Tensor:
+    """Raw scores ``Q·Kᵀ`` of every head of ``layer``, ``(heads*batch, n, n)``,
+    from that layer's input ``h_q`` (already fake-quantized under ``plan``).
+    :func:`forward` computes its scores here, so scores recomputed from a
+    stored hidden state carry the same bits."""
+    p = layer_prefix(layer)
+    q = T.linear(h_q, leaves[f"{p}.wq"], leaves[f"{p}.bq"])
+    k = T.linear(h_q, leaves[f"{p}.wk"], leaves[f"{p}.bk"])
+    q, k = (T.split_heads(_maybe_fq(t, plan), config.heads) for t in (q, k))
+    return T.matmul(q, T.transpose_last2(k))
+
+
 def forward(leaves: dict[str, Tensor], config: ModelConfig,
             tokens: np.ndarray, segments: np.ndarray,
             plan: QuantPlan | None = None, train: bool = False,
@@ -349,13 +362,10 @@ def forward(leaves: dict[str, Tensor], config: ModelConfig,
     for i in range(config.layers):
         p = layer_prefix(i)
         h_q = _maybe_fq(h, plan)
-        q = T.linear(h_q, leaves[f"{p}.wq"], leaves[f"{p}.bq"])
-        k = T.linear(h_q, leaves[f"{p}.wk"], leaves[f"{p}.bk"])
-        v = T.linear(h_q, leaves[f"{p}.wv"], leaves[f"{p}.bv"])
-        q, k, v = _maybe_fq(q, plan), _maybe_fq(k, plan), _maybe_fq(v, plan)
-        q, k, v = (T.split_heads(t, heads) for t in (q, k, v))
-        scores = T.matmul(q, T.transpose_last2(k))   # raw, (heads*batch, n, n)
+        scores = attention_scores(leaves, config, i, h_q, plan)
         attention.append(scores)
+        v = _maybe_fq(T.linear(h_q, leaves[f"{p}.wv"], leaves[f"{p}.bv"]), plan)
+        v = T.split_heads(v, heads)
         probs = drop(T.softmax_rows(T.scale(scores, scale)))
         probs = _maybe_fq(probs, plan, groups=heads)   # one range per head
         ctx = T.merge_heads(T.matmul(probs, v), heads)

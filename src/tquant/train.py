@@ -1,14 +1,15 @@
 """Distillation-aware ternarization: losses, optimizer, training loop.
 
 Each step re-derives the quantized student from its full-precision shadow
-weights, runs the quantized forward on student and teacher, and applies
-the gradient of the distillation loss (taken with respect to the
-quantized weights) to the shadows:
+weights, runs the quantized student forward, and applies the gradient of
+the distillation loss (taken with respect to the quantized weights) to
+the shadows:
 
     1. ternarize shadow w^t  (loss-aware modes read the optimizer's
        current second moment v^t)
-    2. forward student (quantized, dropout on) and teacher (full
-       precision, dropout off)
+    2. forward student (quantized, dropout on); teacher targets come
+       from the store (:class:`TeacherTargets`), computed once per
+       distinct example by a full-precision, dropout-off forward
     3. L = L_trm + L_pred, per stage and ablation flags
     4. backprop to the dequantized weight leaves
     5. shadow update by the Adam variant below; learning rate decays
@@ -24,6 +25,12 @@ plus MSE over raw attention scores of all heads; L_pred is the soft
 cross-entropy between student and teacher logits.  With both disabled,
 training falls back to ground-truth cross-entropy and never touches the
 teacher.
+
+The teacher is frozen, so its hidden states and logits for an example
+never change: the store keeps them, ``(L+1)*n*d + classes`` float32
+values per distinct example, and recomputes only the attention scores
+from the stored hidden states on each lookup.  The teacher's parameter
+arrays must not be mutated while a :class:`TrainState` holds them.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .model import (ForwardTrace, ModelConfig, QuantPlan, build_leaves, forward,
-                    init_params, predict, save_checkpoint)
+from .model import (ForwardTrace, ModelConfig, QuantPlan, attention_scores,
+                    build_leaves, forward, init_params, predict, save_checkpoint)
 from .tasks import Example, as_arrays
 from .tensor import GradTape, Tensor
 
@@ -147,6 +154,63 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# teacher targets
+
+
+class TeacherTargets:
+    """The frozen teacher's trace of each example, computed once.
+
+    Examples are keyed by the bytes of their int64 token and segment rows.
+    Rows not seen before get one teacher forward over just those rows;
+    the store keeps their hidden states ``H_1..H_{L+1}`` and logits, and
+    recomputes the raw attention scores from the stored ``H_l`` on every
+    lookup (:func:`model.attention_scores`, the code the forward runs), so
+    a lookup gives the bits of a direct forward over the same batch.
+    ``forwards`` counts the teacher forwards run so far.
+    """
+
+    def __init__(self, params: dict[str, np.ndarray], config: ModelConfig):
+        self.params = params
+        self.config = config
+        self.forwards = 0
+        self._leaves, _ = build_leaves(params, plan=None, trainable=False)
+        self._rows: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(h.nbytes + z.nbytes for h, z in self._rows.values())
+
+    def trace(self, tokens: np.ndarray, segments: np.ndarray) -> ForwardTrace:
+        """The teacher's trace (dropout off, no quantization) of a batch."""
+        tokens = np.asarray(tokens, dtype=np.int64)
+        segments = np.asarray(segments, dtype=np.int64)
+        if tokens.ndim != 2 or tokens.shape != segments.shape:
+            raise T.ShapeError("tokens/segments must be matching (batch, n) arrays")
+        keys = [t.tobytes() + s.tobytes() for t, s in zip(tokens, segments)]
+        misses: dict[bytes, int] = {}
+        for i, key in enumerate(keys):
+            if key not in self._rows:
+                misses.setdefault(key, i)
+        if misses:
+            idx = list(misses.values())
+            fresh = forward(self._leaves, self.config, tokens[idx], segments[idx])
+            self.forwards += 1
+            hidden = np.stack([h.data for h in fresh.hidden], axis=1)
+            for j, key in enumerate(misses):
+                self._rows[key] = (hidden[j], fresh.logits.data[j])
+        rows = [self._rows[key] for key in keys]
+        hidden = [Tensor(np.stack([h[l] for h, _ in rows]))
+                  for l in range(self.config.layers + 1)]
+        attention = [attention_scores(self._leaves, self.config, l, hidden[l])
+                     for l in range(self.config.layers)]
+        return ForwardTrace(hidden=hidden, attention=attention,
+                            logits=Tensor(np.stack([z for _, z in rows])))
+
+
+# ---------------------------------------------------------------------------
 # training state and loop
 
 
@@ -155,7 +219,7 @@ class TrainState:
     config: ModelConfig
     plan: QuantPlan | None
     params: dict[str, np.ndarray]            # full-precision shadow weights
-    teacher: dict[str, np.ndarray] | None
+    teacher: TeacherTargets | None           # None when nothing distills
     opt: OptimizerState
     opt_cfg: OptimizerConfig
     loss_cfg: DistillLossConfig
@@ -166,15 +230,25 @@ class TrainState:
 
     @staticmethod
     def create(config: ModelConfig, params: dict[str, np.ndarray],
-               teacher: dict[str, np.ndarray] | None, plan: QuantPlan | None,
+               teacher: dict[str, np.ndarray] | TeacherTargets | None,
+               plan: QuantPlan | None,
                opt_cfg: OptimizerConfig,
                loss_cfg: DistillLossConfig | None = None,
                seed: int = 0, stages: int = 1) -> "TrainState":
+        """``teacher`` is the teacher's parameters, or a store to share
+        with other runs on the same teacher; ground-truth training
+        (both losses off) keeps neither."""
+        loss_cfg = loss_cfg or DistillLossConfig()
+        if not (loss_cfg.use_trm or loss_cfg.use_logits):
+            teacher = None
+        elif isinstance(teacher, dict):
+            teacher = TeacherTargets(teacher, config)
+        elif teacher is not None and teacher.config != config:
+            raise ValueError("teacher store was built for another model config")
         return TrainState(config=config, plan=plan,
                           params={k: v.copy() for k, v in params.items()},
                           teacher=teacher, opt=OptimizerState.initial(params),
-                          opt_cfg=opt_cfg,
-                          loss_cfg=loss_cfg or DistillLossConfig(),
+                          opt_cfg=opt_cfg, loss_cfg=loss_cfg,
                           rng=np.random.default_rng(seed), stages=stages,
                           plan_fingerprint=_fingerprint(plan))
 
@@ -220,9 +294,7 @@ def train_step(state: TrainState, tokens: np.ndarray, segments: np.ndarray,
         l_trm_t = None
         l_pred_t = None
         if distilling:
-            t_leaves, _ = build_leaves(state.teacher, plan=None, trainable=False)
-            teacher = forward(t_leaves, state.config, tokens, segments,
-                              plan=None, train=False)
+            teacher = state.teacher.trace(tokens, segments)
             if use_trm:
                 l_trm_t = loss_trm(student, teacher)
             if use_logits:
@@ -261,15 +333,14 @@ def evaluate(params: dict[str, np.ndarray], config: ModelConfig,
 
 def eval_loss_trm(state: TrainState, examples: list[Example]) -> float:
     """L_trm of the current quantized student on a fixed batch, dropout off."""
+    if state.teacher is None:
+        raise ValueError("L_trm needs a teacher")
     tokens, segments, _ = as_arrays(examples)
     leaves, _ = build_leaves(state.params, state.plan,
                              second_moments=state.opt.v, trainable=False)
     student = forward(leaves, state.config, tokens, segments,
                       plan=state.plan, train=False)
-    t_leaves, _ = build_leaves(state.teacher, plan=None, trainable=False)
-    teacher = forward(t_leaves, state.config, tokens, segments,
-                      plan=None, train=False)
-    return float(loss_trm(student, teacher).data)
+    return float(loss_trm(student, state.teacher.trace(tokens, segments)).data)
 
 
 @dataclass
@@ -294,7 +365,7 @@ def run_training(state: TrainState, train_set: list[Example],
     if not train_set:
         raise ValueError("training set is empty")
     if state.teacher is not None:
-        shapes_t = {k: v.shape for k, v in state.teacher.items()}
+        shapes_t = {k: v.shape for k, v in state.teacher.params.items()}
         shapes_s = {k: v.shape for k, v in state.params.items()}
         if shapes_t != shapes_s:
             raise ValueError("teacher/student configurations do not match")

@@ -159,6 +159,28 @@ class TestTrainCommand:
         assert run(args + ["--teacher", tmp_path / "other.tqm",
                            "--out", tmp_path / "c"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("plan", ["2-2-8", "32-32-8", "8-32-32"])
+    def test_quantized_teacher_file_is_config_error(self, tmp_path, capsys, plan):
+        args = ["train", "--task", "majority", "--epochs", 1, "--teacher-epochs", 1,
+                "--train-n", 32, "--eval-n", 16, "--layers", 1, "--hidden", 16,
+                "--ffn", 32, "--seq-len", 8]
+        assert run(args + ["--out", tmp_path / "a"]) == 0
+        assert run(["quantize", tmp_path / "a" / "teacher.tqm", "--plan", plan,
+                    "--out", tmp_path / "q"]) == 0
+        capsys.readouterr()
+        for quantized, notation in ((tmp_path / "q" / "quantized.tqm", plan),
+                                    (tmp_path / "a" / "student.tqm", "2-2-8")):
+            assert run(args + ["--teacher", quantized, "--out", tmp_path / "b"]) == \
+                cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"plan {notation};" in err and "full-precision teacher" in err
+        assert not (tmp_path / "b" / "student.tqm").exists()
+        # a file whose recorded plan quantizes nothing is a teacher
+        assert run(["quantize", tmp_path / "a" / "teacher.tqm", "--plan", "32-32-32",
+                    "--out", tmp_path / "f"]) == 0
+        assert run(args + ["--teacher", tmp_path / "f" / "quantized.tqm",
+                           "--out", tmp_path / "b"]) == 0
+
     def test_laq3_needs_a_3bit_width(self, tmp_path):
         args = ["train", "--task", "majority", "--epochs", 0, "--teacher-epochs", 0,
                 "--train-n", 8, "--eval-n", 8, "--layers", 1, "--hidden", 16,
@@ -491,6 +513,24 @@ class TestAblateCommand:
         assert "distill no-trm-no-logits" in labels
         # derived seeds differ per grid cell
         assert len({r["seed"] for r in records}) == 9
+
+    def test_grid_shares_one_teacher_store(self, tmp_path, monkeypatch):
+        stores = []
+
+        class Recorded(cli.TeacherTargets):
+            def __init__(self, *args):
+                super().__init__(*args)
+                stores.append(self)
+
+        monkeypatch.setattr(cli, "TeacherTargets", Recorded)
+        # one batch a run: the first distilling run forwards the teacher,
+        # the other seven read its rows
+        assert run(["ablate", "--teacher-epochs", 1, "--epochs", 2,
+                    "--train-n", 32, "--eval-n", 16, "--layers", 1,
+                    "--hidden", 16, "--ffn", 32, "--seq-len", 8,
+                    "--out", tmp_path]) == 0
+        assert len(stores) == 1
+        assert stores[0].forwards == 1 and len(stores[0]) == 32
 
     def test_parity_task_trains_on_parity_data(self, tmp_path, monkeypatch):
         def no_majority(*args, **kwargs):

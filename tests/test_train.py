@@ -230,7 +230,7 @@ class TestTrainStep:
         for _ in range(3):
             TR.train_step(state, tokens, segments, labels)
         for k in frozen:
-            np.testing.assert_array_equal(state.teacher[k], frozen[k])
+            np.testing.assert_array_equal(state.teacher.params[k], frozen[k])
 
     def test_ground_truth_mode_ignores_teacher(self):
         teacher, data = self._teacher(epochs=1)
@@ -417,3 +417,164 @@ class TestTasks:
         a = make_data(20, seed=12)
         b = make_data(20, seed=12)
         assert a == b
+
+
+# the c10 acceptance geometry and the distill-d128 benchmark geometry
+C10_CFG = M.ModelConfig(layers=2, hidden=32, heads=2, ffn=64, vocab=8,
+                        max_positions=16, classes=4)
+D128_CFG = M.ModelConfig(layers=4, hidden=128, heads=4, ffn=512, vocab=1000,
+                         max_positions=32, classes=tasks.task_classes("majority"))
+
+
+def geometry_data(config, n, seed):
+    return tasks.make_majority_dataset(n, seq_len=config.max_positions,
+                                       classes=config.classes, vocab=config.vocab,
+                                       seed=seed)
+
+
+class DirectTeacher:
+    """A teacher that runs ``model.forward`` on every batch it is asked for."""
+
+    def __init__(self, params, config):
+        self.params, self.config = params, config
+        self.leaves, _ = M.build_leaves(params, None, trainable=False)
+
+    def trace(self, tokens, segments):
+        return M.forward(self.leaves, self.config, tokens, segments)
+
+
+def assert_traces_equal(got, want):
+    pairs = list(zip(got.hidden, want.hidden)) + \
+        list(zip(got.attention, want.attention)) + [(got.logits, want.logits)]
+    assert len(got.hidden) == len(want.hidden)
+    assert len(got.attention) == len(want.attention)
+    for g, w in pairs:
+        assert g.data.dtype == w.data.dtype and g.shape == w.shape
+        assert g.data.tobytes() == w.data.tobytes()
+
+
+def param_hash(params):
+    return hash(tuple(params[k].tobytes() for k in sorted(params)))
+
+
+class TestTeacherTargets:
+    @pytest.mark.parametrize("config,n,batch", [(C10_CFG, 100, 32), (D128_CFG, 20, 16)],
+                             ids=["c10-d32", "d128"])
+    def test_store_matches_a_teacher_forward_every_step(self, config, n, batch):
+        rng = np.random.default_rng(21)
+        teacher = M.init_params(config, rng, std=0.5)
+        # repeated examples make some batches part hit, part miss
+        data = geometry_data(config, n, seed=22)
+        data = data + data[:5]
+        assert len(data) % batch != 0           # a final batch of another size
+        settings = TR.TrainSettings(epochs=2, batch_size=batch, eval_every=3, seed=23)
+        plan = M.plan_from_notation("2-2-8")
+        direct = DirectTeacher(teacher, config)
+
+        def make_state(t):
+            return TR.TrainState.create(config, teacher, t, plan,
+                                        TR.OptimizerConfig(lr=1e-3), seed=23)
+
+        state = make_state(teacher)
+        store = state.teacher
+        lookup = store.trace
+        batch_sizes, new_rows = [], []
+
+        def checked(tokens, segments):
+            before = len(store)
+            got = lookup(tokens, segments)
+            assert_traces_equal(got, direct.trace(tokens, segments))
+            batch_sizes.append(len(tokens))
+            new_rows.append(len(store) - before)
+            return got
+
+        store.trace = checked
+        records = TR.run_training(state, data, data[:16], settings)
+        steps = settings.epochs * -(-len(data) // batch)
+        assert len(records) == len(batch_sizes) == steps
+        assert len(set(batch_sizes)) == 2
+        # some batch mixed stored rows with rows forwarded on their own
+        assert any(0 < new < size for new, size in zip(new_rows, batch_sizes))
+        assert len(store) == n and store.forwards == steps // 2
+
+        reference = make_state(direct)
+        assert TR.run_training(reference, data, data[:16], settings) == records
+        assert param_hash(reference.params) == param_hash(state.params)
+
+    def test_second_epoch_runs_no_teacher_forward(self, monkeypatch):
+        teacher = M.init_params(CFG, np.random.default_rng(24), std=0.5)
+        data = make_data(80, seed=25)
+        calls = {"teacher": 0, "student": 0}
+        forward = TR.forward
+
+        def counting(*args, **kwargs):
+            calls["student" if kwargs.get("train") else "teacher"] += 1
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(TR, "forward", counting)
+        state = fresh_state(teacher, plan=M.plan_from_notation("2-2-8"))
+        settings = TR.TrainSettings(epochs=1, batch_size=32, eval_every=0, seed=26)
+        TR.run_training(state, data, data, settings)
+        assert calls == {"teacher": 3, "student": 3}
+        TR.run_training(state, data, data, settings)
+        assert calls == {"teacher": 3, "student": 6}
+        assert state.teacher.forwards == 3 and len(state.teacher) == len(data)
+
+    def test_duplicate_examples_add_no_entry(self):
+        store = TR.TeacherTargets(M.init_params(CFG, np.random.default_rng(27)), CFG)
+        tokens, segments, _ = tasks.as_arrays(make_data(8, seed=28))
+        twice = store.trace(np.concatenate([tokens, tokens]),
+                            np.concatenate([segments, segments]))
+        assert len(store) == 8 and store.forwards == 1
+        for h in twice.hidden:
+            np.testing.assert_array_equal(h.data[:8], h.data[8:])
+        size = store.nbytes
+        # int32 rows are the same examples as the int64 rows they came from
+        store.trace(tokens[:4].astype(np.int32), segments[:4])
+        assert len(store) == 8 and store.forwards == 1 and store.nbytes == size
+
+    def test_d128_bytes_per_example(self):
+        config = D128_CFG
+        store = TR.TeacherTargets(M.init_params(config, np.random.default_rng(29)), config)
+        tokens, segments, _ = tasks.as_arrays(geometry_data(config, 256, seed=30))
+        for start in range(0, 256, 32):
+            store.trace(tokens[start:start + 32], segments[start:start + 32])
+        per_example = ((config.layers + 1) * config.max_positions * config.hidden
+                       + config.classes) * 4
+        assert len(store) == 256
+        assert store.nbytes <= 256 * per_example
+
+    def test_ground_truth_training_never_builds_a_store(self, monkeypatch):
+        def no_store(*args, **kwargs):
+            raise AssertionError("ground-truth training built a teacher store")
+
+        monkeypatch.setattr(TR, "TeacherTargets", no_store)
+        data = make_data(40, seed=31)
+        settings = TR.TrainSettings(epochs=1, batch_size=16, eval_every=0, seed=31)
+        teacher, _ = TR.train_float_baseline(CFG, data, data, TR.OptimizerConfig(),
+                                             settings)
+        state = fresh_state(teacher, loss_cfg=TR.DistillLossConfig(False, False))
+        assert state.teacher is None
+        TR.run_training(state, data, data, settings)
+
+    def test_ground_truth_run_given_a_store_never_reads_it(self):
+        teacher = M.init_params(CFG, np.random.default_rng(32))
+        store = TR.TeacherTargets(teacher, CFG)
+
+        def no_lookup(tokens, segments):
+            raise AssertionError("ground-truth training read the teacher store")
+
+        store.trace = no_lookup
+        state = TR.TrainState.create(CFG, teacher, store, None, TR.OptimizerConfig(),
+                                     loss_cfg=TR.DistillLossConfig(False, False))
+        assert state.teacher is None
+        data = make_data(32, seed=33)
+        TR.run_training(state, data, data, TR.TrainSettings(epochs=1, eval_every=0))
+
+    def test_store_of_another_config_rejected(self):
+        store = TR.TeacherTargets(M.init_params(CFG, np.random.default_rng(34)), CFG)
+        other = M.ModelConfig(layers=1, hidden=16, heads=4, ffn=32, vocab=6,
+                              max_positions=8, classes=3, dropout=0.0)
+        with pytest.raises(ValueError, match="another model config"):
+            TR.TrainState.create(other, store.params, store, None,
+                                 TR.OptimizerConfig())

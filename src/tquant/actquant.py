@@ -9,10 +9,12 @@ gives each attention head its own range):
   ``s = (x_max - x_min) / 255``.
 * ``symmetric8`` -- codes in [-127, 127] with ``s = max|x| / 127``.
 
-Rounding is half-away-from-zero everywhere so codes are bit-reproducible
-across platforms.  ``quantize`` builds the integer codes, for the GEMM and
-for inspection; ``fake_quantize`` computes the dequantized values directly
-in one float64 buffer, bit-identical to ``dequantize(quantize(x))``.
+``SCHEMES`` holds each scheme's code dtype and largest code.  Rounding is
+half-away-from-zero everywhere so codes are bit-reproducible across
+platforms.  One helper rounds to codes and one scales codes back: ``quantize``
+casts the codes to integers, for the GEMM and for inspection, and
+``fake_quantize`` scales them back as ``dequantize`` does, so it equals
+``dequantize(quantize(x))`` by construction.
 
 The backward rule is clipped straight-through: the gradient passes
 unchanged where x lies inside the representable range and is zeroed
@@ -30,7 +32,8 @@ import numpy as np
 
 from . import tensor as T
 
-SCHEMES = ("minmax8", "symmetric8")
+# scheme -> (code dtype, largest code)
+SCHEMES = {"minmax8": (np.uint8, 255), "symmetric8": (np.int8, 127)}
 
 
 def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -69,14 +72,40 @@ def _ranges(x: np.ndarray, scheme: str, groups: int):
     rows = x.reshape(groups, -1)
     x_min = rows.min(axis=1, keepdims=True).astype(np.float64)
     x_max = rows.max(axis=1, keepdims=True).astype(np.float64)
-    if scheme == "minmax8":
-        s = (x_max - x_min) / 255.0
-    elif scheme == "symmetric8":
-        peak = np.maximum(-x_min, x_max)     # max |x|, exactly
-        s = np.where(peak == 0.0, 1.0, peak / 127.0)   # all-zero rows keep scale 1
-    else:
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown activation scheme {scheme!r}")
+    if scheme == "minmax8":
+        s = (x_max - x_min) / SCHEMES[scheme][1]
+    else:
+        peak = np.maximum(-x_min, x_max)     # max |x|, exactly
+        s = np.where(peak == 0.0, 1.0, peak / SCHEMES[scheme][1])   # all-zero rows: 1
     return rows, x_min, x_max, s
+
+
+def _round_codes(rows: np.ndarray, x_min, s, scheme: str) -> np.ndarray:
+    """Each group's codes of ``rows``, rounded in place in a new float64
+    buffer.  No code leaves its range, so nothing clips."""
+    buf = rows.astype(np.float64)
+    if scheme == "minmax8":
+        # t = (x - x_min) / s is in [0, 255], so half-away is floor(t + 0.5);
+        # a constant group (s = 0) has t = 0 over a unit divisor
+        buf -= x_min
+        buf /= np.where(s == 0.0, 1.0, s)
+    else:   # t = x / s has x's sign: half-away is copysign(floor(|t| + 0.5), x)
+        buf /= s
+        np.abs(buf, out=buf)
+    buf += 0.5
+    np.floor(buf, out=buf)
+    if scheme == "symmetric8":
+        np.copysign(buf, rows, out=buf)
+    return buf
+
+
+def _scale_back(codes: np.ndarray, x_min, s, scheme: str) -> np.ndarray:
+    """``code * s + x_min`` in place on float64 codes; symmetric8 adds 0.0 (no -0)."""
+    codes *= s
+    codes += x_min if scheme == "minmax8" else 0.0
+    return codes
 
 
 def quantize(x, scheme: str, groups: int = 1) -> QuantizedActivation:
@@ -88,11 +117,11 @@ def quantize(x, scheme: str, groups: int = 1) -> QuantizedActivation:
     rows, x_min, x_max, s = _ranges(arr, scheme, groups)
     if not (np.isfinite(x_min).all() and np.isfinite(x_max).all()):
         raise ValueError("activation range is not finite")
-    params = ActQuantParams(scheme, x_min, x_max, s)
+    codes = _round_codes(rows, x_min, s, scheme).astype(SCHEMES[scheme][0])
     if groups == 1:     # float params, and codes in x's shape
-        params = ActQuantParams(scheme, x_min.item(), x_max.item(), s.item())
-        rows = arr
-    return QuantizedActivation(encode(rows, params), params)
+        return QuantizedActivation(codes.reshape(arr.shape), ActQuantParams(
+            scheme, x_min.item(), x_max.item(), s.item()))
+    return QuantizedActivation(codes, ActQuantParams(scheme, x_min, x_max, s))
 
 
 def quantize_minmax(x) -> QuantizedActivation:
@@ -103,23 +132,10 @@ def quantize_symmetric(x) -> QuantizedActivation:
     return quantize(x, "symmetric8")
 
 
-def encode(x, params: ActQuantParams) -> np.ndarray:
-    """Codes for x under fixed params (no range recomputation); params that
-    hold ``(groups, 1)`` arrays apply row by row to a ``(groups, m)`` x."""
-    arr = np.asarray(getattr(x, "data", x), dtype=np.float64)
-    if params.scheme == "minmax8":
-        # a zero scale (a constant range) gives every element code 0
-        t = arr - params.x_min
-        t = np.divide(t, params.scale, out=np.zeros_like(t), where=params.scale != 0.0)
-        return np.clip(round_half_away(t), 0, 255).astype(np.uint8)
-    return np.clip(round_half_away(arr / params.scale), -127, 127).astype(np.int8)
-
-
 def dequantize(qa: QuantizedActivation) -> np.ndarray:
     p = qa.params
-    if p.scheme == "minmax8":
-        return (qa.codes.astype(np.float64) * p.scale + p.x_min).astype(np.float32)
-    return (qa.codes.astype(np.float64) * p.scale).astype(np.float32)
+    return _scale_back(qa.codes.astype(np.float64), p.x_min, p.scale,
+                       p.scheme).astype(np.float32)
 
 
 def ste_mask(x: np.ndarray, params: ActQuantParams) -> np.ndarray:
@@ -127,7 +143,7 @@ def ste_mask(x: np.ndarray, params: ActQuantParams) -> np.ndarray:
     if params.scheme == "minmax8":
         lo, hi = params.x_min, params.x_max
     else:
-        hi = 127.0 * params.scale
+        hi = SCHEMES[params.scheme][1] * params.scale
         lo = -hi
     # the bounds round to x's dtype first, as Python floats would, so float32
     # activations compare in float32 for scalar and array params alike
@@ -146,35 +162,16 @@ def fake_quantize(x: T.Tensor, scheme: str, groups: int = 1) -> T.Tensor:
     """Quantize-dequantize as one tape op; ``groups`` ranges as in
     :func:`quantize`.
 
-    The values equal ``dequantize(quantize(x, scheme, groups))`` bit for
-    bit, cast to x's dtype, but no codes are built: the float64 buffer is
-    rounded in place.  NaN or inf in x comes out as non-finite values.
+    The values are ``dequantize(quantize(x, scheme, groups))`` cast to x's
+    dtype, from the same two helpers, but no integer codes are built.  NaN
+    or inf in x comes out as non-finite values.
     """
     rows, x_min, x_max, s = _ranges(x.data, scheme, groups)
-    buf = rows.astype(np.float64)
+    buf = _scale_back(_round_codes(rows, x_min, s, scheme), x_min, s, scheme)
     if scheme == "minmax8":
-        # t = (x - x_min) / s lies in [0, 255]: the clip is a no-op and
-        # half-away rounding is floor(t + 0.5).  A constant group (s = 0)
-        # has t = 0 over a unit divisor, so it gives x_min.
-        buf -= x_min
-        buf /= np.where(s == 0.0, 1.0, s)
-        buf += 0.5
-        np.floor(buf, out=buf)
-        buf *= s
-        buf += x_min
-
         def backward(g):    # every x lies in its own [x_min, x_max]
             return (g,)
     else:
-        # copysign(floor(|t| + 0.5), t) is round_half_away(t), and t = x / s
-        # has x's sign; |t| rounds to at most 127, so the clip is a no-op
-        buf /= s
-        np.abs(buf, out=buf)
-        buf += 0.5
-        np.floor(buf, out=buf)
-        np.copysign(buf, rows, out=buf)
-        buf *= s
-        buf += 0.0          # int8 codes have no -0
         params = ActQuantParams(scheme, x_min, x_max, s)
 
         def backward(g):

@@ -20,8 +20,8 @@ from .model import (ACT_ALIASES, METHOD_ALIASES, ModelConfig, QuantPlan,
                     plan_from_notation, save_checkpoint)
 from .packed import ModelFileError, size_report
 from .train import (DistillLossConfig, OptimizerConfig, TeacherTargets,
-                    TrainSettings, TrainState, TrainingDiverged, evaluate,
-                    run_training, train_float_baseline)
+                    TrainSettings, TrainState, TrainingDiverged, check_schedule,
+                    evaluate, run_training, train_float_baseline)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,6 +122,8 @@ def _train_teacher(args, config, data_train, data_eval):
 
 
 def cmd_train(args) -> int:
+    loss_cfg = ABLATIONS[args.ablation]
+    check_schedule(loss_cfg, args.stages)
     classes = tasks.task_classes(args.task)
     config = _config_from_args(args, classes)
     plan = _plan_from_args(args)
@@ -147,7 +149,6 @@ def cmd_train(args) -> int:
         save_checkpoint(_out_path(args, "teacher.tqm"), config, teacher,
                         extras={"seed": args.seed, "eval_acc": teacher_acc})
 
-    loss_cfg = ABLATIONS[args.ablation]
     state = TrainState.create(config, teacher, teacher, plan,
                               OptimizerConfig(lr=args.lr),
                               loss_cfg=loss_cfg, seed=args.seed,
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--epochs", type=int, default=8)
     a.add_argument("--batch", type=int, default=32)
 
-    for cmd in (q, s, t, e, i, b, a):
+    for cmd in (q, t, e, i, b, a):      # size writes nothing and draws nothing
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--out", default=".", help="output directory")
     return p

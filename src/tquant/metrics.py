@@ -1,21 +1,17 @@
 """Line-delimited JSON metrics files.
 
-Every record is one JSON object per line.  ``TQ_METRICS_DIR`` overrides
-the directory that relative metrics paths resolve against.
+Every record is one JSON object per line.  A command writes every file
+under its ``--out`` directory, and nothing else chooses where.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-
-ENV_DIR = "TQ_METRICS_DIR"
 
 
 def metrics_path(name: str, out_dir: str | None = None) -> Path:
-    base = os.environ.get(ENV_DIR) or out_dir or "."
-    p = Path(base)
+    p = Path(out_dir or ".")
     p.mkdir(parents=True, exist_ok=True)
     return p / name
 

@@ -31,10 +31,11 @@ import numpy as np
 
 from . import actquant, ternarize
 from . import tensor as T
-from .packed import LoadedModel, ManifestError, SavedTensor, load_model, save_model
+from .packed import (CODE_WIDTHS, LoadedModel, ManifestError, SavedTensor, load_model,
+                     save_model)
 from .tensor import ShapeError, Tensor
 
-WEIGHT_BITS = (2, 3, 8, 32)
+WEIGHT_BITS = (*CODE_WIDTHS, 32)
 ACT_BITS = (8, 32)
 
 

@@ -27,7 +27,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -269,12 +269,15 @@ class TensorRecord:
     crc32: int = 0
 
 
+# a TensorRecord field's annotation -> the type its value has in the JSON
+_JSON_TYPES = {"str": str, "int": int, "tuple[int, ...]": list}
+
+
 @dataclass
 class ModelManifest:
     config: dict
     records: list[TensorRecord]
     extras: dict = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
 
 @dataclass
@@ -335,8 +338,8 @@ def _decode_blob(rec: TensorRecord, blob: bytes) -> SavedTensor:
 
 
 def save_model(path: str, config: dict, tensors: list[SavedTensor],
-               extras: dict | None = None) -> ModelManifest:
-    """Write a model file atomically; returns the manifest that was written."""
+               extras: dict | None = None) -> None:
+    """Write a model file atomically."""
     records = []
     blobs = []
     seen = set()
@@ -345,34 +348,27 @@ def save_model(path: str, config: dict, tensors: list[SavedTensor],
             raise ValueError(f"duplicate tensor name {entry.name!r}")
         seen.add(entry.name)
         blob = _encode_blob(entry)
-        records.append(TensorRecord(
-            name=entry.name, role=entry.role, bits=entry.bits,
-            method=entry.method, granularity=entry.granularity,
-            shape=entry.shape, length=len(blob), crc32=zlib.crc32(blob)))
+        records.append(TensorRecord(entry.name, entry.role, entry.bits, entry.method,
+                                    entry.granularity, entry.shape,
+                                    length=len(blob), crc32=zlib.crc32(blob)))
         blobs.append(blob)
 
     manifest_dict = {
         "format_version": FORMAT_VERSION,
         "config": config,
         "extras": extras or {},
-        "tensors": [],
     }
-    # two-pass offset computation: manifest length depends on the offsets,
-    # so compute with placeholder offsets of fixed width
+    # the manifest's length depends on the offsets it records: render it
+    # with the last offsets until they stop moving
     def render(offsets):
-        manifest_dict["tensors"] = [
-            {"name": r.name, "role": r.role, "bits": r.bits, "method": r.method,
-             "granularity": r.granularity, "shape": list(r.shape),
-             "offset": off, "length": r.length, "crc32": r.crc32}
-            for r, off in zip(records, offsets)]
+        manifest_dict["tensors"] = [{**asdict(r), "offset": off}
+                                    for r, off in zip(records, offsets)]
         return json.dumps(manifest_dict).encode()
 
     offsets = [0] * len(records)
     for _ in range(8):
         body = render(offsets)
-        base = len(MAGIC) + 4 + len(body)
-        new_offsets = []
-        pos = base
+        new_offsets, pos = [], len(MAGIC) + 4 + len(body)
         for r in records:
             new_offsets.append(pos)
             pos += r.length
@@ -382,8 +378,6 @@ def save_model(path: str, config: dict, tensors: list[SavedTensor],
     else:
         raise RuntimeError("manifest offsets failed to stabilize")
     body = render(offsets)
-    for r, off in zip(records, offsets):
-        r.offset = off
 
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
@@ -393,7 +387,6 @@ def save_model(path: str, config: dict, tensors: list[SavedTensor],
         for blob in blobs:
             f.write(blob)
     os.replace(tmp, path)
-    return ModelManifest(config=config, records=records, extras=extras or {})
 
 
 @dataclass
@@ -433,17 +426,11 @@ def load_model(path: str) -> LoadedModel:
     spans = []
     for t in tensor_entries:
         try:
-            rec = TensorRecord(name=t["name"], role=t["role"], bits=t["bits"],
-                               method=t["method"], granularity=t["granularity"],
-                               shape=t["shape"], offset=t["offset"],
-                               length=t["length"], crc32=t["crc32"])
+            rec = TensorRecord(**{f.name: t[f.name] for f in fields(TensorRecord)})
         except (KeyError, TypeError) as e:
             raise ModelFileError(f"malformed tensor record: {e}") from e
-        if any(type(v) is not str
-               for v in (rec.name, rec.role, rec.method, rec.granularity)) \
-                or any(type(v) is not int
-                       for v in (rec.bits, rec.offset, rec.length, rec.crc32)) \
-                or type(rec.shape) is not list \
+        if any(type(getattr(rec, f.name)) is not _JSON_TYPES[f.type]
+               for f in fields(TensorRecord)) \
                 or any(type(n) is not int or n < 0 for n in rec.shape) \
                 or rec.offset < 8 + mlen or rec.length < 0:
             raise ManifestError(f"malformed record for tensor {rec.name!r}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import actquant
 from .actquant import QuantizedActivation
-from .packed import PackedTernaryBlob, unpack
+from .packed import PackedTernaryBlob, _check_codes, unpack
 from .ternarize import TernaryTensor, dequantize
 
 INT32_MAX = 2**31 - 1
@@ -41,9 +41,9 @@ class GemmPlan:
     w_granularity: str = "layer"
 
     def __post_init__(self):
-        if self.act_scheme not in ("minmax8", "symmetric8"):
+        if self.act_scheme not in actquant.SCHEMES:
             raise PlanError(f"unknown activation scheme {self.act_scheme!r}")
-        peak = 255 if self.act_scheme == "minmax8" else 127
+        peak = actquant.SCHEMES[self.act_scheme][1]
         if self.k * peak > INT32_MAX:
             raise PlanError(f"k={self.k} breaks the exactness bound "
                             f"k * {peak} <= 2^31 - 1")
@@ -56,6 +56,7 @@ def _weight_parts(w) -> tuple[np.ndarray, np.ndarray, str]:
         w = unpack(w)
     if not isinstance(w, TernaryTensor) or w.max_level != 1:
         raise ValueError("ternary_gemm needs a ternary weight")
+    _check_codes(w.codes, 2, "ternary_gemm")
     return w.codes, w.scales, w.granularity
 
 

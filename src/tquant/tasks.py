@@ -30,6 +30,8 @@ def make_majority_dataset(n_examples: int, seq_len: int = 16, classes: int = 4,
                           vocab: int = 8, seed: int = 0) -> list[Example]:
     if vocab < classes + 1:
         raise ValueError("vocab must cover CLS plus the class tokens")
+    if seq_len < 2:     # an empty body has no majority: every draw is rejected
+        raise ValueError(f"majority needs seq_len >= 2 (CLS plus a body), got {seq_len}")
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < n_examples:

@@ -18,6 +18,9 @@ whole matrix ("layer") or one scale per row ("row").  Methods:
 
 ``quantize(w, method, granularity, v)`` is the entry point that takes any
 method by name; ``METHODS`` lists the names with each method's code width.
+Every method returns a ``TernaryTensor`` of codes and scales only, the
+fields a ``.tqm`` file keeps, so a tensor read back from a file equals the
+one written.
 
 Every solver works on a group matrix of shape ``(groups, n)``: one row per
 scale.  Row granularity uses the matrix as it is; layer granularity is the
@@ -42,7 +45,7 @@ bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,16 +67,11 @@ class TernaryTensor:
     codes: np.ndarray            # int8, shape (rows, cols), |code| <= max_level
     scales: np.ndarray           # float32, shape (1,) for layer or (rows,) for row
     granularity: str
-    thresholds: np.ndarray = field(default=None)  # diagnostic, same shape as scales
     max_level: int = 1
 
     def __post_init__(self):
         self.codes = np.ascontiguousarray(self.codes, dtype=np.int8)
         self.scales = np.ascontiguousarray(self.scales, dtype=np.float32)
-        if self.thresholds is None:
-            self.thresholds = np.zeros_like(self.scales)
-        else:
-            self.thresholds = np.ascontiguousarray(self.thresholds, dtype=np.float32)
 
     def validate(self) -> None:
         rows = self.codes.shape[0]
@@ -128,7 +126,7 @@ def _quantize(solve, w, granularity: str, *v, v_floor: float = 1e-12,
 
     ``solve(x[, u], **kwargs)`` takes a C-contiguous float64 block of groups
     (and the matching floored sqrt(v)) and returns int8 codes and per-group
-    scales and thresholds.  Loss-aware quantizers pass ``v`` and the others
+    scales.  Loss-aware quantizers pass ``v`` and the others
     leave it out.
     """
     if granularity not in GRANULARITIES:
@@ -143,20 +141,18 @@ def _quantize(solve, w, granularity: str, *v, v_floor: float = 1e-12,
     rows, n = groups.shape
     codes = np.empty((rows, n), dtype=np.int8)
     scales = np.empty(rows)
-    thresholds = np.empty(rows)
     step = max(1, BLOCK_ELEMENTS // n)
     for r in range(0, rows, step):
         b = slice(r, r + step)
         x = np.ascontiguousarray(groups[b], dtype=np.float64)
         u = () if vg is None else (_floored_sqrt(vg[b], v_floor),)
-        codes[b], scales[b], thresholds[b] = solve(x, *u, **kwargs)
+        codes[b], scales[b] = solve(x, *u, **kwargs)
     return TernaryTensor(codes=codes.reshape(arr.shape), scales=scales,
-                         granularity=granularity, thresholds=thresholds,
-                         max_level=max_level)
+                         granularity=granularity, max_level=max_level)
 
 
 # ---------------------------------------------------------------------------
-# group-matrix solvers: float64 (groups, n) in; codes, scales, thresholds out
+# group-matrix solvers: float64 (groups, n) in; codes and scales out
 
 
 def _twn_delta(a: np.ndarray) -> np.ndarray:
@@ -165,12 +161,11 @@ def _twn_delta(a: np.ndarray) -> np.ndarray:
 
 def _solve_twn_approx(x: np.ndarray):
     a = np.abs(x)
-    delta = _twn_delta(a)
-    support = a > delta[:, None]
+    support = a > _twn_delta(a)[:, None]
     count = np.count_nonzero(support, axis=1)
     total = (a * support).sum(axis=1)
     alpha = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
-    return _signs(x, support), alpha, delta
+    return _signs(x, support), alpha
 
 
 def _solve_twn_exact(x: np.ndarray):
@@ -185,12 +180,9 @@ def _solve_twn_exact(x: np.ndarray):
     k = np.argmax(gain, axis=1)
     rows = np.arange(g)
     live = desc[:, 0] > 0
-    cut = desc[rows, k]
     alpha = np.where(live, cums[rows, k] / (k + 1), 0.0)
-    delta = np.where(live, 0.5 * (cut + lower[rows, k]), 0.0)
     # the cut sits between distinct values, so the prefix is |w| >= cut
-    codes = _signs(x, a >= np.where(live, cut, np.inf)[:, None])
-    return codes, alpha, delta
+    return _signs(x, a >= np.where(live, desc[rows, k], np.inf)[:, None]), alpha
 
 
 def _stable_desc_order(a: np.ndarray) -> np.ndarray:
@@ -224,14 +216,12 @@ def _solve_lat_exact(x: np.ndarray, u: np.ndarray):
     rows = np.arange(g)
     live = desc[:, 0] > 0
     alpha = np.where(live, cum_uw[rows, k] / cum_u[rows, k], 0.0)
-    lower = np.where(k + 1 < n, desc[rows, np.minimum(k + 1, n - 1)], 0.0)
-    delta = np.where(live, 0.5 * (desc[rows, k] + lower), 0.0)
     # ties in |w| may straddle the cut, so the support is the stable-order
     # prefix itself, scattered back to element order
     support = np.empty((g, n), dtype=bool)
     np.put_along_axis(support, order, np.arange(n) <= np.where(live, k, -1)[:, None],
                       axis=1)
-    return _signs(x, support), alpha, delta
+    return _signs(x, support), alpha
 
 
 def _stable_prefix(a: np.ndarray, desc: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -286,8 +276,7 @@ def _solve_lat_approx(x: np.ndarray, u: np.ndarray, iters: int):
 
     live = nonzero > 0
     alpha = np.where(live, best_alpha, 0.0)
-    codes = _signs(x, best_support & live[:, None])
-    return codes, alpha, 0.5 * alpha
+    return _signs(x, best_support & live[:, None]), alpha
 
 
 _LAQ3_STEPS = np.array([0.5, 1.5, 2.5])
@@ -326,8 +315,7 @@ def _solve_laq3(x: np.ndarray, u: np.ndarray, iters: int):
         lev = np.where(live[:, None], step, lev)
         den = (u * lev * lev).sum(axis=1)
         alpha = np.divide((u * lev * a).sum(axis=1), den, out=np.zeros_like(den), where=live)
-    codes = (np.sign(x) * lev).astype(np.int8)
-    return codes, alpha, 0.5 * alpha
+    return (np.sign(x) * lev).astype(np.int8), alpha
 
 
 def _solve_int8(x: np.ndarray):
@@ -338,7 +326,7 @@ def _solve_int8(x: np.ndarray):
     # layer, and fresh buffers of that size cost more than the arithmetic
     codes = x / np.where(live, alpha, 1.0)[:, None]
     round_half_away(codes, out=codes)
-    return np.clip(codes, -127, 127, out=codes).astype(np.int8), alpha, alpha
+    return np.clip(codes, -127, 127, out=codes).astype(np.int8), alpha
 
 
 # ---------------------------------------------------------------------------

@@ -237,8 +237,10 @@ class TrainState:
                seed: int = 0, stages: int = 1) -> "TrainState":
         """``teacher`` is the teacher's parameters, or a store to share
         with other runs on the same teacher; ground-truth training
-        (both losses off) keeps neither."""
+        (both losses off) keeps neither.  A schedule that cannot run
+        raises ``ValueError`` (:func:`check_schedule`)."""
         loss_cfg = loss_cfg or DistillLossConfig()
+        check_schedule(loss_cfg, stages, teacher is not None)
         if not (loss_cfg.use_trm or loss_cfg.use_logits):
             teacher = None
         elif isinstance(teacher, dict):
@@ -251,6 +253,18 @@ class TrainState:
                           opt_cfg=opt_cfg, loss_cfg=loss_cfg,
                           rng=np.random.default_rng(seed), stages=stages,
                           plan_fingerprint=_fingerprint(plan))
+
+
+def check_schedule(loss_cfg: DistillLossConfig, stages: int,
+                   has_teacher: bool = True) -> None:
+    """``ValueError`` unless stages is 1 or 2, two stages have ``L_trm`` (the
+    first trains on it alone) and a distillation loss has a teacher."""
+    if stages not in (1, 2):
+        raise ValueError(f"stages must be 1 or 2, got {stages!r}")
+    if stages == 2 and not loss_cfg.use_trm:
+        raise ValueError("two-stage training needs the transformer loss enabled")
+    if (loss_cfg.use_trm or loss_cfg.use_logits) and not has_teacher:
+        raise ValueError("distillation losses enabled but no teacher set")
 
 
 def _fingerprint(plan: QuantPlan | None) -> str:
@@ -280,10 +294,6 @@ def train_step(state: TrainState, tokens: np.ndarray, segments: np.ndarray,
     use_trm = cfg.use_trm
     use_logits = cfg.use_logits and not stage1_trm_only
     distilling = use_trm or use_logits
-    if distilling and state.teacher is None:
-        raise ValueError("distillation losses enabled but no teacher set")
-    if stage1_trm_only and not use_trm:
-        raise ValueError("two-stage training needs the transformer loss enabled")
 
     with GradTape() as tape:
         # loss-aware methods read the optimizer's accumulated second moment

@@ -47,9 +47,8 @@ def _assemble(shape, granularity, results, max_level=1) -> TernaryTensor:
     else:
         codes = results[0][0].reshape(shape)
     scales = np.array([a for _, a, _ in results], dtype=np.float32)
-    thresholds = np.array([d for _, _, d in results], dtype=np.float32)
     return TernaryTensor(codes=codes, scales=scales, granularity=granularity,
-                         thresholds=thresholds, max_level=max_level)
+                         max_level=max_level)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,32 @@ class TestFrozenFakeQuant:
                 assert_same_bits(aq.dequantize(qa), reference_actquant.dequantize(ref))
 
 
+class TestOneRounding:
+    """fake_quantize is dequantize(quantize(x)): one rounding, one scale-back."""
+
+    @staticmethod
+    def assert_fake_is_dequantized_codes(x, scheme, groups):
+        fake = aq.fake_quantize(Tensor(x), scheme, groups).data
+        deq = aq.dequantize(aq.quantize(x, scheme, groups))
+        assert_same_bits(fake, deq.reshape(x.shape).astype(x.dtype))
+
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    @pytest.mark.parametrize("case", sorted(frozen_cases()))
+    def test_frozen_cases(self, scheme, case):
+        x, groups = frozen_cases()[case]
+        for g in sorted({1, groups}):
+            self.assert_fake_is_dequantized_codes(x, scheme, g)
+
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    def test_random_inputs(self, scheme):
+        rng = np.random.default_rng(15)
+        for i in range(40):
+            x = rng.standard_normal((4, 6, 8)) * 10 ** rng.uniform(-4, 4)
+            x = x if i % 4 == 0 else x.astype(np.float32)
+            for groups in (1, 2, 4):
+                self.assert_fake_is_dequantized_codes(x, scheme, groups)
+
+
 @pytest.mark.parametrize("scheme", aq.SCHEMES)
 def test_fake_quantize_peak_memory_within_two_float64_copies(scheme):
     x = Tensor(np.random.default_rng(14).standard_normal((32, 32, 512), dtype=np.float32))
@@ -294,8 +320,10 @@ class TestIdempotence:
         for _ in range(20):
             x = (rng.standard_normal(100) * rng.uniform(0.1, 20)).astype(np.float32)
             qa = aq.quantize(x, scheme)
-            again = aq.encode(aq.dequantize(qa), qa.params)
-            np.testing.assert_array_equal(again, qa.codes)
+            p = qa.params
+            again = aq._round_codes(aq.dequantize(qa).reshape(1, -1),
+                                    np.array([[p.x_min]]), np.array([[p.scale]]), scheme)
+            np.testing.assert_array_equal(again.reshape(qa.shape), qa.codes)
 
     def test_minmax_mse_no_worse_on_skewed_population(self):
         rng = np.random.default_rng(6)

@@ -96,6 +96,14 @@ class TestTrainCommand:
                                "act": "minmax"})))
         np.testing.assert_array_equal(qinfo["layer0.wq"].codes, q.codes)
 
+    @pytest.mark.parametrize("argv", [["--stages", 2, "--ablation", "no-trm"],
+                                      ["--stages", 2, "--ablation", "no-trm-no-logits"],
+                                      ["--seq-len", 1]])
+    def test_bad_schedule_or_task_writes_nothing(self, argv, tmp_path):
+        out = tmp_path / "out"
+        assert run(["train", *argv, "--out", out]) == cli.EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+
     def test_8bit_plan_with_default_granularity_trains(self, tmp_path):
         code = run(["train", "--plan", "8-8-8", "--task", "majority", "--epochs", 1,
                     "--teacher-epochs", 1, "--train-n", 16, "--eval-n", 8,
@@ -484,12 +492,19 @@ class TestBenchCommand:
         assert run(["bench", "--k", 2**24, "--out", tmp_path]) == cli.EXIT_CONFIG
 
 
-class TestMetricsDirOverride:
-    def test_env_var_redirects_metrics(self, tmp_path, monkeypatch):
-        target = tmp_path / "redirected"
-        monkeypatch.setenv(metrics.ENV_DIR, str(target))
-        assert run(["bench", "--m", 4, "--n", 4, "--k", 4, "--reps", 1]) == 0
-        assert (target / "bench.jsonl").exists()
+class TestOutDir:
+    def test_out_is_the_one_output_setting(self, tmp_path, monkeypatch):
+        # a TQ_METRICS_DIR left in the environment moves no output
+        elsewhere = tmp_path / "elsewhere"
+        monkeypatch.setenv("TQ_METRICS_DIR", str(elsewhere))
+        out = tmp_path / "out"
+        assert run(["train", "--teacher-epochs", 1, "--epochs", 1, "--train-n", 16,
+                    "--eval-n", 8, "--layers", 1, "--hidden", 8, "--ffn", 16,
+                    "--seq-len", 4, "--out", out]) == 0
+        assert {p.name for p in out.iterdir()} == {
+            "train_data.jsonl", "eval_data.jsonl", "teacher.tqm", "student.tqm",
+            "metrics.jsonl"}
+        assert not elsewhere.exists()
 
 
 class TestSizeCommand:
@@ -497,6 +512,13 @@ class TestSizeCommand:
         assert run(["size", "--bert-base", "--plan", "2-2-8"]) == 0
         out = capsys.readouterr().out
         assert "ratio: 14.9x" in out
+
+    @pytest.mark.parametrize("flag", ["--seed", "--out"])
+    def test_takes_no_seed_or_out(self, flag, capsys):
+        # size draws nothing and writes nothing: such a flag would be ignored
+        with pytest.raises(SystemExit) as exc:
+            run(["size", "--plan", "2-2-8", flag, "1"])
+        assert exc.value.code == 2
 
 
 class TestAblateCommand:

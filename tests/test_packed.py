@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,27 @@ def test_size_report_matches_the_written_file(tmp_path, notation, w_gran):
     report = pk.size_report(MICRO, plan, include_task_head=True)
     slack = 8 * sum(r.length for r in records) - report.total_bits
     assert 0 <= slack < 8 * len(records)
+
+
+@pytest.mark.parametrize("gran", tz.GRANULARITIES)
+@pytest.mark.parametrize("method", sorted(tz.METHODS))
+def test_quantizer_output_survives_a_tqm_round_trip(method, gran, tmp_path):
+    """A quantizer returns only what a .tqm keeps: every field reads back equal."""
+    rng = np.random.default_rng(21)
+    w = rng.standard_normal((6, 10)).astype(np.float32)
+    w[2] = 0.0                              # an all-zero row: a zero scale
+    t = tz.quantize(w, method, gran, rng.random((6, 10)))
+    path = str(tmp_path / "w.tqm")
+    bits = tz.METHODS[method][0]
+    pk.save_model(path, {}, [pk.SavedTensor("w", "transformer_weight", bits, method,
+                                            gran, quant=t)])
+    got = pk.load_model(path).tensors["w"].quant
+    for f in dataclasses.fields(tz.TernaryTensor):
+        want, have = getattr(t, f.name), getattr(got, f.name)
+        if isinstance(want, np.ndarray):
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), f.name
+        else:
+            assert have == want, f.name
 
 
 class TestModelFiles:

@@ -36,6 +36,13 @@ class TestTernaryGemm:
         out = qk.ternary_gemm(act, w)
         np.testing.assert_array_equal(out, aq.dequantize(act))
 
+    def test_codes_outside_ternary_rejected(self):
+        act = aq.quantize_minmax(np.array([[1.0, 2.0]], dtype=np.float32))
+        w = tz.TernaryTensor(codes=np.array([[3, -2], [1, 0]], dtype=np.int8),
+                             scales=np.array([1.0]), granularity="layer")
+        with pytest.raises(ValueError, match="ternary_gemm"):
+            qk.ternary_gemm(act, w)
+
     def test_zero_weight_gives_zero(self):
         rng = np.random.default_rng(1)
         act = aq.quantize_minmax(rng.standard_normal((4, 6)))

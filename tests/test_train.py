@@ -418,6 +418,35 @@ class TestTasks:
         b = make_data(20, seed=12)
         assert a == b
 
+    @pytest.mark.parametrize("seq_len", [0, 1])
+    def test_majority_needs_a_body(self, seq_len):
+        # with no token after CLS no class has a majority: every draw is rejected
+        with pytest.raises(ValueError, match="seq_len"):
+            tasks.make_majority_dataset(4, seq_len=seq_len, classes=3, vocab=6)
+
+
+class TestScheduleChecks:
+    """TrainState.create rejects a schedule that cannot run."""
+
+    def teacher(self):
+        return M.init_params(CFG, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("stages", [0, 3])
+    def test_stage_count(self, stages):
+        with pytest.raises(ValueError, match="stages must be 1 or 2"):
+            fresh_state(self.teacher(), stages=stages)
+
+    def test_two_stages_need_the_transformer_loss(self):
+        with pytest.raises(ValueError, match="transformer loss"):
+            fresh_state(self.teacher(), loss_cfg=TR.DistillLossConfig(False, True),
+                        stages=2)
+
+    @pytest.mark.parametrize("losses", [(True, True), (True, False), (False, True)])
+    def test_distillation_needs_a_teacher(self, losses):
+        with pytest.raises(ValueError, match="no teacher"):
+            TR.TrainState.create(CFG, self.teacher(), None, None, TR.OptimizerConfig(),
+                                 loss_cfg=TR.DistillLossConfig(*losses))
+
 
 # the c10 acceptance geometry and the distill-d128 benchmark geometry
 C10_CFG = M.ModelConfig(layers=2, hidden=32, heads=2, ffn=64, vocab=8,

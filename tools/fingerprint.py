@@ -1,0 +1,227 @@
+"""Print SHA-256 digests of tquant's pinned outputs.
+
+Run it against a source tree to compare two trees bit for bit::
+
+    PYTHONPATH=<tree>/src python3 tools/fingerprint.py
+
+Each line is one digest over a fixed, seeded set of inputs:
+
+* ``checkpoints`` -- the ``save_checkpoint`` bytes of a micro config under
+  every valid plan (and no plan), plus what ``load_checkpoint`` returns;
+* ``activation_codes``, ``activation_dequantize``, ``activation_fake_quant``
+  -- ``actquant.quantize`` codes and params, ``dequantize`` values, and
+  ``fake_quantize`` values and gradients, for both schemes and for one
+  range and four ranges per tensor;
+* ``ternarize`` -- ``ternarize.quantize`` for every method and granularity;
+* ``training`` -- ``run_training`` records and final parameters for six
+  configurations.
+
+Two trees that print the same lines produce the same files, codes and
+training runs on these inputs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from tquant import actquant, tasks, ternarize
+from tquant import tensor as T
+from tquant import train as TR
+from tquant.model import (ModelConfig, QuantPlan, init_params, load_checkpoint,
+                          save_checkpoint)
+from tquant.tensor import GradTape, Tensor
+
+
+class Digest:
+    def __init__(self):
+        self.h = hashlib.sha256()
+        self.items = 0
+
+    def array(self, a) -> None:
+        a = np.ascontiguousarray(a)
+        self.text(f"{a.dtype.str}{a.shape}")
+        self.h.update(a.tobytes())
+
+    def text(self, s) -> None:
+        self.h.update(str(s).encode() + b"\0")
+
+    def quant(self, t) -> None:
+        """The fields a ``.tqm`` keeps of a ``TernaryTensor``."""
+        self.array(t.codes)
+        self.array(t.scales)
+        self.text(t.granularity)
+        self.text(t.max_level)
+
+
+MICRO = ModelConfig(layers=1, hidden=8, heads=2, ffn=16, vocab=8,
+                    max_positions=8, classes=2)
+
+
+def _slot_options():
+    """(bits, method, granularity) of every valid weight or embedding slot."""
+    out = [(32, "twn_approx", "layer")]
+    for method, (bits, _) in ternarize.METHODS.items():
+        grans = ("layer",) if bits == 8 else ternarize.GRANULARITIES
+        out += [(bits, method, g) for g in grans]
+    return out
+
+
+def plans():
+    yield None
+    acts = [(32, "minmax8"), (8, "minmax8"), (8, "symmetric8")]
+    for (wb, wm, wg), (eb, em, eg), (ab, scheme) in itertools.product(
+            _slot_options(), _slot_options(), acts):
+        yield QuantPlan(w_bits=wb, e_bits=eb, a_bits=ab, w_method=wm, e_method=em,
+                        w_gran=wg, e_gran=eg, act_scheme=scheme)
+
+
+def checkpoints(d: Digest, tmp: str) -> None:
+    rng = np.random.default_rng(7)
+    params = init_params(MICRO, rng, std=0.5)
+    moments = {k: np.abs(rng.standard_normal(v.shape)).astype(np.float32) * 1e-3
+               for k, v in params.items()}
+    path = os.path.join(tmp, "model.tqm")
+    for i, plan in enumerate(plans()):
+        save_checkpoint(path, MICRO, params, plan,
+                        second_moments=moments if i % 2 else None,
+                        extras={"index": i})
+        with open(path, "rb") as f:
+            d.h.update(f.read())
+        ckpt = load_checkpoint(path)
+        d.text(json.dumps(ckpt.config.to_dict(), sort_keys=True))
+        d.text(None if ckpt.plan is None else json.dumps(ckpt.plan.to_dict(), sort_keys=True))
+        d.text(json.dumps(ckpt.file.manifest.extras, sort_keys=True))
+        for name in sorted(ckpt.params):
+            d.text(name)
+            d.array(ckpt.params[name])
+            t = ckpt.file.tensors[name]
+            d.text((t.name, t.role, t.bits, t.method, t.granularity))
+            if name in ckpt.qinfo:
+                d.quant(ckpt.qinfo[name])
+        d.items += 1
+
+
+def activation_inputs(n: int = 200):
+    for i in range(n):
+        rng = np.random.default_rng(1000 + i)
+        shape = (4 * int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(1, 9)))
+        kind = i % 5
+        if kind == 0:
+            x = rng.standard_normal(shape) * rng.uniform(0.01, 50)
+        elif kind == 1:     # values on a quarter grid: many ties at half codes
+            x = rng.integers(-300, 300, shape) * 0.25
+        elif kind == 2:     # constant and all-zero groups, signed zeros
+            x = rng.standard_normal(shape)
+            q = shape[0] // 4
+            x[:q] = 0.5
+            x[q:2 * q] = 0.0
+            x[q, 0, 0] = -0.0
+        elif kind == 3:     # skewed, with tiny negatives that round to -0
+            x = np.clip(rng.standard_normal(shape) * 3, -9, 0.3)
+            x.reshape(-1)[:3] = -1e-4
+        else:
+            x = rng.standard_normal(shape) * 10 ** rng.uniform(-6, 6)
+        yield x.astype(np.float64 if i % 7 == 0 else np.float32)
+
+
+def activations(codes: Digest, deq: Digest, fake: Digest) -> None:
+    for x in activation_inputs():
+        c = np.random.default_rng(x.size).standard_normal(x.shape).astype(x.dtype)
+        for scheme, groups in itertools.product(("minmax8", "symmetric8"), (1, 4)):
+            qa = actquant.quantize(x, scheme, groups)
+            codes.array(qa.codes)
+            for v in (qa.params.x_min, qa.params.x_max, qa.params.scale):
+                codes.array(np.asarray(v, dtype=np.float64))
+            deq.array(actquant.dequantize(qa))
+            leaf = Tensor(x, requires_grad=True)
+            with GradTape() as tape:
+                y = actquant.fake_quantize(leaf, scheme, groups)
+                loss = T.sum_all(T.mul(y, Tensor(c)))
+            fake.array(y.data)
+            fake.array(tape.gradients(loss).wrt(leaf))
+            codes.items += 1
+
+
+def weight_inputs():
+    rng = np.random.default_rng(3)
+    zero_rows = rng.standard_normal((7, 10))
+    zero_rows[[1, 4]] = 0.0
+    yield rng.standard_normal((6, 20)), rng.random((6, 20))
+    yield rng.integers(-3, 4, (8, 24)).astype(np.float64), rng.integers(0, 3, (8, 24)) * 1.0
+    yield zero_rows, rng.random((7, 10))
+    yield np.zeros((3, 5)), rng.random((3, 5))
+    yield rng.standard_normal((1, 37)), rng.random((1, 37))
+    yield ((rng.standard_normal((16, 48)) * 0.02).astype(np.float32),
+           rng.lognormal(-14.0, 2.0, (16, 48)).astype(np.float32))
+    yield ((rng.standard_normal((96, 768)) * 0.05).astype(np.float32),
+           rng.random((96, 768)).astype(np.float32) * 1e-6)
+
+
+def weights(d: Digest) -> None:
+    for w, v in weight_inputs():
+        for method, gran in itertools.product(ternarize.METHODS, ternarize.GRANULARITIES):
+            d.quant(ternarize.quantize(w, method, gran, v))
+            d.items += 1
+
+
+TRAIN_CFG = ModelConfig(layers=2, hidden=16, heads=2, ffn=32, vocab=8,
+                        max_positions=8, classes=tasks.task_classes("majority"))
+
+
+def training(d: Digest) -> None:
+    train_set = tasks.make_majority_dataset(64, seq_len=8, classes=TRAIN_CFG.classes, seed=5)
+    eval_set = tasks.make_majority_dataset(32, seq_len=8, classes=TRAIN_CFG.classes, seed=6)
+    teacher = init_params(TRAIN_CFG, np.random.default_rng(11))
+    settings = TR.TrainSettings(epochs=2, batch_size=16, eval_every=2, seed=3)
+    runs = [
+        (QuantPlan(2, 2, 8), 1),
+        (QuantPlan(2, 2, 8, act_scheme="symmetric8"), 2),
+        (QuantPlan(2, 2, 8, w_method="lat_approx", e_method="lat_approx", w_gran="row"), 1),
+        (QuantPlan(8, 8, 8), 1),
+        (QuantPlan(3, 3, 8, w_method="laq3", e_method="laq3"), 1),
+    ]
+    for plan, stages in runs:
+        student = init_params(TRAIN_CFG, np.random.default_rng(12))
+        state = TR.TrainState.create(TRAIN_CFG, student, teacher, plan,
+                                     TR.OptimizerConfig(lr=2e-3),
+                                     loss_cfg=TR.DistillLossConfig(True, True),
+                                     seed=4, stages=stages)
+        _train_record(d, TR.run_training(state, train_set, eval_set, settings),
+                      state.params)
+    params, history = TR.train_float_baseline(TRAIN_CFG, train_set, eval_set,
+                                              TR.OptimizerConfig(lr=2e-3), settings)
+    _train_record(d, history, params)
+
+
+def _train_record(d: Digest, history, params) -> None:
+    d.text(json.dumps(history, sort_keys=True))
+    for name in sorted(params):
+        d.text(name)
+        d.array(params[name])
+    d.items += 1
+
+
+def main() -> int:
+    ckpt, codes, deq, fake, quant, runs = (Digest() for _ in range(6))
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoints(ckpt, tmp)
+    activations(codes, deq, fake)
+    deq.items = fake.items = codes.items
+    weights(quant)
+    training(runs)
+    for name, d in (("checkpoints", ckpt), ("activation_codes", codes),
+                    ("activation_dequantize", deq), ("activation_fake_quant", fake),
+                    ("ternarize", quant), ("training", runs)):
+        print(f"{name:22s} {d.items:4d} {d.h.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +36,15 @@ ABLATIONS = {
 }
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def count(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return count
+
+
 def _add_plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plan", default="2-2-8", help="W-E-A bit triple, e.g. 2-2-8")
     p.add_argument("--method", default="twn", choices=list(METHOD_ALIASES))
@@ -55,8 +65,16 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_task_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--task", default="majority", choices=sorted(tasks.TASKS))
-    p.add_argument("--train-n", type=int, default=512)
-    p.add_argument("--eval-n", type=int, default=256)
+    p.add_argument("--train-n", type=_at_least(1), default=512)
+    p.add_argument("--eval-n", type=_at_least(1), default=256)
+
+
+def _add_run_flags(p: argparse.ArgumentParser, epochs: int) -> None:
+    p.add_argument("--teacher-epochs", type=_at_least(0), default=8)
+    p.add_argument("--teacher-lr", type=float, default=2e-3)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--epochs", type=_at_least(0), default=epochs)
+    p.add_argument("--batch", type=_at_least(1), default=32)
 
 
 def _plan_from_args(args) -> QuantPlan:
@@ -71,8 +89,9 @@ def _config_from_args(args, classes: int) -> ModelConfig:
                        max_positions=max(args.seq_len, 2), classes=classes)
 
 
-def _out_path(args, name: str):
-    return metrics.metrics_path(name, args.out)
+def _out_path(args, name: str) -> Path:
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    return Path(args.out) / name
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +179,7 @@ def cmd_train(args) -> int:
                              if args.checkpoint_every else None)
     if args.checkpoint_every:
         _out_path(args, "checkpoints").mkdir(parents=True, exist_ok=True)
-    history = run_training(state, data_train, data_eval, settings) \
-        if args.epochs > 0 else []
+    history = run_training(state, data_train, data_eval, settings)
     metrics.append_records(_out_path(args, "metrics.jsonl"), history)
 
     student_acc = evaluate(state.params, config, data_eval, plan=plan,
@@ -303,16 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_plan_flags(t)
     _add_model_flags(t)
     _add_task_flags(t)
+    _add_run_flags(t, epochs=12)
     t.add_argument("--teacher", help="teacher checkpoint; trained here if omitted")
-    t.add_argument("--teacher-epochs", type=int, default=8)
-    t.add_argument("--teacher-lr", type=float, default=2e-3)
     t.add_argument("--ablation", default="full", choices=sorted(ABLATIONS))
     t.add_argument("--stages", type=int, default=1, choices=[1, 2])
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--epochs", type=int, default=12)
-    t.add_argument("--batch", type=int, default=32)
-    t.add_argument("--eval-every", type=int, default=25)
-    t.add_argument("--checkpoint-every", type=int, default=0,
+    t.add_argument("--eval-every", type=_at_least(0), default=25)
+    t.add_argument("--checkpoint-every", type=_at_least(0), default=0,
                    help="save a checkpoint every N steps (0 = off)")
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")
@@ -328,17 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--m", type=int, default=64)
     b.add_argument("--n", type=int, default=64)
     b.add_argument("--k", type=int, default=64)
-    b.add_argument("--reps", type=int, default=20)
+    b.add_argument("--reps", type=_at_least(0), default=20)
     b.add_argument("--act", default="minmax", choices=list(ACT_ALIASES))
 
     a = sub.add_parser("ablate", help="granularity/activation/distillation grid")
     _add_model_flags(a)
     _add_task_flags(a)
-    a.add_argument("--teacher-epochs", type=int, default=8)
-    a.add_argument("--teacher-lr", type=float, default=2e-3)
-    a.add_argument("--lr", type=float, default=1e-3)
-    a.add_argument("--epochs", type=int, default=8)
-    a.add_argument("--batch", type=int, default=32)
+    _add_run_flags(a, epochs=8)
 
     for cmd in (q, t, e, i, b, a):      # size writes nothing and draws nothing
         cmd.add_argument("--seed", type=int, default=0)

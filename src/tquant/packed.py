@@ -5,7 +5,10 @@ JSON manifest, then raw per-tensor blobs at the offsets recorded in the
 manifest.  Each blob is the float32 scale vector followed by the code
 payload (2-bit packed, 3-bit packed, raw int8, or raw float32), with a
 CRC32 checked on load.  A width of b bits holds the codes -m..m with
-m = 2^(b-1) - 1 (``CODE_WIDTHS``); saving a code outside that range raises.
+m = 2^(b-1) - 1 (``CODE_WIDTHS``).  Save (``ValueError``) and load
+(``ManifestError``) refuse a tensor that fails ``TernaryTensor.validate``
+at that m: a code outside -m..m, a negative or non-finite scale, or a
+zero scale over nonzero codes.
 
 2-bit packing: element k of the row-major flattening occupies bits
 (2*(k mod 4)) .. (2*(k mod 4) + 1) of byte floor(k / 4); code 00 is 0,
@@ -306,8 +309,11 @@ def _encode_blob(entry: SavedTensor) -> bytes:
     if entry.bits not in CODE_WIDTHS:
         raise ValueError(f"unsupported bit width {entry.bits}")
     t = entry.quant
-    _check_codes(t.codes, entry.bits, entry.name)
-    _, pack_codes, _ = CODE_WIDTHS[entry.bits]
+    max_level, pack_codes, _ = CODE_WIDTHS[entry.bits]
+    try:                        # the tensor as _decode_blob rebuilds it
+        TernaryTensor(t.codes, t.scales, entry.granularity, max_level).validate()
+    except ValueError as e:
+        raise ValueError(f"{entry.name} at {entry.bits} bits: {e}") from None
     return np.ascontiguousarray(t.scales, dtype="<f4").tobytes() + pack_codes(t.codes)
 
 
@@ -333,6 +339,10 @@ def _decode_blob(rec: TensorRecord, blob: bytes) -> SavedTensor:
     codes = unpack_codes(blob[4 * n_scales:], count)
     t = TernaryTensor(codes=codes.reshape(shape), scales=scales,
                       granularity=rec.granularity, max_level=max_level)
+    try:
+        t.validate()
+    except ValueError as e:
+        raise ManifestError(f"{rec.name} at {rec.bits} bits: {e}") from None
     return SavedTensor(rec.name, rec.role, rec.bits, rec.method, rec.granularity,
                        quant=t)
 

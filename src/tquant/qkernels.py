@@ -16,14 +16,14 @@ exactly.  The result is bit-identical to an int32 or int64 accumulation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import actquant
 from .actquant import QuantizedActivation
 from .packed import PackedTernaryBlob, _check_codes, unpack
-from .ternarize import TernaryTensor, dequantize
+from .ternarize import TernaryTensor, dequantize, twn_approx
 
 INT32_MAX = 2**31 - 1
 
@@ -38,7 +38,6 @@ class GemmPlan:
     n: int
     k: int
     act_scheme: str = "minmax8"
-    w_granularity: str = "layer"
 
     def __post_init__(self):
         if self.act_scheme not in actquant.SCHEMES:
@@ -51,28 +50,28 @@ class GemmPlan:
             raise PlanError("negative dimension")
 
 
-def _weight_parts(w) -> tuple[np.ndarray, np.ndarray, str]:
+def _ternary_weight(w) -> TernaryTensor:
     if isinstance(w, PackedTernaryBlob):
         w = unpack(w)
     if not isinstance(w, TernaryTensor) or w.max_level != 1:
         raise ValueError("ternary_gemm needs a ternary weight")
     _check_codes(w.codes, 2, "ternary_gemm")
-    return w.codes, w.scales, w.granularity
+    return w
 
 
 def ternary_gemm(act: QuantizedActivation, w) -> np.ndarray:
     """act (m x k) codes times stored-transposed ternary weight (n x k)."""
-    signs, scales, gran = _weight_parts(w)
+    w = _ternary_weight(w)
     m, k = act.codes.shape
-    n, k2 = signs.shape
+    n, k2 = w.codes.shape
     if k != k2:
         raise ValueError(f"inner dimensions differ: act k={k}, weight k={k2}")
-    GemmPlan(m=m, n=n, k=k, act_scheme=act.params.scheme, w_granularity=gran)
+    GemmPlan(m=m, n=n, k=k, act_scheme=act.params.scheme)
 
-    b = signs.astype(np.float64)
+    b = w.codes.astype(np.float64)
     acc = act.codes.astype(np.float64) @ b.T            # exact: see module doc
-    alpha = (np.full(n, scales[0], dtype=np.float64) if gran == "layer"
-             else scales.astype(np.float64))
+    alpha = (np.full(n, w.scales[0], dtype=np.float64) if w.granularity == "layer"
+             else w.scales.astype(np.float64))
     s = act.params.scale
     out64 = acc * (s * alpha)
     if act.params.scheme == "minmax8":
@@ -82,10 +81,8 @@ def ternary_gemm(act: QuantizedActivation, w) -> np.ndarray:
 
 def float_reference(act: QuantizedActivation, w) -> np.ndarray:
     """Dequantize both operands and multiply in floating point."""
-    signs, scales, gran = _weight_parts(w)
-    t = TernaryTensor(codes=signs, scales=scales, granularity=gran)
     a = actquant.dequantize(act).astype(np.float64)
-    wd = dequantize(t).astype(np.float64)
+    wd = dequantize(_ternary_weight(w)).astype(np.float64)
     return (a @ wd.T).astype(np.float32)
 
 
@@ -100,11 +97,7 @@ class BenchRecord:
     bytes_touched: int
 
     def to_dict(self) -> dict:
-        return {"kind": "gemm_bench", "m": self.m, "n": self.n, "k": self.k,
-                "repetitions": self.repetitions,
-                "ternary_ns_per_op": self.ternary_ns_per_op,
-                "float_ns_per_op": self.float_ns_per_op,
-                "bytes_touched": self.bytes_touched}
+        return {"kind": "gemm_bench", **asdict(self)}
 
 
 def traffic_bytes(plan: GemmPlan) -> int:
@@ -123,9 +116,7 @@ def bench_gemm(plan: GemmPlan, repetitions: int,
     rng = rng or np.random.default_rng(0)
     x = rng.standard_normal((plan.m, plan.k)).astype(np.float32)
     act = actquant.quantize(x, plan.act_scheme)
-    from .ternarize import twn_approx
-    w = twn_approx(rng.standard_normal((plan.n, plan.k)).astype(np.float32),
-                   plan.w_granularity)
+    w = twn_approx(rng.standard_normal((plan.n, plan.k)).astype(np.float32), "layer")
 
     t0 = time.perf_counter_ns()
     for _ in range(repetitions):

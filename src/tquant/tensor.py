@@ -473,8 +473,7 @@ def gelu(x: Tensor) -> Tensor:
     return _emit(out, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row zero mean / unit variance over the last axis, then affine.
 
     The tape keeps only the per-row mean and inverse deviation: the
@@ -487,7 +486,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     mu = x64.mean(axis=-1, keepdims=True)
     x64 -= mu
     var = (x64 ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     x64 *= inv                                  # xhat
     out = (x64 * gain.data + bias.data).astype(x.data.dtype)
 

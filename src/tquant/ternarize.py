@@ -74,20 +74,19 @@ class TernaryTensor:
         self.scales = np.ascontiguousarray(self.scales, dtype=np.float32)
 
     def validate(self) -> None:
-        rows = self.codes.shape[0]
-        if self.granularity == "layer" and self.scales.shape != (1,):
-            raise ValueError("layer granularity needs exactly one scale")
-        if self.granularity == "row" and self.scales.shape != (rows,):
-            raise ValueError("row granularity needs one scale per row")
-        if np.abs(self.codes).max(initial=0) > self.max_level:
-            raise ValueError("code magnitude exceeds max_level")
-        if np.any(self.scales < 0):
-            raise ValueError("scales must be nonnegative")
-        # zero scale only for an all-zero group
-        groups = self.codes.reshape(self.scales.size, -1)
-        bad = (self.scales == 0) & groups.any(axis=1)
-        if bad.any():
-            raise ValueError(f"group {int(np.argmax(bad))} has zero scale but nonzero codes")
+        """``ValueError`` unless a ``.tqm`` file can hold the tensor."""
+        groups = {"layer": self.codes.reshape(1, -1), "row": self.codes}.get(self.granularity)
+        if groups is None or self.scales.shape != (len(groups),):
+            raise ValueError(f"{self.scales.size} scales for {self.granularity!r} groups")
+        m = self.max_level
+        if self.codes.min(initial=0) < -m or self.codes.max(initial=0) > m:
+            raise ValueError(f"codes outside -{m}..{m}")
+        if not (np.isfinite(self.scales) & (self.scales >= 0)).all():
+            raise ValueError("scales must be finite and nonnegative")
+        zero = np.flatnonzero(self.scales == 0)
+        bad = zero[groups[zero].any(axis=1)]
+        if bad.size:
+            raise ValueError(f"group {bad[0]} has zero scale but nonzero codes")
 
 
 def _signs(x: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -15,10 +15,10 @@ the shadows:
     5. shadow update by the Adam variant below; learning rate decays
        linearly to zero
 
-The optimizer keeps first/second moments without bias correction and
-applies decoupled weight decay inside the learning-rate multiplier:
-``w -= lr * (m / (sqrt(v) + eps) + wd * w)``; biases and layer-norm
-parameters are excluded from decay.
+The optimizer keeps moments decayed by ``BETA1``/``BETA2`` without bias
+correction and applies decoupled weight decay, except to biases and
+layer-norm parameters, inside the learning-rate multiplier:
+``w -= lr * (m / (sqrt(v) + EPS) + WEIGHT_DECAY * w)``.
 
 Losses: L_trm sums MSE over the embedding output and every layer output
 plus MSE over raw attention scores of all heads; L_pred is the soft
@@ -35,6 +35,7 @@ arrays must not be mutated while a :class:`TrainState` holds them.
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass
 
@@ -57,13 +58,15 @@ class DistillLossConfig:
     use_logits: bool = True
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-6
+WEIGHT_DECAY = 0.01
+
+
 @dataclass
 class OptimizerConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-6
-    weight_decay: float = 0.01
     total_steps: int = 1000
 
 
@@ -96,13 +99,13 @@ def optimizer_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     for name, g in grads.items():
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        update = m / (np.sqrt(v) + cfg.eps)
-        if cfg.weight_decay and not decay_excluded(name):
-            update = update + cfg.weight_decay * params[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        update = m / (np.sqrt(v) + EPS)
+        if not decay_excluded(name):
+            update = update + WEIGHT_DECAY * params[name]
         step = (lr * update).astype(params[name].dtype)
         params[name] -= step
         delta_sq += float((step.astype(np.float64) ** 2).sum())
@@ -119,16 +122,11 @@ def loss_trm(student: ForwardTrace, teacher: ForwardTrace) -> Tensor:
             len(student.attention) != len(teacher.attention):
         raise T.ShapeError("student/teacher traces have different depths")
     total = None
-    for hs, ht in zip(student.hidden, teacher.hidden):
-        if hs.shape != ht.shape:
-            raise T.ShapeError("hidden state shape mismatch")
-        d = hs - ht
-        term = T.mean_all(T.mul(d, d))
-        total = term if total is None else total + term
-    for as_, at in zip(student.attention, teacher.attention):
-        if as_.shape != at.shape:
-            raise T.ShapeError("attention score shape mismatch")
-        d = as_ - at
+    for s, t in zip(student.hidden + student.attention,
+                    teacher.hidden + teacher.attention):
+        if s.shape != t.shape:
+            raise T.ShapeError(f"student shape {s.shape} != teacher shape {t.shape}")
+        d = s - t
         term = T.mean_all(T.mul(d, d))
         total = term if total is None else total + term
     return total
@@ -226,7 +224,9 @@ class TrainState:
     rng: np.random.Generator
     stage: int = 1
     stages: int = 1
-    plan_fingerprint: str = ""
+
+    def __post_init__(self):
+        self._start_plan = copy.copy(self.plan)   # train_step checks against it
 
     @staticmethod
     def create(config: ModelConfig, params: dict[str, np.ndarray],
@@ -251,8 +251,7 @@ class TrainState:
                           params={k: v.copy() for k, v in params.items()},
                           teacher=teacher, opt=OptimizerState.initial(params),
                           opt_cfg=opt_cfg, loss_cfg=loss_cfg,
-                          rng=np.random.default_rng(seed), stages=stages,
-                          plan_fingerprint=_fingerprint(plan))
+                          rng=np.random.default_rng(seed), stages=stages)
 
 
 def check_schedule(loss_cfg: DistillLossConfig, stages: int,
@@ -265,10 +264,6 @@ def check_schedule(loss_cfg: DistillLossConfig, stages: int,
         raise ValueError("two-stage training needs the transformer loss enabled")
     if (loss_cfg.use_trm or loss_cfg.use_logits) and not has_teacher:
         raise ValueError("distillation losses enabled but no teacher set")
-
-
-def _fingerprint(plan: QuantPlan | None) -> str:
-    return "none" if plan is None else repr(sorted(plan.to_dict().items()))
 
 
 def _first_nonfinite(trace: ForwardTrace) -> str | None:
@@ -286,7 +281,7 @@ def _first_nonfinite(trace: ForwardTrace) -> str | None:
 def train_step(state: TrainState, tokens: np.ndarray, segments: np.ndarray,
                labels: np.ndarray) -> dict:
     """One pass of the distillation-aware ternarization loop."""
-    if _fingerprint(state.plan) != state.plan_fingerprint:
+    if state.plan != state._start_plan:
         raise ValueError("quantization method changed mid-run; "
                          "start a fresh TrainState instead")
     cfg = state.loss_cfg
@@ -350,7 +345,9 @@ def eval_loss_trm(state: TrainState, examples: list[Example]) -> float:
                              second_moments=state.opt.v, trainable=False)
     student = forward(leaves, state.config, tokens, segments,
                       plan=state.plan, train=False)
-    return float(loss_trm(student, state.teacher.trace(tokens, segments)).data)
+    # a store of its own: the training store keeps what training reads
+    teacher = TeacherTargets(state.teacher.params, state.config)
+    return float(loss_trm(student, teacher.trace(tokens, segments)).data)
 
 
 @dataclass
@@ -374,6 +371,8 @@ def run_training(state: TrainState, train_set: list[Example],
     """Run the full loop; returns the metrics history (one record per step)."""
     if not train_set:
         raise ValueError("training set is empty")
+    if settings.batch_size < 1:
+        raise ValueError(f"batch size must be at least 1, got {settings.batch_size}")
     if state.teacher is not None:
         shapes_t = {k: v.shape for k, v in state.teacher.params.items()}
         shapes_s = {k: v.shape for k, v in state.params.items()}

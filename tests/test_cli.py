@@ -104,6 +104,21 @@ class TestTrainCommand:
         assert run(["train", *argv, "--out", out]) == cli.EXIT_CONFIG
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("train", "--batch", 0), ("train", "--train-n", 0), ("train", "--eval-n", 0),
+        ("train", "--epochs", -1), ("train", "--teacher-epochs", -1),
+        ("train", "--eval-every", -1), ("train", "--checkpoint-every", -1),
+        ("ablate", "--batch", 0), ("ablate", "--train-n", 0), ("ablate", "--epochs", -1),
+        ("bench", "--reps", -1)])
+    def test_count_below_its_bound_exits_2_writing_nothing(self, command, flag, value,
+                                                          tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run([command, flag, value, "--out", out])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"must be at least {value + 1}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_8bit_plan_with_default_granularity_trains(self, tmp_path):
         code = run(["train", "--plan", "8-8-8", "--task", "majority", "--epochs", 1,
                     "--teacher-epochs", 1, "--train-n", 16, "--eval-n", 8,

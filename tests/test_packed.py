@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tquant import cli
 from tquant import packed as pk
 from tquant import ternarize as tz
 from tquant.model import (ModelConfig, QuantPlan, bert_base_config, init_params,
@@ -308,6 +309,43 @@ class TestModelFiles:
         pk.save_model(str(path), {}, [entry(extremes)])
         loaded = pk.load_model(str(path)).tensors["w"].quant
         np.testing.assert_array_equal(loaded.codes, [extremes])
+
+    # (bits, granularity, codes, scales) the writer refuses and the reader
+    # refuses: a code past the width that the width's bytes can hold (int8
+    # -128), a negative or non-finite scale, a zero scale over nonzero codes
+    BAD_TENSORS = {
+        "code -128": (8, "layer", [[-128, 0, 1, 0]], [0.5]),
+        "negative scale": (2, "layer", [[1, -1]], [-1.0]),
+        "NaN scale": (2, "layer", [[1, -1]], [np.nan]),
+        "infinite scale": (8, "row", [[5, 0], [1, 1]], [0.5, np.inf]),
+        "zero layer scale": (2, "layer", [[1, -1]], [0.0]),
+        "zero row scale": (3, "row", [[0, 0], [2, 0], [1, 0]], [0.0, 0.0, 1.0]),
+    }
+
+    @staticmethod
+    def _bad_entry(bits, gran, codes, scales):
+        t = tz.TernaryTensor(codes=np.array(codes, dtype=np.int8),
+                             scales=np.array(scales), granularity=gran, max_level=127)
+        return pk.SavedTensor("w", "transformer_weight", bits, "twn_approx", gran,
+                              quant=t)
+
+    @pytest.mark.parametrize("case", sorted(BAD_TENSORS))
+    def test_writer_refuses_what_the_reader_refuses(self, case, tmp_path):
+        path = tmp_path / "bad.tqm"
+        with pytest.raises(ValueError, match="w at"):
+            pk.save_model(str(path), {}, [self._bad_entry(*self.BAD_TENSORS[case])])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_TENSORS))
+    def test_crafted_bad_tensor_is_a_manifest_error(self, case, tmp_path, monkeypatch):
+        # a file as a writer without the check would have written it
+        path = tmp_path / "bad.tqm"
+        with monkeypatch.context() as m:
+            m.setattr(tz.TernaryTensor, "validate", lambda self: None)
+            pk.save_model(str(path), {}, [self._bad_entry(*self.BAD_TENSORS[case])])
+        with pytest.raises(pk.ManifestError, match="w at"):
+            pk.load_model(str(path))
+        assert cli.main(["inspect", str(path), "--out", str(tmp_path)]) == cli.EXIT_IO
 
     @pytest.mark.parametrize("seed", [0, 7, 123, 99991])
     def test_round_trip_random_models(self, seed, tmp_path):

@@ -69,6 +69,17 @@ class TestLossTrm:
         with pytest.raises(T.ShapeError):
             TR.loss_trm(a, b)
 
+    @pytest.mark.parametrize("where", ["hidden", "attention"])
+    def test_shape_mismatch_names_both_shapes(self, where):
+        p = np.zeros((1, 2), dtype=np.float32)
+        h, a = np.zeros((1, 2, 2), dtype=np.float32), np.zeros((2, 2, 2), dtype=np.float32)
+        wide = np.zeros((1, 2, 3) if where == "hidden" else (2, 2, 3), dtype=np.float32)
+        student = tiny_trace([h], [a], p)
+        teacher = tiny_trace([wide if where == "hidden" else h],
+                             [wide if where == "attention" else a], p)
+        with pytest.raises(T.ShapeError, match=rf"\({wide.shape[0]}, 2, 2\).*\(.*3\)"):
+            TR.loss_trm(student, teacher)
+
 
 def _two_subtraction_loss_trm(student, teacher):
     """The earlier loss_trm, which took each difference twice."""
@@ -152,12 +163,13 @@ class TestLossPred:
 
 
 class TestOptimizer:
-    def test_degenerate_betas_give_sign_normalized_descent(self):
+    def test_degenerate_betas_give_sign_normalized_descent(self, monkeypatch):
         # beta1 = beta2 = 0, no decay: m = g, v = g^2, update = lr*g/(|g|+eps)
+        for name, value in (("BETA1", 0.0), ("BETA2", 0.0), ("WEIGHT_DECAY", 0.0)):
+            monkeypatch.setattr(TR, name, value)
         params = {"w": np.array([1.0, -2.0], dtype=np.float32)}
         state = TR.OptimizerState.initial(params)
-        cfg = TR.OptimizerConfig(lr=0.5, beta1=0.0, beta2=0.0, eps=1e-6,
-                                 weight_decay=0.0, total_steps=10)
+        cfg = TR.OptimizerConfig(lr=0.5, total_steps=10)
         g = np.array([0.3, -0.4], dtype=np.float32)
         TR.optimizer_step(params, {"w": g}, state, cfg)
         expected = np.array([1.0, -2.0]) - 0.5 * g / (np.abs(g) + 1e-6)
@@ -168,7 +180,7 @@ class TestOptimizer:
         w0, g0, lr, wd = 2.0, 2.0, 0.1, 0.01
         params = {"w": np.array([w0], dtype=np.float32)}
         state = TR.OptimizerState.initial(params)
-        cfg = TR.OptimizerConfig(lr=lr, weight_decay=wd, total_steps=100)
+        cfg = TR.OptimizerConfig(lr=lr, total_steps=100)
         TR.optimizer_step(params, {"w": np.array([g0], dtype=np.float32)},
                           state, cfg)
         m = 0.1 * g0
@@ -289,6 +301,21 @@ class TestTrainStep:
         with pytest.raises(ValueError):
             TR.train_step(state, tokens, segments, labels)
 
+    @pytest.mark.parametrize("start", ["2-2-8", None])
+    def test_plan_edited_mid_run_rejected(self, start):
+        # the state keeps a copy of its plan: an edit in place, or a plan
+        # given to a full-precision run, is caught too
+        teacher, data = self._teacher(epochs=1)
+        state = fresh_state(teacher, plan=start and M.plan_from_notation(start))
+        tokens, segments, labels = tasks.as_arrays(data[:4])
+        TR.train_step(state, tokens, segments, labels)
+        if start:
+            state.plan.w_gran = "row"
+        else:
+            state.plan = M.plan_from_notation("2-2-8")
+        with pytest.raises(ValueError, match="changed mid-run"):
+            TR.train_step(state, tokens, segments, labels)
+
     def test_loss_trm_decreases_over_moving_average(self):
         teacher, data = self._teacher(epochs=10)
         plan = M.plan_from_notation("2-2-8")
@@ -319,6 +346,12 @@ class TestTrainStep:
 
 
 class TestRunTraining:
+    def test_batch_below_one_rejected(self):
+        state = fresh_state(M.init_params(CFG, np.random.default_rng(4)))
+        data = make_data(8)
+        with pytest.raises(ValueError, match="batch size"):
+            TR.run_training(state, data, data, TR.TrainSettings(batch_size=0))
+
     def test_zero_epochs_keeps_initialization(self):
         rng = np.random.default_rng(4)
         teacher = M.init_params(CFG, rng)
@@ -548,6 +581,23 @@ class TestTeacherTargets:
         TR.run_training(state, data, data, settings)
         assert calls == {"teacher": 3, "student": 6}
         assert state.teacher.forwards == 3 and len(state.teacher) == len(data)
+
+    def test_probe_leaves_the_training_store_alone(self):
+        teacher = M.init_params(CFG, np.random.default_rng(35), std=0.5)
+        train_set, probe = make_data(64, seed=36), make_data(64, seed=37)
+        state = fresh_state(teacher, plan=M.plan_from_notation("2-2-8"))
+        TR.run_training(state, train_set, probe,
+                        TR.TrainSettings(epochs=1, batch_size=16, eval_every=0, seed=38))
+        rows, forwards = len(state.teacher), state.teacher.forwards
+        got = TR.eval_loss_trm(state, probe)
+        assert (len(state.teacher), state.teacher.forwards) == (rows, forwards)
+        # the value of a probe through the training store, as it once ran
+        tokens, segments, _ = tasks.as_arrays(probe)
+        leaves, _ = M.build_leaves(state.params, state.plan,
+                                   second_moments=state.opt.v, trainable=False)
+        student = M.forward(leaves, CFG, tokens, segments, plan=state.plan)
+        want = TR.loss_trm(student, state.teacher.trace(tokens, segments))
+        assert got > 0 and got == float(want.data)
 
     def test_duplicate_examples_add_no_entry(self):
         store = TR.TeacherTargets(M.init_params(CFG, np.random.default_rng(27)), CFG)

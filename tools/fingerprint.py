@@ -14,7 +14,8 @@ Each line is one digest over a fixed, seeded set of inputs:
   range and four ranges per tensor;
 * ``ternarize`` -- ``ternarize.quantize`` for every method and granularity;
 * ``training`` -- ``run_training`` records and final parameters for six
-  configurations.
+  configurations, and ``eval_loss_trm`` after each distilling run on a
+  probe set that shares half its examples with the training set.
 
 Two trees that print the same lines produce the same files, codes and
 training runs on these inputs.
@@ -178,6 +179,7 @@ TRAIN_CFG = ModelConfig(layers=2, hidden=16, heads=2, ffn=32, vocab=8,
 def training(d: Digest) -> None:
     train_set = tasks.make_majority_dataset(64, seq_len=8, classes=TRAIN_CFG.classes, seed=5)
     eval_set = tasks.make_majority_dataset(32, seq_len=8, classes=TRAIN_CFG.classes, seed=6)
+    probe = train_set[:8] + eval_set[:8]
     teacher = init_params(TRAIN_CFG, np.random.default_rng(11))
     settings = TR.TrainSettings(epochs=2, batch_size=16, eval_every=2, seed=3)
     runs = [
@@ -195,6 +197,7 @@ def training(d: Digest) -> None:
                                      seed=4, stages=stages)
         _train_record(d, TR.run_training(state, train_set, eval_set, settings),
                       state.params)
+        d.array(np.float64(TR.eval_loss_trm(state, probe)))
     params, history = TR.train_float_baseline(TRAIN_CFG, train_set, eval_set,
                                               TR.OptimizerConfig(lr=2e-3), settings)
     _train_record(d, history, params)

@@ -154,13 +154,13 @@ def cmd_train(args) -> int:
         ckpt = load_checkpoint(args.teacher)
         if ckpt.config != config:
             raise ValueError("teacher checkpoint config does not match run config")
-        # load_checkpoint has checked that a recorded plan is a valid one
-        recorded = ckpt.file.manifest.extras.get("plan")
-        t_plan = None if recorded is None else QuantPlan.from_dict(recorded)
-        if t_plan is not None and min(t_plan.w_bits, t_plan.e_bits, t_plan.a_bits) < 32:
-            raise ValueError(f"teacher checkpoint {args.teacher} was quantized under "
-                             f"plan {t_plan.notation}; distillation needs a "
-                             "full-precision teacher")
+        if ckpt.qinfo or ckpt.plan is not None:
+            # load_checkpoint has checked that a recorded plan is a valid one
+            recorded = ckpt.file.manifest.extras.get("plan")
+            how = (f"was quantized under plan {QuantPlan.from_dict(recorded).notation}"
+                   if recorded is not None else f"stores {min(ckpt.qinfo)} quantized")
+            raise ValueError(f"teacher checkpoint {args.teacher} {how}; distillation "
+                             "needs a full-precision teacher")
         teacher = ckpt.params
         teacher_acc = evaluate(teacher, config, data_eval)
     else:

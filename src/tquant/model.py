@@ -116,8 +116,6 @@ class QuantPlan:
     w_gran: str | None = None       # None: layer
     e_gran: str | None = None       # None: row, or layer when 8-bit
     act_scheme: str = "minmax8"
-    lat_iters: int = 3
-    v_floor: float = 1e-12
 
     def __post_init__(self):
         if self.w_bits not in WEIGHT_BITS or self.e_bits not in WEIGHT_BITS:
@@ -158,6 +156,9 @@ class QuantPlan:
 
     @staticmethod
     def from_dict(d: dict) -> "QuantPlan":
+        # older files also record the solver constants lat_iters and v_floor
+        if isinstance(d, dict):
+            d = {k: v for k, v in d.items() if k not in ("lat_iters", "v_floor")}
         return _from_fields(QuantPlan, d)
 
 
@@ -271,7 +272,7 @@ def quantize_param(name: str, value: np.ndarray, plan: QuantPlan | None,
     # (the floor then makes the curvature uniform); a broadcast view of one
     # zero allocates nothing for the methods that never read v
     v = np.broadcast_to(0.0, value.shape) if second_moment is None else second_moment
-    return ternarize.quantize(value, method, gran, v, plan.lat_iters, plan.v_floor)
+    return ternarize.quantize(value, method, gran, v)
 
 
 def build_leaves(params: dict[str, np.ndarray], plan: QuantPlan | None = None,

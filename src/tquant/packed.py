@@ -5,10 +5,10 @@ JSON manifest, then raw per-tensor blobs at the offsets recorded in the
 manifest.  Each blob is the float32 scale vector followed by the code
 payload (2-bit packed, 3-bit packed, raw int8, or raw float32), with a
 CRC32 checked on load.  A width of b bits holds the codes -m..m with
-m = 2^(b-1) - 1 (``CODE_WIDTHS``).  Save (``ValueError``) and load
-(``ManifestError``) refuse a tensor that fails ``TernaryTensor.validate``
-at that m: a code outside -m..m, a negative or non-finite scale, or a
-zero scale over nonzero codes.
+m = 2^(b-1) - 1 (``CODE_WIDTHS``).  Save and ``pack`` (``ValueError``) and
+load (``ManifestError``) refuse a tensor that fails the one tensor rule,
+``TernaryTensor.validate`` at that m: a code outside -m..m, a negative or
+non-finite scale, or a zero scale over nonzero codes.
 
 2-bit packing: element k of the row-major flattening occupies bits
 (2*(k mod 4)) .. (2*(k mod 4) + 1) of byte floor(k / 4); code 00 is 0,
@@ -140,12 +140,6 @@ CODE_WIDTHS = {
 }
 
 
-def _check_codes(codes: np.ndarray, bits: int, what: str) -> None:
-    level = CODE_WIDTHS[bits][0]
-    if codes.size and (codes.min() < -level or codes.max() > level):
-        raise ValueError(f"{what}: codes outside -{level}..{level} do not fit {bits} bits")
-
-
 @dataclass
 class PackedTernaryBlob:
     """Ternary codes packed four-per-byte plus the scale vector."""
@@ -163,7 +157,7 @@ class PackedTernaryBlob:
 def pack(t: TernaryTensor) -> PackedTernaryBlob:
     if t.max_level != 1:
         raise ValueError("2-bit packing holds ternary codes only")
-    _check_codes(t.codes, 2, "pack")
+    t.validate()
     rows, cols = t.codes.shape
     return PackedTernaryBlob(rows=rows, cols=cols, data=pack_codes_2bit(t.codes),
                              scales=t.scales.copy(), granularity=t.granularity)

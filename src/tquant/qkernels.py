@@ -22,7 +22,7 @@ import numpy as np
 
 from . import actquant
 from .actquant import QuantizedActivation
-from .packed import PackedTernaryBlob, _check_codes, unpack
+from .packed import PackedTernaryBlob, unpack
 from .ternarize import TernaryTensor, dequantize, twn_approx
 
 INT32_MAX = 2**31 - 1
@@ -55,7 +55,10 @@ def _ternary_weight(w) -> TernaryTensor:
         w = unpack(w)
     if not isinstance(w, TernaryTensor) or w.max_level != 1:
         raise ValueError("ternary_gemm needs a ternary weight")
-    _check_codes(w.codes, 2, "ternary_gemm")
+    try:
+        w.validate()
+    except ValueError as e:
+        raise ValueError(f"ternary_gemm: {e}") from None
     return w
 
 

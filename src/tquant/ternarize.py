@@ -18,6 +18,8 @@ whole matrix ("layer") or one scale per row ("row").  Methods:
 
 ``quantize(w, method, granularity, v)`` is the entry point that takes any
 method by name; ``METHODS`` lists the names with each method's code width.
+``LAT_ITERS`` (alternating rounds) and ``V_FLOOR`` (the floor under ``v``)
+are the loss-aware solvers' constants; ``lat_subproblem`` still takes ``iters``.
 Every method returns a ``TernaryTensor`` of codes and scales only, the
 fields a ``.tqm`` file keeps, so a tensor read back from a file equals the
 one written.
@@ -58,6 +60,9 @@ GRANULARITIES = ("layer", "row")
 # that numpy's per-call overhead vanishes, small enough that the repeated
 # passes over a block stay near the CPU caches; 2^15 to 2^17 time alike
 BLOCK_ELEMENTS = 1 << 16
+
+LAT_ITERS = 3       # alternating rounds of lat_approx and laq3
+V_FLOOR = 1e-12     # floor under v before its square root
 
 
 @dataclass
@@ -115,12 +120,12 @@ def _second_moments(v, shape) -> np.ndarray:
     return vv
 
 
-def _floored_sqrt(v: np.ndarray, v_floor: float) -> np.ndarray:
-    return np.sqrt(np.maximum(np.ascontiguousarray(v, dtype=np.float64), v_floor))
+def _floored_sqrt(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(np.ascontiguousarray(v, dtype=np.float64), V_FLOOR))
 
 
-def _quantize(solve, w, granularity: str, *v, v_floor: float = 1e-12,
-              max_level: int = 1, **kwargs) -> TernaryTensor:
+def _quantize(solve, w, granularity: str, *v, max_level: int = 1,
+              **kwargs) -> TernaryTensor:
     """Run ``solve`` over the group matrix of ``w`` one block of rows at a time.
 
     ``solve(x[, u], **kwargs)`` takes a C-contiguous float64 block of groups
@@ -132,8 +137,6 @@ def _quantize(solve, w, granularity: str, *v, v_floor: float = 1e-12,
         raise ValueError(f"unknown granularity {granularity!r}")
     if kwargs.get("iters", 1) < 1:
         raise ValueError("iters must be >= 1")
-    if v_floor <= 0:
-        raise ValueError("v_floor must be positive")
     arr = _as_matrix(w)
     groups = arr.reshape(1, -1) if granularity == "layer" else arr
     vg = _second_moments(v[0], arr.shape).reshape(groups.shape) if v else None
@@ -144,7 +147,7 @@ def _quantize(solve, w, granularity: str, *v, v_floor: float = 1e-12,
     for r in range(0, rows, step):
         b = slice(r, r + step)
         x = np.ascontiguousarray(groups[b], dtype=np.float64)
-        u = () if vg is None else (_floored_sqrt(vg[b], v_floor),)
+        u = () if vg is None else (_floored_sqrt(vg[b]),)
         codes[b], scales[b] = solve(x, *u, **kwargs)
     return TernaryTensor(codes=codes.reshape(arr.shape), scales=scales,
                          granularity=granularity, max_level=max_level)
@@ -281,7 +284,7 @@ def _solve_lat_approx(x: np.ndarray, u: np.ndarray, iters: int):
 _LAQ3_STEPS = np.array([0.5, 1.5, 2.5])
 
 
-def _solve_laq3(x: np.ndarray, u: np.ndarray, iters: int):
+def _solve_laq3(x: np.ndarray, u: np.ndarray):
     a = np.abs(x)
     g, n = a.shape
     rows = np.arange(g)
@@ -309,7 +312,7 @@ def _solve_laq3(x: np.ndarray, u: np.ndarray, iters: int):
     # alternating refinement: round-to-level step, then weighted LS scale;
     # a least-squares scale is at most max|w|, so some level stays >= 1
     live = alpha != 0.0
-    for _ in range(iters):
+    for _ in range(LAT_ITERS):
         step = np.minimum(round_half_away(a / np.where(live, alpha, 1.0)[:, None]), 3.0)
         lev = np.where(live[:, None], step, lev)
         den = (u * lev * lev).sum(axis=1)
@@ -341,19 +344,16 @@ def twn_exact(w, granularity: str = "layer") -> TernaryTensor:
 
 
 def lat_subproblem(w, v, granularity: str = "layer", mode: str = "exact",
-                   iters: int = 3, v_floor: float = 1e-12) -> TernaryTensor:
+                   iters: int = LAT_ITERS) -> TernaryTensor:
     if mode == "exact":
-        return _quantize(_solve_lat_exact, w, granularity, v, v_floor=v_floor)
+        return _quantize(_solve_lat_exact, w, granularity, v)
     if mode == "approx":
-        return _quantize(_solve_lat_approx, w, granularity, v, v_floor=v_floor,
-                         iters=iters)
+        return _quantize(_solve_lat_approx, w, granularity, v, iters=iters)
     raise ValueError(f"unknown lat mode {mode!r}")
 
 
-def laq3(w, v, granularity: str = "layer", iters: int = 3,
-         v_floor: float = 1e-12) -> TernaryTensor:
-    return _quantize(_solve_laq3, w, granularity, v, v_floor=v_floor, max_level=3,
-                     iters=iters)
+def laq3(w, v, granularity: str = "layer") -> TernaryTensor:
+    return _quantize(_solve_laq3, w, granularity, v, max_level=3)
 
 
 def quantize_int8(w, granularity: str = "layer") -> TernaryTensor:
@@ -361,31 +361,27 @@ def quantize_int8(w, granularity: str = "layer") -> TernaryTensor:
 
 
 # method name -> (code width, quantizer).  Each quantizer takes
-# (w, granularity, v, iters, v_floor) and calls a public function above by
-# its module name, so a wrapper later put on that name sees the call.
+# (w, granularity, v) and calls a public function above by its module
+# name, so a wrapper later put on that name sees the call.
 METHODS = {
-    "twn_approx": (2, lambda w, g, v, iters, floor: twn_approx(w, g)),
-    "twn_exact": (2, lambda w, g, v, iters, floor: twn_exact(w, g)),
-    "lat_exact": (2, lambda w, g, v, iters, floor:
-                  lat_subproblem(w, v, g, "exact", iters, floor)),
-    "lat_approx": (2, lambda w, g, v, iters, floor:
-                   lat_subproblem(w, v, g, "approx", iters, floor)),
-    "laq3": (3, lambda w, g, v, iters, floor: laq3(w, v, g, iters, floor)),
-    "int8_sym": (8, lambda w, g, v, iters, floor: quantize_int8(w, g)),
+    "twn_approx": (2, lambda w, g, v: twn_approx(w, g)),
+    "twn_exact": (2, lambda w, g, v: twn_exact(w, g)),
+    "lat_exact": (2, lambda w, g, v: lat_subproblem(w, v, g, "exact")),
+    "lat_approx": (2, lambda w, g, v: lat_subproblem(w, v, g, "approx")),
+    "laq3": (3, lambda w, g, v: laq3(w, v, g)),
+    "int8_sym": (8, lambda w, g, v: quantize_int8(w, g)),
 }
 
 
-def quantize(w, method: str, granularity: str = "layer", v=None, iters: int = 3,
-             v_floor: float = 1e-12) -> TernaryTensor:
+def quantize(w, method: str, granularity: str = "layer", v=None) -> TernaryTensor:
     """Quantize ``w`` with any method of ``METHODS``.
 
     The loss-aware methods (``lat_*``, ``laq3``) need the second moments
-    ``v`` and raise ``ValueError`` without them; the others ignore ``v``,
-    ``iters`` and ``v_floor``.
+    ``v`` and raise ``ValueError`` without them; the others ignore ``v``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return METHODS[method][1](w, granularity, v, iters, v_floor)
+    return METHODS[method][1](w, granularity, v)
 
 
 def dequantize(t: TernaryTensor) -> np.ndarray:
@@ -395,11 +391,11 @@ def dequantize(t: TernaryTensor) -> np.ndarray:
     return (t.scales[:, None] * t.codes).astype(np.float32)
 
 
-def weighted_residual(w, t: TernaryTensor, v=None, v_floor: float = 1e-12) -> float:
+def weighted_residual(w, t: TernaryTensor, v=None) -> float:
     """Residual ||w - dequantize(t)||^2 under Diag(sqrt(v)), float64."""
     arr = _as_matrix(w).astype(np.float64)
     diff = arr - dequantize(t).astype(np.float64).reshape(arr.shape)
     if v is None:
         return float((diff * diff).sum())
-    u = _floored_sqrt(_second_moments(v, arr.shape), v_floor)
+    u = _floored_sqrt(_second_moments(v, arr.shape))
     return float((u * diff * diff).sum())

@@ -204,6 +204,18 @@ class TestTrainCommand:
         assert run(args + ["--teacher", tmp_path / "f" / "quantized.tqm",
                            "--out", tmp_path / "b"]) == 0
 
+    def test_quantized_teacher_without_a_plan_is_config_error(self, tmp_path, capsys):
+        params = init_params(CFG, np.random.default_rng(0))
+        save_model(str(tmp_path / "t.tqm"), CFG.to_dict(),
+                   to_saved_tensors(params, plan_from_notation("2-2-8")))
+        assert run(["train", "--task", "majority", "--epochs", 1, "--train-n", 32,
+                    "--eval-n", 16, "--layers", 1, "--hidden", 16, "--ffn", 32,
+                    "--seq-len", 16, "--teacher", tmp_path / "t.tqm",
+                    "--out", tmp_path / "b"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "stores emb.word quantized" in err and "full-precision teacher" in err
+        assert not (tmp_path / "b" / "student.tqm").exists()
+
     def test_laq3_needs_a_3bit_width(self, tmp_path):
         args = ["train", "--task", "majority", "--epochs", 0, "--teacher-epochs", 0,
                 "--train-n", 8, "--eval-n", 8, "--layers", 1, "--hidden", 16,
@@ -473,10 +485,12 @@ class TestCheckpointMismatch:
                                              e_method="lat_approx"),
         lambda f: setattr(next(t for t in f["tensors"] if t.name == "layer0.wq"),
                           "role", "other"),
+        lambda f: f["extras"]["plan"].update(lat_iter=3),
     ], ids=["heads-divide-hidden", "unknown-key", "missing-key", "config-array",
             "layers-string", "missing-tensor", "extra-tensor", "transposed-w1",
             "plan-a_bits-4", "plan-string", "float-tensors-2-2-8-plan",
-            "layer-tensors-row-plan", "twn-tensors-lat-plan", "wq-role-other"])
+            "layer-tensors-row-plan", "twn-tensors-lat-plan", "wq-role-other",
+            "plan-unknown-key"])
     def test_rejected_by_load_eval_and_inspect(self, tmp_path, capsys, edit):
         plan = plan_from_notation("2-2-8")
         params = init_params(CFG, np.random.default_rng(0))
@@ -493,6 +507,39 @@ class TestCheckpointMismatch:
         assert run(["eval", path, data, "--out", tmp_path]) == cli.EXIT_IO
         assert run(["inspect", path, "--out", tmp_path]) == cli.EXIT_IO
         assert capsys.readouterr().err.count("io error") == 2
+
+
+    @pytest.mark.parametrize("legacy", [{"lat_iters": 3, "v_floor": 1e-12},
+                                        {"lat_iters": "3", "v_floor": None}])
+    def test_plan_with_legacy_solver_keys_loads(self, tmp_path, capsys, legacy):
+        """Older files record ``lat_iters`` and ``v_floor`` in the plan; the
+        reader drops them and loads the same model."""
+        plan = plan_from_notation("2-2-8", "lat")
+        rng = np.random.default_rng(0)
+        params = init_params(CFG, rng)
+        moments = {k: rng.random(v.shape).astype(np.float32) for k, v in params.items()}
+        data = tmp_path / "data.jsonl"
+        tasks.save_dataset(str(data), tasks.make_majority_dataset(
+            16, seq_len=8, classes=4, vocab=8, seed=0))
+        accs, ckpts = [], []
+        for extra in ({}, legacy):
+            path = tmp_path / f"m{len(extra)}.tqm"
+            save_model(str(path), CFG.to_dict(), to_saved_tensors(params, plan, moments),
+                       {"plan": {**plan.to_dict(), **extra}})
+            ckpts.append(load_checkpoint(path))
+            assert run(["eval", path, data, "--out", tmp_path]) == cli.EXIT_OK
+            accs.append(json.loads(capsys.readouterr().out.strip().splitlines()[-1]))
+        new, old = ckpts
+        assert old.file.manifest.extras["plan"].keys() - new.file.manifest.extras["plan"].keys() \
+            == {"lat_iters", "v_floor"}
+        assert (old.config, old.plan) == (new.config, new.plan)
+        for name in params:
+            assert old.params[name].tobytes() == new.params[name].tobytes()
+        assert old.qinfo.keys() == new.qinfo.keys()
+        for name, t in new.qinfo.items():
+            np.testing.assert_array_equal(old.qinfo[name].codes, t.codes)
+            assert old.qinfo[name].scales.tobytes() == t.scales.tobytes()
+        assert accs[0]["accuracy"] == accs[1]["accuracy"]
 
 
 class TestBenchCommand:

@@ -86,13 +86,6 @@ class TestConfig:
         assert plan.slot("w") == (8, "int8_sym", "layer")
         assert plan.slot("e") == (2, "lat_exact", "row")
 
-    @pytest.mark.parametrize("method", ["lat_exact", "lat_approx"])
-    def test_zero_v_floor_rejected(self, method):
-        plan = M.QuantPlan(w_method=method, v_floor=0.0)
-        w = np.random.default_rng(0).standard_normal((4, 4)).astype(np.float32)
-        with pytest.raises(ValueError):
-            M.quantize_param("layer0.wq", w, plan)
-
 
 class TestForward:
     def test_trace_shapes(self):

@@ -70,6 +70,14 @@ class TestBitPacking:
         with pytest.raises(ValueError):
             pk.pack(t)
 
+    @pytest.mark.parametrize("scale", [np.nan, -2.0, 0.0],
+                             ids=["nan", "negative", "zero-over-nonzero-codes"])
+    def test_pack_rejects_a_scale_a_tqm_cannot_hold(self, scale):
+        t = tz.TernaryTensor(codes=np.array([[1, -1], [0, 1]], dtype=np.int8),
+                             scales=np.array([scale]), granularity="layer")
+        with pytest.raises(ValueError, match="scale"):
+            pk.pack(t)
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 200))
     @settings(max_examples=40, deadline=None)
     def test_round_trip_property(self, seed, n):

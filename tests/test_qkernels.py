@@ -4,7 +4,7 @@ import pytest
 from tquant import actquant as aq
 from tquant import qkernels as qk
 from tquant import ternarize as tz
-from tquant.packed import pack
+from tquant.packed import PackedTernaryBlob, pack, pack_codes_2bit
 
 from oracles import integer_gemm_reference
 
@@ -42,6 +42,18 @@ class TestTernaryGemm:
                              scales=np.array([1.0]), granularity="layer")
         with pytest.raises(ValueError, match="ternary_gemm"):
             qk.ternary_gemm(act, w)
+
+    @pytest.mark.parametrize("scale", [np.nan, -2.0, 0.0],
+                             ids=["nan", "negative", "zero-over-nonzero-codes"])
+    def test_scale_a_tqm_cannot_hold_rejected(self, scale):
+        act = aq.quantize_minmax(np.array([[1.0, 2.0]], dtype=np.float32))
+        codes = np.array([[1, -1], [0, 1]], dtype=np.int8)
+        w = tz.TernaryTensor(codes=codes, scales=np.array([scale]), granularity="layer")
+        blob = PackedTernaryBlob(rows=2, cols=2, data=pack_codes_2bit(codes),
+                                 scales=np.array([scale]), granularity="layer")
+        for weight in (w, blob):
+            with pytest.raises(ValueError, match="ternary_gemm: .*scale"):
+                qk.ternary_gemm(act, weight)
 
     def test_zero_weight_gives_zero(self):
         rng = np.random.default_rng(1)

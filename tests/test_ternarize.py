@@ -312,14 +312,11 @@ class TestQuantize:
         lambda w: tz.twn_exact(w, "rows"),
         lambda w: tz.quantize_int8(w, "rows"),
         lambda w: tz.lat_subproblem(w, np.ones_like(w), "layer", "approx", iters=0),
-        lambda w: tz.lat_subproblem(w, np.zeros_like(w), "layer", "exact", v_floor=0.0),
-        lambda w: tz.laq3(w, np.ones_like(w), "row", v_floor=-1.0),
         lambda w: tz.lat_subproblem(w, None),
         lambda w: tz.quantize(w, "laq3"),
         lambda w: tz.quantize(w, "twn"),
     ], ids=["twn_approx-Layer", "twn_exact-rows", "int8-rows", "lat-iters-0",
-            "lat-v_floor-0", "laq3-v_floor-negative", "lat-no-v", "quantize-no-v",
-            "quantize-alias"])
+            "lat-no-v", "quantize-no-v", "quantize-alias"])
     def test_bad_arguments_raise_value_error(self, call):
         with pytest.raises(ValueError):
             call(np.random.default_rng(19).standard_normal((3, 4)))

@@ -12,7 +12,13 @@ non-finite scale, or a zero scale over nonzero codes.
 
 2-bit packing: element k of the row-major flattening occupies bits
 (2*(k mod 4)) .. (2*(k mod 4) + 1) of byte floor(k / 4); code 00 is 0,
-01 is +1, 10 is -1, and 11 is reserved (rejected on read).
+01 is +1, 10 is -1, and 11 is reserved (rejected on read).  The packers
+run in chunks of ``_CHUNK`` codes through two table lookups (code pair to
+nibble, nibble pair to byte); unpacking looks up each byte's four codes.
+
+A blob is written as its parts (scales, then codes), with its CRC32
+chained over them, and read as a ``memoryview`` slice of the file, so no
+multi-megabyte blob is copied on either side.
 
 Size accounting mirrors the published model-size arithmetic: quantized
 transformer weights and word embedding count ``bits`` per element plus 32
@@ -69,21 +75,30 @@ class ManifestError(ModelFileError):
 _FIELD = np.zeros(256, dtype=np.uint8)
 _FIELD[1], _FIELD[255] = 1, 2
 # two adjacent codes, read as one native-order uint16, to their 4-bit nibble
-_PACK_PAIR = np.bitwise_or.reduce(
-    _FIELD[np.arange(1 << 16, dtype=np.uint16).view(np.uint8).reshape(-1, 2)]
-    << np.array([0, 2], dtype=np.uint8), axis=1)
+_PAIRS = np.arange(1 << 16, dtype=np.uint16).view(np.uint8).reshape(-1, 2)
+_PACK_PAIR = np.bitwise_or.reduce(_FIELD[_PAIRS] << np.array([0, 2], dtype=np.uint8), axis=1)
+# two adjacent nibbles, read the same way, to their packed byte
+_PACK_NIBBLES = (_PAIRS[:, 0] & 15) | ((_PAIRS[:, 1] & 15) << 4)
 # a packed byte to its four codes, held as one native-order uint32
 _UNPACK_BYTE = np.array([[(0, 1, -1, 0)[(b >> s) & 3] for s in (0, 2, 4, 6)]
                          for b in range(256)], dtype=np.int8).view(np.uint32).ravel()
+# codes per chunk of the 2-bit packers: a table lookup first turns its
+# indices into a temporary of intp, which stays near the CPU caches at this
+# size; a multiple of 4, so only the last chunk needs padding
+_CHUNK = 1 << 18
 
 
 def pack_codes_2bit(codes: np.ndarray) -> bytes:
     flat = np.ascontiguousarray(codes, dtype=np.int8).reshape(-1)
-    pad = (-flat.size) % 4
-    if pad:
-        flat = np.concatenate([flat, np.zeros(pad, dtype=np.int8)])
-    nibbles = _PACK_PAIR[flat.view(np.uint16)].reshape(-1, 2)
-    return (nibbles[:, 0] | (nibbles[:, 1] << 4)).tobytes()
+    out = np.empty((flat.size + 3) // 4, dtype=np.uint8)
+    for s in range(0, flat.size, _CHUNK):
+        part = flat[s:s + _CHUNK]
+        if part.size % 4:
+            part = np.concatenate([part, np.zeros(-part.size % 4, dtype=np.int8)])
+        nibbles = np.take(_PACK_PAIR, part.view(np.uint16), mode="clip")
+        np.take(_PACK_NIBBLES, nibbles.view(np.uint16), mode="clip",
+                out=out[s // 4:(s + part.size) // 4])
+    return out.tobytes()
 
 
 def unpack_codes_2bit(data: bytes, count: int) -> np.ndarray:
@@ -98,7 +113,11 @@ def unpack_codes_2bit(data: bytes, count: int) -> np.ndarray:
         reserved[-1] &= (1 << 2 * (count % 4)) - 1
     if reserved.any():
         raise ModelFileError("reserved 2-bit code 11 present")
-    return _UNPACK_BYTE[raw].view(np.int8)[:count]
+    quads = np.empty(raw.size, dtype=np.uint32)
+    for s in range(0, raw.size, _CHUNK // 4):
+        np.take(_UNPACK_BYTE, raw[s:s + _CHUNK // 4], mode="clip",
+                out=quads[s:s + _CHUNK // 4])
+    return quads.view(np.int8)[:count]
 
 
 def pack_codes_3bit(codes: np.ndarray) -> bytes:
@@ -297,9 +316,11 @@ class SavedTensor:
         return tuple(self.quant.codes.shape)
 
 
-def _encode_blob(entry: SavedTensor) -> bytes:
+def _encode_blob(entry: SavedTensor) -> list[bytes]:
+    """The blob of ``entry`` in parts: the float32 values, or the scales
+    then the packed codes; the file holds them back to back."""
     if entry.bits == 32:
-        return np.ascontiguousarray(entry.array, dtype="<f4").tobytes()
+        return [np.ascontiguousarray(entry.array, dtype="<f4").tobytes()]
     if entry.bits not in CODE_WIDTHS:
         raise ValueError(f"unsupported bit width {entry.bits}")
     t = entry.quant
@@ -308,10 +329,10 @@ def _encode_blob(entry: SavedTensor) -> bytes:
         TernaryTensor(t.codes, t.scales, entry.granularity, max_level).validate()
     except ValueError as e:
         raise ValueError(f"{entry.name} at {entry.bits} bits: {e}") from None
-    return np.ascontiguousarray(t.scales, dtype="<f4").tobytes() + pack_codes(t.codes)
+    return [np.ascontiguousarray(t.scales, dtype="<f4").tobytes(), pack_codes(t.codes)]
 
 
-def _decode_blob(rec: TensorRecord, blob: bytes) -> SavedTensor:
+def _decode_blob(rec: TensorRecord, blob: memoryview) -> SavedTensor:
     if rec.bits != 32 and rec.bits not in CODE_WIDTHS:
         raise ModelFileError(f"unsupported bit width {rec.bits} for {rec.name}")
     shape = rec.shape
@@ -351,11 +372,14 @@ def save_model(path: str, config: dict, tensors: list[SavedTensor],
         if entry.name in seen:
             raise ValueError(f"duplicate tensor name {entry.name!r}")
         seen.add(entry.name)
-        blob = _encode_blob(entry)
+        parts = _encode_blob(entry)
+        crc = 0
+        for part in parts:
+            crc = zlib.crc32(part, crc)
         records.append(TensorRecord(entry.name, entry.role, entry.bits, entry.method,
                                     entry.granularity, entry.shape,
-                                    length=len(blob), crc32=zlib.crc32(blob)))
-        blobs.append(blob)
+                                    length=sum(map(len, parts)), crc32=crc))
+        blobs += parts
 
     manifest_dict = {
         "format_version": FORMAT_VERSION,
@@ -402,6 +426,7 @@ class LoadedModel:
 def load_model(path: str) -> LoadedModel:
     with open(path, "rb") as f:
         data = f.read()
+    view = memoryview(data)     # blobs are sliced from it without copies
     if len(data) < len(MAGIC) + 4:
         raise TruncatedFileError("file too short for header")
     if data[:4] != MAGIC:
@@ -454,7 +479,7 @@ def load_model(path: str) -> LoadedModel:
         if rec.name in names:
             raise ModelFileError(f"duplicate tensor {rec.name!r}")
         names.add(rec.name)
-        blob = data[rec.offset:rec.offset + rec.length]
+        blob = view[rec.offset:rec.offset + rec.length]
         if zlib.crc32(blob) != rec.crc32:
             raise ChecksumError(f"checksum mismatch for tensor {rec.name!r}")
         tensors[rec.name] = _decode_blob(rec, blob)

@@ -7,10 +7,11 @@ value alpha*b, the product column j decomposes as
 
     out[:, j] = s * alpha_j * (C @ B^T)[:, j] + x_min * alpha_j * colsum_j
 
-where colsum_j is the sign sum of weight row j.  C @ B^T is an integer
-product computed by float64 BLAS: a plan admits only k * 255 <= 2^31 - 1,
-so every partial sum is an integer below 2^53, which float64 holds
-exactly.  The result is bit-identical to an int32 or int64 accumulation.
+where colsum_j is the sign sum of weight row j, an int64 sum of its int8
+codes.  C @ B^T is an integer product computed by float64 BLAS: a plan
+admits only k * 255 <= 2^31 - 1, so every partial sum is an integer below
+2^53, which float64 holds exactly.  The result is bit-identical to an
+int32 or int64 accumulation.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def ternary_gemm(act: QuantizedActivation, w) -> np.ndarray:
     s = act.params.scale
     out64 = acc * (s * alpha)
     if act.params.scheme == "minmax8":
-        out64 = out64 + act.params.x_min * alpha * b.sum(axis=1)
+        out64 = out64 + act.params.x_min * alpha * w.codes.sum(axis=1)
     return out64.astype(np.float32)
 
 

@@ -31,6 +31,16 @@ through the solvers in blocks of about ``BLOCK_ELEMENTS`` elements, and
 each block is converted to float64 on its own, so a row-wise pass over a
 large float32 embedding never holds a float64 copy of the whole matrix.
 
+Each call makes one workspace (``_Workspace``): the float64 block, |w|,
+the floored sqrt(v), one product buffer and three boolean masks, each one
+block in size.  The solvers write into it and into the caller's code
+matrix with ``out=``, and every block of the call reuses it, so a block's
+temporaries are not handed back to the allocator and faulted in again.
+The workspace lives for one call, so threads may quantize side by side.
+Sorted-order gathers and scatters (``lat_exact``, ``laq3``) index the
+flattened block with row-offset indices, in place of
+``take_along_axis``/``put_along_axis``.
+
 ``laq3``'s scan is a prefix scan.  As the scale sweeps down from +inf,
 element i steps up a level at each breakpoint ``|w_i| / (k - 0.5)``; in
 descending breakpoint order, the level an element has before a breakpoint
@@ -48,6 +58,7 @@ bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,9 +67,10 @@ from .tensor import ShapeError
 
 GRANULARITIES = ("layer", "row")
 
-# float64 elements per block of rows (512 KiB per temporary): large enough
-# that numpy's per-call overhead vanishes, small enough that the repeated
-# passes over a block stay near the CPU caches; 2^15 to 2^17 time alike
+# float64 elements per block of rows (512 KiB per workspace array): large
+# enough that numpy's per-call overhead vanishes, small enough that the
+# repeated passes over a block stay near the CPU caches; the fastest of
+# 2^13 to 2^18
 BLOCK_ELEMENTS = 1 << 16
 
 LAT_ITERS = 3       # alternating rounds of lat_approx and laq3
@@ -94,9 +106,38 @@ class TernaryTensor:
             raise ValueError(f"group {bad[0]} has zero scale but nonzero codes")
 
 
-def _signs(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """sign(x) as int8 where ``keep``, else 0."""
-    return (keep & (x > 0)).view(np.int8) - (keep & (x < 0)).view(np.int8)
+class _Workspace(NamedTuple):
+    """Scratch arrays for the blocks of one ``_quantize`` call.
+
+    Every field is one block of groups, ``(rows, n)``; ``head(g)`` narrows
+    them all to the first ``g`` rows for the last, partial block.  A solver
+    may overwrite any field, ``x`` included, once it has read it.
+    """
+
+    x: np.ndarray           # the block, float64
+    a: np.ndarray           # |x|
+    tmp: np.ndarray         # one product at a time
+    m0: np.ndarray          # boolean supports and sign masks
+    m1: np.ndarray
+    m2: np.ndarray
+    u: np.ndarray | None    # floored sqrt(v); loss-aware calls only
+
+    @classmethod
+    def empty(cls, rows: int, n: int, loss_aware: bool) -> "_Workspace":
+        def block(dtype=np.float64):
+            return np.empty((rows, n), dtype=dtype)
+        return cls(block(), block(), block(), block(bool), block(bool), block(bool),
+                   block() if loss_aware else None)
+
+    def head(self, g: int) -> "_Workspace":
+        return self._make(None if f is None else f[:g] for f in self)
+
+
+def _signs(x: np.ndarray, keep: np.ndarray, out: np.ndarray, neg: np.ndarray) -> None:
+    """Write sign(x) as int8 to ``out`` where ``keep``, else 0; ``neg`` is scratch."""
+    np.greater(x, 0, out=out.view(np.bool_))
+    np.subtract(out, np.less(x, 0, out=neg).view(np.int8), out=out)
+    np.multiply(out, keep.view(np.int8), out=out)
 
 
 def _as_matrix(w) -> np.ndarray:
@@ -120,23 +161,23 @@ def _second_moments(v, shape) -> np.ndarray:
     return vv
 
 
-def _floored_sqrt(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(np.ascontiguousarray(v, dtype=np.float64), V_FLOOR))
+def _floored_sqrt(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sqrt(max(v, V_FLOOR)) in float64, written to ``out``."""
+    np.copyto(out, v, casting="unsafe")
+    return np.sqrt(np.maximum(out, V_FLOOR, out=out), out=out)
 
 
 def _quantize(solve, w, granularity: str, *v, max_level: int = 1,
               **kwargs) -> TernaryTensor:
     """Run ``solve`` over the group matrix of ``w`` one block of rows at a time.
 
-    ``solve(x[, u], **kwargs)`` takes a C-contiguous float64 block of groups
-    (and the matching floored sqrt(v)) and returns int8 codes and per-group
-    scales.  Loss-aware quantizers pass ``v`` and the others
-    leave it out.
+    ``solve(ws, out, **kwargs)`` reads a block of groups from the workspace
+    ``ws`` (``ws.x``, and ``ws.u`` when ``v`` is given), writes its int8
+    codes to ``out`` and returns its per-group scales.  Loss-aware
+    quantizers pass ``v`` and the others leave it out.
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity {granularity!r}")
-    if kwargs.get("iters", 1) < 1:
-        raise ValueError("iters must be >= 1")
     arr = _as_matrix(w)
     groups = arr.reshape(1, -1) if granularity == "layer" else arr
     vg = _second_moments(v[0], arr.shape).reshape(groups.shape) if v else None
@@ -144,73 +185,96 @@ def _quantize(solve, w, granularity: str, *v, max_level: int = 1,
     codes = np.empty((rows, n), dtype=np.int8)
     scales = np.empty(rows)
     step = max(1, BLOCK_ELEMENTS // n)
+    full = _Workspace.empty(min(step, rows), n, vg is not None)
     for r in range(0, rows, step):
         b = slice(r, r + step)
-        x = np.ascontiguousarray(groups[b], dtype=np.float64)
-        u = () if vg is None else (_floored_sqrt(vg[b]),)
-        codes[b], scales[b] = solve(x, *u, **kwargs)
+        ws = full.head(min(step, rows - r))
+        np.copyto(ws.x, groups[b], casting="unsafe")
+        if vg is not None:
+            _floored_sqrt(vg[b], out=ws.u)
+        scales[b] = solve(ws, codes[b], **kwargs)
     return TernaryTensor(codes=codes.reshape(arr.shape), scales=scales,
                          granularity=granularity, max_level=max_level)
 
 
 # ---------------------------------------------------------------------------
-# group-matrix solvers: float64 (groups, n) in; codes and scales out
+# group-matrix solvers: a workspace block of float64 (groups, n) in; codes
+# to ``out``, scales returned
 
 
 def _twn_delta(a: np.ndarray) -> np.ndarray:
     return 0.7 * a.sum(axis=1) / a.shape[1]
 
 
-def _solve_twn_approx(x: np.ndarray):
-    a = np.abs(x)
-    support = a > _twn_delta(a)[:, None]
-    count = np.count_nonzero(support, axis=1)
-    total = (a * support).sum(axis=1)
-    alpha = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
-    return _signs(x, support), alpha
+def _solve_twn_approx(ws: _Workspace, out: np.ndarray) -> np.ndarray:
+    a = np.abs(ws.x, out=ws.a)
+    support = np.greater(a, _twn_delta(a)[:, None], out=ws.m0)
+    _signs(ws.x, support, out, ws.m1)
+    # the support as 0.0/1.0, over the block it no longer needs: a float
+    # product is faster than a bool one, and a float sum of ones is the
+    # exact count
+    ones = ws.x
+    np.copyto(ones, support)
+    count = ones.sum(axis=1)
+    total = np.multiply(ones, a, out=ones).sum(axis=1)
+    return np.divide(total, count, out=np.zeros_like(total), where=count > 0)
 
 
-def _solve_twn_exact(x: np.ndarray):
-    a = np.abs(x)
+def _solve_twn_exact(ws: _Workspace, out: np.ndarray) -> np.ndarray:
+    a = np.abs(ws.x, out=ws.a)
     g, n = a.shape
-    desc = np.sort(a, axis=1)[:, ::-1]
+    np.copyto(ws.tmp, a)
+    ws.tmp.sort(axis=1)
+    desc = ws.tmp[:, ::-1]
     cums = np.cumsum(desc, axis=1)
-    lower = np.zeros_like(desc)
-    lower[:, :-1] = desc[:, 1:]
     # a cut is realizable by a strict threshold only between distinct |w|
-    gain = np.where(desc > lower, cums * cums / np.arange(1, n + 1), -np.inf)
+    distinct = ws.m0
+    np.greater(desc[:, :-1], desc[:, 1:], out=distinct[:, :-1])
+    np.greater(desc[:, -1], 0.0, out=distinct[:, -1])
+    gain = cums * cums
+    np.divide(gain, np.arange(1, n + 1), out=gain)
+    np.copyto(gain, -np.inf, where=np.logical_not(distinct, out=distinct))
     k = np.argmax(gain, axis=1)
     rows = np.arange(g)
     live = desc[:, 0] > 0
     alpha = np.where(live, cums[rows, k] / (k + 1), 0.0)
     # the cut sits between distinct values, so the prefix is |w| >= cut
-    return _signs(x, a >= np.where(live, desc[rows, k], np.inf)[:, None]), alpha
+    cut = np.where(live, desc[rows, k], np.inf)[:, None]
+    _signs(ws.x, np.greater_equal(a, cut, out=ws.m0), out, ws.m1)
+    return alpha
 
 
-def _stable_desc_order(a: np.ndarray) -> np.ndarray:
-    """Row-wise ``np.argsort(-a, axis=1, kind="stable")`` for ``a >= 0``.
+def _stable_desc_flat(a: np.ndarray) -> np.ndarray:
+    """Flat indices into ``a`` (``a >= 0``) that list each row in stable
+    descending order: row i holds ``i * n`` plus its row of
+    ``np.argsort(-a, axis=1, kind="stable")``.
 
     When every magnitude is a float32 value, as it is for float32 weights,
     its float32 bit pattern ranks it; packed above the column index it makes
     distinct int64 keys whose plain sort is the stable order, several times
     faster than a stable argsort.
     """
-    f = a.astype(np.float32)
-    if a.shape[1] >= 1 << 32 or not np.array_equal(f, a):
-        return np.argsort(-a, axis=1, kind="stable")
-    keys = (0x7F800000 - f.view(np.int32).astype(np.int64)) << 32 | np.arange(a.shape[1])
-    keys.sort(axis=1)
-    return keys & 0xFFFFFFFF
-
-
-def _solve_lat_exact(x: np.ndarray, u: np.ndarray):
-    a = np.abs(x)
     g, n = a.shape
-    order = _stable_desc_order(a)
-    desc = np.take_along_axis(a, order, axis=1)
-    us = np.take_along_axis(u, order, axis=1)
-    cum_uw = np.cumsum(us * desc, axis=1)
-    cum_u = np.cumsum(us, axis=1)
+    f = a.astype(np.float32)
+    if n >= 1 << 32 or not np.array_equal(f, a):
+        order = np.argsort(-a, axis=1, kind="stable")
+    else:
+        order = (0x7F800000 - f.view(np.int32).astype(np.int64)) << 32 | np.arange(n)
+        order.sort(axis=1)
+        order &= 0xFFFFFFFF
+    order += np.arange(0, g * n, n)[:, None]
+    return order
+
+
+def _solve_lat_exact(ws: _Workspace, out: np.ndarray) -> np.ndarray:
+    a = np.abs(ws.x, out=ws.a)
+    g, n = a.shape
+    order = _stable_desc_flat(a)
+    desc = np.take(a, order, out=ws.tmp, mode="clip")
+    us = np.take(ws.u, order, mode="clip")
+    cum_uw = us * desc
+    np.cumsum(cum_uw, axis=1, out=cum_uw)
+    cum_u = np.cumsum(us, axis=1, out=us)
     # every sorted-|w| prefix is a feasible code vector; the jointly optimal
     # support is threshold-shaped, hence among the prefixes
     gain = np.where(desc > 0, cum_uw * cum_uw / cum_u, -np.inf)
@@ -220,33 +284,37 @@ def _solve_lat_exact(x: np.ndarray, u: np.ndarray):
     alpha = np.where(live, cum_uw[rows, k] / cum_u[rows, k], 0.0)
     # ties in |w| may straddle the cut, so the support is the stable-order
     # prefix itself, scattered back to element order
-    support = np.empty((g, n), dtype=bool)
-    np.put_along_axis(support, order, np.arange(n) <= np.where(live, k, -1)[:, None],
-                      axis=1)
-    return _signs(x, support), alpha
+    support = ws.m0
+    support.reshape(-1)[order] = np.arange(n) <= np.where(live, k, -1)[:, None]
+    _signs(ws.x, support, out, ws.m1)
+    return alpha
 
 
-def _stable_prefix(a: np.ndarray, desc: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The first ``k`` elements of each row in stable descending-|w| order."""
-    cut = desc[np.arange(len(a)), k - 1][:, None]
-    keep = a >= cut
+def _stable_prefix(a: np.ndarray, cut: np.ndarray, k: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """The first ``k`` elements of each row in stable descending-|w| order,
+    written to ``out``; ``cut`` is each row's k-th largest |w|."""
+    keep = np.greater_equal(a, cut[:, None], out=out)
     over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
     if over.size:
         # ties straddle the cut: keep only the earliest of the tied elements
-        tie = a[over] == cut[over]
-        room = k[over] - np.count_nonzero(a[over] > cut[over], axis=1)
+        c = cut[over, None]
+        tie = a[over] == c
+        room = k[over] - np.count_nonzero(a[over] > c, axis=1)
         keep[over] &= ~tie | (np.cumsum(tie, axis=1) <= room[:, None])
     return keep
 
 
-def _solve_lat_approx(x: np.ndarray, u: np.ndarray, iters: int):
-    a = np.abs(x)
-    ua = u * a
-    base = (ua * a).sum(axis=1)
+def _solve_lat_approx(ws: _Workspace, out: np.ndarray, iters: int) -> np.ndarray:
+    u, tmp, best = ws.u, ws.tmp, ws.m0
+    a = np.abs(ws.x, out=ws.a)
+    g, n = a.shape
 
     def alpha_for(support):
-        du = (u * support).sum(axis=1)
-        num = (ua * support).sum(axis=1)
+        # (support * u) * |w| has the bits of (u * |w|) * support
+        np.copyto(tmp, support)
+        du = np.multiply(tmp, u, out=tmp).sum(axis=1)
+        num = np.multiply(tmp, a, out=tmp).sum(axis=1)
         alpha = np.divide(num, du, out=np.zeros_like(num), where=du != 0)
         return alpha, num, du
 
@@ -255,40 +323,52 @@ def _solve_lat_approx(x: np.ndarray, u: np.ndarray, iters: int):
     # sorted-|w| prefixes (all, half, a quarter of the nonzeros) and keep
     # the best fixed point
     nonzero = np.count_nonzero(a, axis=1)
-    desc = np.sort(a, axis=1)[:, ::-1]
-    starts = [a > _twn_delta(a)[:, None], a > 0]
+    np.copyto(tmp, a)
+    tmp.sort(axis=1)
+    prefixes = []
     for frac in (0.5, 0.25):
         k = np.maximum(1, np.round(frac * nonzero).astype(np.int64))
-        starts.append(_stable_prefix(a, desc, k))
+        prefixes.append((tmp[np.arange(g), n - k], k))    # the k-th largest |w|
+    base = np.multiply(np.multiply(u, a, out=tmp), a, out=tmp).sum(axis=1)
 
-    best_obj = np.full(len(a), np.inf)
-    best_support = starts[0]
-    best_alpha = np.zeros(len(a))
-    for support in starts:
+    best_obj = np.full(g, np.inf)
+    best_alpha = np.zeros(g)
+    np.greater(a, _twn_delta(a)[:, None], out=best)
+    for start in range(2 + len(prefixes)):
+        # the supports alternate between two buffers
+        support, spare = ws.m1, ws.m2
+        if start == 0:
+            np.copyto(support, best)
+        elif start == 1:
+            np.greater(a, 0.0, out=support)
+        else:
+            _stable_prefix(a, *prefixes[start - 2], out=support)
         for _ in range(iters):
             # the scale is a weighted mean of |w| over a support of nonzeros,
             # so the new support is never empty
-            support = a > 0.5 * alpha_for(support)[0][:, None]
+            np.greater(a, 0.5 * alpha_for(support)[0][:, None], out=spare)
+            support, spare = spare, support
         alpha, num, du = alpha_for(support)
         obj = base - 2.0 * alpha * num + alpha * alpha * du
         better = obj < best_obj
         best_obj = np.where(better, obj, best_obj)
         best_alpha = np.where(better, alpha, best_alpha)
-        best_support = np.where(better[:, None], support, best_support)
+        np.copyto(best, support, where=better[:, None])
 
     live = nonzero > 0
-    alpha = np.where(live, best_alpha, 0.0)
-    return _signs(x, best_support & live[:, None]), alpha
+    _signs(ws.x, np.logical_and(best, live[:, None], out=best), out, ws.m1)
+    return np.where(live, best_alpha, 0.0)
 
 
 _LAQ3_STEPS = np.array([0.5, 1.5, 2.5])
 
 
-def _solve_laq3(x: np.ndarray, u: np.ndarray):
-    a = np.abs(x)
+def _solve_laq3(ws: _Workspace, out: np.ndarray) -> np.ndarray:
+    u, tmp = ws.u, ws.tmp
+    a = np.abs(ws.x, out=ws.a)
     g, n = a.shape
     rows = np.arange(g)
-    base = (u * a * a).sum(axis=1)
+    base = np.multiply(np.multiply(u, a, out=tmp), a, out=tmp).sum(axis=1)
 
     # Exact scan: as alpha sweeps down from +inf, element i steps to level
     # k at alpha = |w_i| / (k - 0.5); between breakpoints the rounding
@@ -296,39 +376,44 @@ def _solve_laq3(x: np.ndarray, u: np.ndarray):
     bounds = (a[:, :, None] / _LAQ3_STEPS).reshape(g, 3 * n)
     order = np.argsort(-bounds, axis=1, kind="stable")
     elem, level = np.divmod(order, 3)   # the element and its level before the step
-    ue = np.take_along_axis(u, elem, axis=1)
-    s1 = np.add.accumulate(ue * np.take_along_axis(a, elem, axis=1), axis=1)
+    elem += (rows * n)[:, None]         # flat indices into the block
+    ue = np.take(u, elem, mode="clip")
+    s1 = np.add.accumulate(ue * np.take(a, elem, mode="clip"), axis=1)
     s2 = np.add.accumulate(ue * (2 * level + 1), axis=1)
     obj = base[:, None] - s1 * s1 / s2
     # zero breakpoints sort last and are never steps
-    obj[np.take_along_axis(bounds, order, axis=1) <= 0] = np.inf
+    order += (rows * 3 * n)[:, None]
+    obj[np.take(bounds, order, mode="clip") <= 0] = np.inf
     t = np.argmin(obj, axis=1)
     won = obj[rows, t] < base
     alpha = np.where(won, s1[rows, t] / s2[rows, t], 0.0)
     prefix = np.arange(3 * n) <= np.where(won, t, -1)[:, None]
-    lev = np.bincount((elem + (rows * n)[:, None])[prefix],
-                      minlength=g * n).reshape(g, n).astype(np.float64)
+    lev = np.bincount(elem[prefix], minlength=g * n).reshape(g, n).astype(np.float64)
 
     # alternating refinement: round-to-level step, then weighted LS scale;
     # a least-squares scale is at most max|w|, so some level stays >= 1
     live = alpha != 0.0
     for _ in range(LAT_ITERS):
-        step = np.minimum(round_half_away(a / np.where(live, alpha, 1.0)[:, None]), 3.0)
-        lev = np.where(live[:, None], step, lev)
+        step = np.divide(a, np.where(live, alpha, 1.0)[:, None], out=tmp)
+        np.minimum(round_half_away(step, out=step), 3.0, out=step)
+        np.copyto(lev, step, where=live[:, None])
         den = (u * lev * lev).sum(axis=1)
-        alpha = np.divide((u * lev * a).sum(axis=1), den, out=np.zeros_like(den), where=live)
-    return (np.sign(x) * lev).astype(np.int8), alpha
+        num = np.multiply(np.multiply(u, lev, out=tmp), a, out=tmp).sum(axis=1)
+        alpha = np.divide(num, den, out=np.zeros_like(den), where=live)
+    np.copyto(out, np.multiply(np.sign(ws.x, out=tmp), lev, out=tmp), casting="unsafe")
+    return alpha
 
 
-def _solve_int8(x: np.ndarray):
+def _solve_int8(ws: _Workspace, out: np.ndarray) -> np.ndarray:
+    x = ws.x
     peak = np.maximum(x.max(axis=1), -x.min(axis=1))
     live = peak > 0
     alpha = np.where(live, peak / 127.0, 0.0)
-    # one float64 buffer for the whole rounding: the block can be a full
-    # layer, and fresh buffers of that size cost more than the arithmetic
-    codes = x / np.where(live, alpha, 1.0)[:, None]
+    # round in the block itself: a layer-wise block is the whole matrix
+    codes = np.divide(x, np.where(live, alpha, 1.0)[:, None], out=x)
     round_half_away(codes, out=codes)
-    return np.clip(codes, -127, 127, out=codes).astype(np.int8), alpha
+    np.copyto(out, np.clip(codes, -127, 127, out=codes), casting="unsafe")
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +430,8 @@ def twn_exact(w, granularity: str = "layer") -> TernaryTensor:
 
 def lat_subproblem(w, v, granularity: str = "layer", mode: str = "exact",
                    iters: int = LAT_ITERS) -> TernaryTensor:
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     if mode == "exact":
         return _quantize(_solve_lat_exact, w, granularity, v)
     if mode == "approx":
@@ -397,5 +484,5 @@ def weighted_residual(w, t: TernaryTensor, v=None) -> float:
     diff = arr - dequantize(t).astype(np.float64).reshape(arr.shape)
     if v is None:
         return float((diff * diff).sum())
-    u = _floored_sqrt(_second_moments(v, arr.shape))
+    u = _floored_sqrt(_second_moments(v, arr.shape), np.empty(arr.shape))
     return float((u * diff * diff).sum())

@@ -86,6 +86,24 @@ class TestBitPacking:
         np.testing.assert_array_equal(
             pk.unpack_codes_2bit(pk.pack_codes_2bit(codes), n), codes)
 
+    @pytest.mark.parametrize("chunk", [pk._CHUNK, 8])
+    def test_chunked_2bit_packers_match_the_layout(self, chunk, monkeypatch):
+        # every int8 value, over several chunks and a partial last byte;
+        # a code outside {-1, 0, 1} packs as 00
+        monkeypatch.setattr(pk, "_CHUNK", chunk)
+        n = 2 * chunk + 4 * 256 + 3
+        codes = np.concatenate([np.arange(-128, 128, dtype=np.int8).repeat(4),
+                                np.random.default_rng(3).integers(-128, 128, n - 1024,
+                                                                  dtype=np.int8)])
+        fields = np.zeros(-(-n // 4) * 4, dtype=np.uint8)
+        fields[:n] = (codes == 1) | (codes == -1).astype(np.uint8) << 1
+        want = np.bitwise_or.reduce(
+            fields.reshape(-1, 4) << np.array([0, 2, 4, 6], dtype=np.uint8), axis=1)
+        data = pk.pack_codes_2bit(codes)
+        assert data == want.tobytes()
+        np.testing.assert_array_equal(pk.unpack_codes_2bit(data, n),
+                                      np.where(np.abs(codes.astype(int)) <= 1, codes, 0))
+
     def test_3bit_round_trip(self):
         rng = np.random.default_rng(2)
         for n in (1, 7, 8, 33):

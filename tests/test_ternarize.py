@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -312,10 +314,14 @@ class TestQuantize:
         lambda w: tz.twn_exact(w, "rows"),
         lambda w: tz.quantize_int8(w, "rows"),
         lambda w: tz.lat_subproblem(w, np.ones_like(w), "layer", "approx", iters=0),
+        lambda w: tz.lat_subproblem(w, np.ones_like(w), "layer", "approx", iters=-5),
+        lambda w: tz.lat_subproblem(w, np.ones_like(w), "layer", "exact", iters=0),
+        lambda w: tz.lat_subproblem(w, np.ones_like(w), "layer", "exact", iters=-5),
         lambda w: tz.lat_subproblem(w, None),
         lambda w: tz.quantize(w, "laq3"),
         lambda w: tz.quantize(w, "twn"),
     ], ids=["twn_approx-Layer", "twn_exact-rows", "int8-rows", "lat-iters-0",
+            "lat-iters-neg", "lat-exact-iters-0", "lat-exact-iters-neg",
             "lat-no-v", "quantize-no-v", "quantize-alias"])
     def test_bad_arguments_raise_value_error(self, call):
         with pytest.raises(ValueError):
@@ -367,11 +373,57 @@ def test_matches_frozen_per_group_solvers(method, gran, block, monkeypatch):
 
 
 def test_rowwise_peak_memory_below_one_float64_copy():
-    w = np.random.default_rng(32).standard_normal((8192, 768), dtype=np.float32)
-    tracemalloc.start()
+    # every row-wise solver's scratch space is one block of rows, not the
+    # matrix; the loss-aware ones read a float32 v as training passes it
+    rng = np.random.default_rng(32)
+    bound = 8192 * 768 * np.dtype(np.float64).itemsize
+    for method in tz.METHODS:
+        rows = 1024 if method == "laq3" else 8192
+        w = rng.standard_normal((rows, 768), dtype=np.float32)
+        v = (rng.random((rows, 768), dtype=np.float32)
+             if method in ("lat_exact", "lat_approx", "laq3") else None)
+        tracemalloc.start()
+        try:
+            tz.quantize(w, method, "row", v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (method, peak)
+
+
+def test_concurrent_calls_match_serial_ones():
+    # each call has its own workspace: two threads quantizing at once, on
+    # matrices of different shapes, get the bits of serial calls
+    rng = np.random.default_rng(33)
+    jobs = {
+        "lat_approx": (rng.standard_normal((700, 96)), rng.random((700, 96))),
+        "twn_approx": (rng.standard_normal((300, 250)).astype(np.float32), None),
+    }
+    want = {m: tz.quantize(w, m, "row", v) for m, (w, v) in jobs.items()}
+    barrier = threading.Barrier(len(jobs), timeout=30)
+    errors = []
+
+    def work(method):
+        w, v = jobs[method]
+        try:
+            for _ in range(5):
+                barrier.wait()          # both threads start a call together
+                got = tz.quantize(w, method, "row", v)
+                assert got.codes.tobytes() == want[method].codes.tobytes(), method
+                assert got.scales.tobytes() == want[method].scales.tobytes(), method
+        except Exception as e:          # reported below, not lost in the thread
+            errors.append(e)
+            barrier.abort()
+
+    threads = [threading.Thread(target=work, args=(m,)) for m in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        tz.twn_approx(w, "row")
-        _, peak = tracemalloc.get_traced_memory()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
     finally:
-        tracemalloc.stop()
-    assert peak < w.size * np.dtype(np.float64).itemsize
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]

@@ -163,6 +163,10 @@ def weight_inputs():
            rng.lognormal(-14.0, 2.0, (16, 48)).astype(np.float32))
     yield ((rng.standard_normal((96, 768)) * 0.05).astype(np.float32),
            rng.random((96, 768)).astype(np.float32) * 1e-6)
+    # row-wise, four blocks of rows at the default BLOCK_ELEMENTS, the last
+    # partial: the digest covers a workspace reused across blocks
+    yield ((rng.standard_normal((300, 768)) * 0.02).astype(np.float32),
+           rng.lognormal(-14.0, 2.0, (300, 768)).astype(np.float32))
 
 
 def weights(d: Digest) -> None:

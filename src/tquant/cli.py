@@ -155,12 +155,11 @@ def cmd_train(args) -> int:
         if ckpt.config != config:
             raise ValueError("teacher checkpoint config does not match run config")
         if ckpt.qinfo or ckpt.plan is not None:
-            # load_checkpoint has checked that a recorded plan is a valid one
-            recorded = ckpt.file.manifest.extras.get("plan")
-            how = (f"was quantized under plan {QuantPlan.from_dict(recorded).notation}"
-                   if recorded is not None else f"stores {min(ckpt.qinfo)} quantized")
-            raise ValueError(f"teacher checkpoint {args.teacher} {how}; distillation "
-                             "needs a full-precision teacher")
+            # only a recorded plan codes anything (load_checkpoint checked it)
+            recorded = QuantPlan.from_dict(ckpt.file.manifest.extras["plan"])
+            raise ValueError(f"teacher checkpoint {args.teacher} was quantized under "
+                             f"plan {recorded.notation}; distillation needs a "
+                             "full-precision teacher")
         teacher = ckpt.params
         teacher_acc = evaluate(teacher, config, data_eval)
     else:
@@ -336,12 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("inspect", help="dump manifest, sign stats, histograms")
     i.add_argument("model")
     i.add_argument("--probe", help="dataset file for activation histograms")
-    i.add_argument("--bins", type=int, default=32)
+    i.add_argument("--bins", type=_at_least(2), default=32)
 
     b = sub.add_parser("bench", help="time the ternary GEMM against float")
-    b.add_argument("--m", type=int, default=64)
-    b.add_argument("--n", type=int, default=64)
-    b.add_argument("--k", type=int, default=64)
+    b.add_argument("--m", type=_at_least(1), default=64)
+    b.add_argument("--n", type=_at_least(1), default=64)
+    b.add_argument("--k", type=_at_least(1), default=64)
     b.add_argument("--reps", type=_at_least(0), default=20)
     b.add_argument("--act", default="minmax", choices=list(ACT_ALIASES))
 

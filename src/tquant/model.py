@@ -417,21 +417,12 @@ def params_from_loaded(loaded_tensors: dict[str, SavedTensor], config: ModelConf
     """Dequantized parameter arrays plus the quantized originals by name.
 
     The tensors must be exactly those of ``param_shapes(config)``, each
-    stored in its own shape; anything else raises ``ManifestError``.
+    stored in its own shape, as :func:`load_checkpoint` checks first.
     """
-    expected = param_shapes(config)
-    if loaded_tensors.keys() != expected.keys():
-        raise ManifestError(
-            f"tensors do not match the config: missing "
-            f"{sorted(expected.keys() - loaded_tensors.keys())}, unexpected "
-            f"{sorted(loaded_tensors.keys() - expected.keys())}")
     params = {}
     qinfo = {}
-    for name, shape in expected.items():
+    for name in param_shapes(config):
         t = loaded_tensors[name]
-        if t.shape != shape:
-            raise ManifestError(f"{name}: stored shape {list(t.shape)}, the config "
-                                f"needs {list(shape)}")
         if t.quant is None:
             params[name] = t.array
         else:
@@ -440,18 +431,33 @@ def params_from_loaded(loaded_tensors: dict[str, SavedTensor], config: ModelConf
     return params, qinfo
 
 
+def _check_records(records, config, plan, error) -> None:
+    """Raise ``error`` at the first tensor whose record (role, bits, method,
+    granularity, shape) is not what ``tensor_format`` and ``param_shapes``
+    give it in a model of ``config`` under ``plan``; None is no tensor."""
+    want = {name: (*tensor_format(name, plan), shape)
+            for name, shape in param_shapes(config).items()}
+    have = {r.name: (r.role, r.bits, r.method, r.granularity, r.shape) for r in records}
+    for name in sorted(want.keys() | have.keys()):
+        if have.get(name) != want.get(name):
+            raise error(f"{name}: stored as {have.get(name)}, but the config under "
+                        f"plan {plan and plan.notation} needs {want.get(name)}")
+
+
 def save_checkpoint(path, config: ModelConfig, params: dict[str, np.ndarray],
                     plan: QuantPlan | None = None,
                     second_moments: dict[str, np.ndarray] | None = None,
                     extras: dict | None = None) -> None:
     """Write a ``.tqm`` of ``params`` coded under ``plan``; the extras record
     the plan, so that :func:`load_checkpoint` can run the activations it
-    was trained with."""
+    was trained with.  Params that are not the model of ``config`` raise
+    ``ValueError`` before anything is written."""
+    tensors = to_saved_tensors(params, plan, second_moments)
+    _check_records(tensors, config, plan, ValueError)
     extras = dict(extras or {})
     if plan is not None:
         extras["plan"] = plan.to_dict()
-    save_model(str(path), config.to_dict(),
-               to_saved_tensors(params, plan, second_moments), extras)
+    save_model(str(path), config.to_dict(), tensors, extras)
 
 
 @dataclass
@@ -466,8 +472,8 @@ class Checkpoint:
 def load_checkpoint(path) -> Checkpoint:
     """Read a ``.tqm`` written by :func:`save_checkpoint`.  A config, tensor
     set or recorded plan that does not describe one model raises
-    ``ManifestError``; so does a tensor stored other than the recorded plan
-    codes it (:func:`tensor_format`)."""
+    ``ManifestError``: every tensor must be stored as :func:`tensor_format`
+    codes it under the recorded plan, or as fp32 if the file records none."""
     file = load_model(str(path))
     stored = file.manifest.extras.get("plan")
     try:
@@ -475,12 +481,7 @@ def load_checkpoint(path) -> Checkpoint:
         plan = None if stored is None else QuantPlan.from_dict(stored)
     except ValueError as e:
         raise ManifestError(f"{path}: {e}") from e
-    if plan is not None:
-        for name, t in file.tensors.items():
-            have, want = (t.role, t.bits, t.method, t.granularity), tensor_format(name, plan)
-            if have != want:
-                raise ManifestError(f"{name}: stored as {have}, but the recorded "
-                                    f"{plan.notation} plan codes it as {want}")
+    _check_records(file.manifest.records, config, plan, ManifestError)
     params, qinfo = params_from_loaded(file.tensors, config)
     if plan is not None and plan.quantizes_activations:
         plan = QuantPlan(w_bits=32, e_bits=32, a_bits=plan.a_bits,

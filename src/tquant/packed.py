@@ -1,10 +1,12 @@
 """Bit-packed model storage and size accounting.
 
 File format ("TQM1"): magic bytes, a little-endian u32 length prefix, a
-JSON manifest, then raw per-tensor blobs at the offsets recorded in the
-manifest.  Each blob is the float32 scale vector followed by the code
-payload (2-bit packed, 3-bit packed, raw int8, or raw float32), with a
-CRC32 checked on load.  A width of b bits holds the codes -m..m with
+JSON manifest, then raw per-tensor blobs that tile the rest of the file in
+record order: each starts at its recorded offset, where the manifest or
+the blob before it ends, and the last ends at the end of the file.  Each
+blob is the float32 scale vector followed by the code payload (2-bit
+packed, 3-bit packed, raw int8, or raw float32), with a CRC32 checked on
+load.  A width of b bits holds the codes -m..m with
 m = 2^(b-1) - 1 (``CODE_WIDTHS``).  Save and ``pack`` (``ValueError``) and
 load (``ManifestError``) refuse a tensor that fails the one tensor rule,
 ``TernaryTensor.validate`` at that m: a code outside -m..m, a negative or
@@ -451,8 +453,8 @@ def load_model(path: str) -> LoadedModel:
         raise ManifestError("manifest needs a tensor list, a config object "
                             "and an extras object")
 
-    records = []
-    spans = []
+    records, tensors = [], {}
+    end = 8 + mlen              # the blobs tile the rest of the file
     for t in tensor_entries:
         try:
             rec = TensorRecord(**{f.name: t[f.name] for f in fields(TensorRecord)})
@@ -461,28 +463,23 @@ def load_model(path: str) -> LoadedModel:
         if any(type(getattr(rec, f.name)) is not _JSON_TYPES[f.type]
                for f in fields(TensorRecord)) \
                 or any(type(n) is not int or n < 0 for n in rec.shape) \
-                or rec.offset < 8 + mlen or rec.length < 0:
+                or rec.length < 0:
             raise ManifestError(f"malformed record for tensor {rec.name!r}")
         rec.shape = tuple(rec.shape)
-        if rec.offset + rec.length > len(data):
+        if rec.offset != end:
+            raise ManifestError(f"blob for {rec.name} starts at {rec.offset}, not {end}")
+        end += rec.length
+        if end > len(data):
             raise TruncatedFileError(f"blob for {rec.name} extends past end of file")
-        spans.append((rec.offset, rec.offset + rec.length, rec.name))
-        records.append(rec)
-    spans.sort()
-    for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
-        if s1 < e0:
-            raise ModelFileError(f"blobs {n0} and {n1} overlap")
-
-    tensors = {}
-    names = set()
-    for rec in records:
-        if rec.name in names:
+        if rec.name in tensors:
             raise ModelFileError(f"duplicate tensor {rec.name!r}")
-        names.add(rec.name)
-        blob = view[rec.offset:rec.offset + rec.length]
+        blob = view[rec.offset:end]
         if zlib.crc32(blob) != rec.crc32:
             raise ChecksumError(f"checksum mismatch for tensor {rec.name!r}")
         tensors[rec.name] = _decode_blob(rec, blob)
+        records.append(rec)
+    if end != len(data):
+        raise ManifestError(f"{len(data) - end} bytes after the last blob")
 
     manifest = ModelManifest(config=config, records=records, extras=extras)
     return LoadedModel(manifest=manifest, tensors=tensors)

@@ -109,7 +109,8 @@ class TestTrainCommand:
         ("train", "--epochs", -1), ("train", "--teacher-epochs", -1),
         ("train", "--eval-every", -1), ("train", "--checkpoint-every", -1),
         ("ablate", "--batch", 0), ("ablate", "--train-n", 0), ("ablate", "--epochs", -1),
-        ("bench", "--reps", -1)])
+        ("bench", "--reps", -1), ("bench", "--m", 0), ("bench", "--n", 0),
+        ("bench", "--k", 0), ("inspect", "--bins", 1)])
     def test_count_below_its_bound_exits_2_writing_nothing(self, command, flag, value,
                                                           tmp_path, capsys):
         out = tmp_path / "out"
@@ -204,16 +205,17 @@ class TestTrainCommand:
         assert run(args + ["--teacher", tmp_path / "f" / "quantized.tqm",
                            "--out", tmp_path / "b"]) == 0
 
-    def test_quantized_teacher_without_a_plan_is_config_error(self, tmp_path, capsys):
+    def test_quantized_teacher_without_a_plan_is_io_error(self, tmp_path, capsys):
+        # a file without a plan holds fp32 tensors only: the reader refuses it
         params = init_params(CFG, np.random.default_rng(0))
         save_model(str(tmp_path / "t.tqm"), CFG.to_dict(),
                    to_saved_tensors(params, plan_from_notation("2-2-8")))
         assert run(["train", "--task", "majority", "--epochs", 1, "--train-n", 32,
                     "--eval-n", 16, "--layers", 1, "--hidden", 16, "--ffn", 32,
                     "--seq-len", 16, "--teacher", tmp_path / "t.tqm",
-                    "--out", tmp_path / "b"]) == cli.EXIT_CONFIG
+                    "--out", tmp_path / "b"]) == cli.EXIT_IO
         err = capsys.readouterr().err
-        assert "stores emb.word quantized" in err and "full-precision teacher" in err
+        assert "io error: emb.word" in err
         assert not (tmp_path / "b" / "student.tqm").exists()
 
     def test_laq3_needs_a_3bit_width(self, tmp_path):
@@ -320,20 +322,16 @@ class TestInspectCommand:
         zero = tz.TernaryTensor(codes=np.zeros((2, 2), dtype=np.int8),
                                 scales=np.array([0.0], dtype=np.float32),
                                 granularity="layer")
-        from tquant.packed import SavedTensor
-        cfg = ModelConfig(layers=0, hidden=2, heads=1, ffn=2, vocab=2,
+        cfg = ModelConfig(layers=1, hidden=2, heads=1, ffn=2, vocab=2,
                           max_positions=2, classes=2)
+        plan = plan_from_notation("2-2-8", e_gran="layer")
         params = init_params(cfg, np.random.default_rng(0))
-        tensors = to_saved_tensors(params, None)
-        tensors = [s for s in tensors if s.name not in ("emb.word", "emb.seg")]
-        tensors.append(SavedTensor(name="emb.word", role="word_embedding",
-                                   bits=2, method="twn_approx",
-                                   granularity="layer", quant=t))
-        tensors.append(SavedTensor(name="emb.seg", role="segment_embedding",
-                                   bits=2, method="twn_approx",
-                                   granularity="layer", quant=zero))
+        hand_built = {"emb.word": t, "layer0.wq": zero}
+        tensors = [SavedTensor(s.name, s.role, s.bits, s.method, s.granularity,
+                               quant=hand_built[s.name]) if s.name in hand_built else s
+                   for s in to_saved_tensors(params, plan)]
         path = tmp_path / "m.tqm"
-        save_model(str(path), cfg.to_dict(), tensors)
+        save_model(str(path), cfg.to_dict(), tensors, {"plan": plan.to_dict()})
         assert run(["inspect", path, "--out", tmp_path]) == 0
         out = capsys.readouterr().out
         rows = [json.loads(line) for line in out.splitlines()
@@ -342,8 +340,8 @@ class TestInspectCommand:
         assert emb["zero_frac"] == 0.5
         assert emb["pos_frac"] == 0.25
         assert emb["neg_frac"] == 0.25
-        seg = [r for r in rows if r.get("name") == "emb.seg"][0]
-        assert seg["zero_frac"] == 1.0
+        wq = [r for r in rows if r.get("name") == "layer0.wq"][0]
+        assert wq["zero_frac"] == 1.0
 
     def test_gaussian_twn_zero_fraction_band(self, tmp_path, capsys):
         # threshold 0.7*mean|w| on a Gaussian matrix zeroes roughly half
@@ -353,7 +351,7 @@ class TestInspectCommand:
         from tquant.model import plan_from_notation
         plan = plan_from_notation("2-2-8", e_gran="layer")
         path = tmp_path / "m.tqm"
-        save_model(str(path), cfg.to_dict(), to_saved_tensors(params, plan))
+        save_checkpoint(path, cfg, params, plan)
         assert run(["inspect", path, "--out", tmp_path]) == 0
         out = capsys.readouterr().out
         rows = [json.loads(line) for line in out.splitlines()
@@ -413,7 +411,13 @@ class TestBadManifest:
     def test_rewritten_manifest_with_a_harmless_edit_loads(self, tmp_path):
         path = tmp_path / "m.tqm"
         write_float_checkpoint(path)
-        rewrite_manifest(path, lambda ts: ts["head.b"].update(method="none "))
+
+        def reverse_keys(ts):           # the same record, its keys reordered
+            items = list(ts["head.b"].items())
+            ts["head.b"].clear()
+            ts["head.b"].update(reversed(items))
+
+        rewrite_manifest(path, reverse_keys)
         assert run(["inspect", path, "--out", tmp_path]) == cli.EXIT_OK
 
     @pytest.mark.parametrize("edit", [
@@ -462,6 +466,33 @@ def _transpose_w1(f):
                                granularity="layer"))
 
 
+def _fp32_file_with_method(path, params, method):
+    save_checkpoint(path, CFG, params)
+    rewrite_manifest(path, lambda ts: ts["head.b"].update(method=method))
+
+
+def _with_extra_byte(path, params, plan, after):
+    """A checkpoint with one byte more, after the blob of tensor ``after``
+    (None: the last blob); the offsets of the blobs behind it move by one."""
+    save_checkpoint(path, CFG, params, plan)
+    if after is None:
+        path.write_bytes(path.read_bytes() + b"\0")
+        return
+
+    def move(ts):
+        end = ts[after]["offset"] + ts[after]["length"]
+        for t in ts.values():
+            if t["offset"] >= end:
+                t["offset"] += 1
+
+    rewrite_manifest(path, move)
+    data = path.read_bytes()
+    (mlen,) = struct.unpack("<I", data[4:8])
+    rec = next(t for t in json.loads(data[8:8 + mlen])["tensors"] if t["name"] == after)
+    end = rec["offset"] + rec["length"]
+    path.write_bytes(data[:end] + b"\0" + data[end:])
+
+
 class TestCheckpointMismatch:
     """A file whose config, tensor set or plan does not describe one model:
     ``load_checkpoint`` raises ``ManifestError``, eval and inspect exit 3."""
@@ -499,6 +530,29 @@ class TestCheckpointMismatch:
         edit(f)
         path = tmp_path / "m.tqm"
         save_model(str(path), f["config"], f["tensors"], f["extras"])
+        data = tmp_path / "data.jsonl"
+        tasks.save_dataset(str(data), tasks.make_majority_dataset(
+            4, seq_len=8, classes=4, vocab=8, seed=0))
+        with pytest.raises(ManifestError):
+            load_checkpoint(path)
+        assert run(["eval", path, data, "--out", tmp_path]) == cli.EXIT_IO
+        assert run(["inspect", path, "--out", tmp_path]) == cli.EXIT_IO
+        assert capsys.readouterr().err.count("io error") == 2
+
+    @pytest.mark.parametrize("write", [
+        lambda path, params, plan: save_model(str(path), CFG.to_dict(),
+                                              to_saved_tensors(params, plan)),
+        lambda path, params, plan: _fp32_file_with_method(path, params, "none "),
+        lambda path, params, plan: _with_extra_byte(path, params, plan, None),
+        lambda path, params, plan: _with_extra_byte(path, params, plan, "emb.word"),
+    ], ids=["no-plan-2bit-tensors", "no-plan-fp32-method", "byte-after-last-blob",
+            "byte-between-blobs"])
+    def test_one_rule_with_or_without_a_plan(self, tmp_path, capsys, write):
+        """A file without a plan holds fp32 tensors only, and the blobs tile
+        the file: files that an earlier reader took, and no writer writes."""
+        path = tmp_path / "m.tqm"
+        write(path, init_params(CFG, np.random.default_rng(0)),
+              plan_from_notation("2-2-8"))
         data = tmp_path / "data.jsonl"
         tasks.save_dataset(str(data), tasks.make_majority_dataset(
             4, seq_len=8, classes=4, vocab=8, seed=0))

@@ -405,6 +405,16 @@ class TestCheckpoint:
             assert ckpt.params[name].dtype == np.float32
             np.testing.assert_array_equal(ckpt.params[name], want)
 
+    @pytest.mark.parametrize("plan", [None, M.plan_from_notation("2-2-8")])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, plan):
+        # params of a 2-layer model under a 1-layer config: the reader would
+        # raise ManifestError at layer1's tensors, so nothing is written
+        params = M.init_params(CFG, np.random.default_rng(62))
+        one_layer = M.ModelConfig.from_dict({**CFG.to_dict(), "layers": 1})
+        with pytest.raises(ValueError, match="layer1.b1: stored as"):
+            M.save_checkpoint(tmp_path / "m.tqm", one_layer, params, plan)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("plan", [None, M.plan_from_notation("2-2-32")])
     def test_float_activations_give_no_plan(self, tmp_path, plan):
         params = M.init_params(CFG, np.random.default_rng(61))

@@ -173,9 +173,10 @@ def fake_quantize(x: T.Tensor, scheme: str, groups: int = 1) -> T.Tensor:
             return (g,)
     else:
         params = ActQuantParams(scheme, x_min, x_max, s)
+        shape = x.shape
 
         def backward(g):
-            return (ste_backward(g.reshape(rows.shape), rows, params).reshape(x.shape),)
+            return (ste_backward(g.reshape(rows.shape), rows, params).reshape(shape),)
 
     out = buf.astype(np.float32).astype(x.data.dtype, copy=False).reshape(x.shape)
     return T.custom_op([x], out, backward, name="fake_quant")

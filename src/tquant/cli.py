@@ -146,11 +146,7 @@ def cmd_train(args) -> int:
     classes = tasks.task_classes(args.task)
     config = _config_from_args(args, classes)
     plan = _plan_from_args(args)
-    data_train, data_eval = _datasets(args)
-    tasks.save_dataset(str(_out_path(args, "train_data.jsonl")), data_train)
-    tasks.save_dataset(str(_out_path(args, "eval_data.jsonl")), data_eval)
-
-    if args.teacher:
+    if args.teacher:    # refused before anything is written
         ckpt = load_checkpoint(args.teacher)
         if ckpt.config != config:
             raise ValueError("teacher checkpoint config does not match run config")
@@ -160,6 +156,11 @@ def cmd_train(args) -> int:
             raise ValueError(f"teacher checkpoint {args.teacher} was quantized under "
                              f"plan {recorded.notation}; distillation needs a "
                              "full-precision teacher")
+    data_train, data_eval = _datasets(args)
+    tasks.save_dataset(str(_out_path(args, "train_data.jsonl")), data_train)
+    tasks.save_dataset(str(_out_path(args, "eval_data.jsonl")), data_eval)
+
+    if args.teacher:
         teacher = ckpt.params
         teacher_acc = evaluate(teacher, config, data_eval)
     else:

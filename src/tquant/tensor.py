@@ -10,15 +10,20 @@ against scalar reference implementations in the tests.
 Tensors are immutable values once produced; ops are pure functions.  A
 :class:`GradTape`, while active, records every primitive whose inputs are
 tracked, and ``gradients(loss)`` replays the record in reverse order.
-The replay frees each intermediate gradient as soon as the op that
-produced that tensor has read it, so only leaves (tracked tensors that no
-recorded op produced) keep a gradient.  Each thread has its own stack of
-active tapes, so threads may each record on their own tape at the same
-time; a tape records only the ops of the thread that entered it.
+The tape records each tensor by its process-unique ``key``, never the
+tensor itself, and each backward closure holds only the arrays it reads
+(shapes and dtypes where it reads nothing else), so an op output that no
+backward reads is freed as soon as the caller drops it.  The replay frees
+each intermediate gradient as soon as the op that produced that tensor
+has read it, so only leaves (tracked tensors that no recorded op
+produced) keep a gradient.  Each thread has its own stack of active
+tapes, so threads may each record on their own tape at the same time; a
+tape records only the ops of the thread that entered it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from typing import Callable, Sequence
@@ -41,10 +46,17 @@ class ContractError(ValueError):
     """An operation was called outside its contract (e.g. non-scalar loss)."""
 
 
-class Tensor:
-    """An immutable dense array, optionally tracked for gradients."""
+# next() on a count is atomic under the GIL, so keys are unique across threads
+_KEYS = itertools.count()
 
-    __slots__ = ("data", "requires_grad", "name")
+
+class Tensor:
+    """An immutable dense array, optionally tracked for gradients.
+
+    ``key`` is unique within the process; the tape records tensors by it.
+    """
+
+    __slots__ = ("data", "requires_grad", "name", "key")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         # float64 passes through so oracle tests can run an extended-
@@ -55,6 +67,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.name = name
+        self.key = next(_KEYS)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -81,9 +94,12 @@ class Tensor:
 
 
 class _TapeEntry:
+    """One recorded op: its output's key, ``(key, dtype)`` per input (None
+    for an untracked input) and the backward closure."""
+
     __slots__ = ("output", "inputs", "backward")
 
-    def __init__(self, output: Tensor, inputs: tuple[Tensor, ...],
+    def __init__(self, output: int, inputs: tuple[tuple[int, np.dtype] | None, ...],
                  backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]):
         self.output = output
         self.inputs = inputs
@@ -96,25 +112,26 @@ class Gradients:
     Only leaves, the tracked tensors that no recorded op produced, keep a
     gradient: the replay frees every intermediate one once it is used.
     Asking for a tensor that a recorded op produced is a
-    :class:`ContractError`.  The object keeps the tape alive, so every
-    tensor of the graph keeps its identity while it is asked about.
+    :class:`ContractError`.  The object holds the leaf gradients and the
+    keys of the produced tensors, not the tape, so it keeps no tensor of
+    the graph alive.
     """
 
-    def __init__(self, grads: dict[int, np.ndarray], tape: "GradTape"):
+    def __init__(self, grads: dict[int, np.ndarray], produced: set[int]):
         self._grads = grads
-        self._tape = tape
+        self._produced = produced
 
     def wrt(self, t: Tensor) -> np.ndarray:
-        g = self._grads.get(id(t))
+        g = self._grads.get(t.key)
         if g is not None:
             return g
-        if any(entry.output is t for entry in self._tape._entries):
+        if t.key in self._produced:
             raise ContractError("gradients are kept for leaves only; "
                                 f"{t!r} was produced by a recorded op")
         return np.zeros_like(t.data)
 
     def __contains__(self, t: Tensor) -> bool:
-        return id(t) in self._grads
+        return t.key in self._grads
 
 
 class _TapeStack(threading.local):
@@ -158,22 +175,23 @@ class GradTape:
         """
         if loss.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        grads: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
         for entry in reversed(self._entries):
-            g_out = grads.pop(id(entry.output), None)
+            g_out = grads.pop(entry.output, None)
             if g_out is None:
                 continue
             in_grads = entry.backward(g_out)
             for inp, g in zip(entry.inputs, in_grads):
-                if g is None or not inp.requires_grad:
+                if g is None or inp is None:
                     continue
-                g = np.asarray(g, dtype=inp.data.dtype)
-                prev = grads.get(id(inp))
+                key, dtype = inp
+                g = np.asarray(g, dtype=dtype)
+                prev = grads.get(key)
                 if prev is None:
-                    grads[id(inp)] = g.copy() if g.base is not None else g
+                    grads[key] = g.copy() if g.base is not None else g
                 else:
-                    grads[id(inp)] = prev + g
-        return Gradients(grads, self)
+                    grads[key] = prev + g
+        return Gradients(grads, {entry.output for entry in self._entries})
 
 
 def _active_tape() -> GradTape | None:
@@ -188,7 +206,9 @@ def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...],
     out = Tensor(out_data, requires_grad=tracked, name=name)
     tape = _active_tape()
     if tape is not None and tracked:
-        tape._record(_TapeEntry(out, inputs, backward))
+        tape._record(_TapeEntry(
+            out.key, tuple((i.key, i.data.dtype) if i.requires_grad else None
+                           for i in inputs), backward))
     return out
 
 
@@ -198,7 +218,10 @@ def custom_op(inputs: Sequence[Tensor], out_data: np.ndarray,
     """Register an externally-computed primitive on the active tape.
 
     Used by the quantizers to splice straight-through gradients into the
-    graph without the tensor module knowing about quantization.
+    graph without the tensor module knowing about quantization.  The tape
+    records the inputs by key only, so ``backward`` must capture the arrays
+    it reads, never a :class:`Tensor` whose shape or dtype is all it needs:
+    a captured tensor stays alive until the tape is dropped.
     """
     return _emit(np.asarray(out_data), tuple(inputs), backward, name=name)
 
@@ -221,37 +244,41 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _emit(out, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return _emit(out, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
 
     def backward(g):
-        return (_unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape))
+        return (_unbroadcast(g * bd, ad.shape),
+                _unbroadcast(g * ad, bd.shape))
 
     return _emit(out, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = a.data * a.data.dtype.type(c)
+    c = a.data.dtype.type(c)
+    out = a.data * c
 
     def backward(g):
-        return (g * a.data.dtype.type(c),)
+        return (g * c,)
 
     return _emit(out, (a,), backward)
 
@@ -265,15 +292,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    ad, bd = a.data, b.data
     # float64 accumulation, rounded once to the output dtype
-    out64 = np.matmul(a.data.astype(np.float64), b.data.astype(np.float64))
-    out = out64.astype(a.data.dtype)
+    out64 = np.matmul(ad.astype(np.float64), bd.astype(np.float64))
+    out = out64.astype(ad.dtype)
 
     def backward(g):
         g64 = g.astype(np.float64)
-        ga = np.matmul(g64, np.swapaxes(b.data, -1, -2).astype(np.float64))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2).astype(np.float64), g64)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = np.matmul(g64, np.swapaxes(bd, -1, -2).astype(np.float64))
+        gb = np.matmul(np.swapaxes(ad, -1, -2).astype(np.float64), g64)
+        return _unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)
 
     return _emit(out, (a, b), backward)
 
@@ -296,17 +324,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"input features differ: x {x.shape}, weight {w.shape}")
     if b is not None and b.shape != (n_out,):
         raise ShapeError(f"bias must have shape ({n_out},), got {b.shape}")
-    out_shape = x.shape[:-1] + (n_out,)
-    out64 = x.data.reshape(-1, n_in).astype(np.float64) @ w.data.astype(np.float64).T
-    out = out64.reshape(out_shape).astype(x.data.dtype)
-    if b is not None:
+    xd, wd, has_bias = x.data, w.data, b is not None
+    out64 = xd.reshape(-1, n_in).astype(np.float64) @ wd.astype(np.float64).T
+    out = out64.reshape(xd.shape[:-1] + (n_out,)).astype(xd.dtype)
+    if has_bias:
         out += b.data
 
     def backward(g):
         g64 = g.reshape(-1, n_out).astype(np.float64)
-        dx = (g64 @ w.data.astype(np.float64)).reshape(x.shape).astype(x.data.dtype)
-        dw = (g64.T @ x.data.reshape(-1, n_in).astype(np.float64)).astype(w.data.dtype)
-        if b is None:
+        dx = (g64 @ wd.astype(np.float64)).reshape(xd.shape).astype(xd.dtype)
+        dw = (g64.T @ xd.reshape(-1, n_in).astype(np.float64)).astype(wd.dtype)
+        if not has_bias:
             return dx, dw
         return dx, dw, g.sum(axis=tuple(range(g.ndim - 1)))
 
@@ -326,9 +354,10 @@ def transpose_last2(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)
+    a_shape = a.shape
 
     def backward(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(a_shape),)
 
     return _emit(out, (a,), backward)
 
@@ -361,9 +390,10 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
     out = a.data[idx].copy()
+    a_shape, dtype = a.shape, a.data.dtype
 
     def backward(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(a_shape, dtype)
         ga[idx] = g
         return (ga,)
 
@@ -376,9 +406,10 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):
         raise ShapeError(f"ids out of range for table with {table.shape[0]} rows")
     out = table.data[ids]
+    t_shape, dtype = table.shape, table.data.dtype
 
     def backward(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(t_shape, dtype)
         np.add.at(gt, ids, g)
         return (gt,)
 
@@ -391,9 +422,10 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum(dtype=np.float64), dtype=a.data.dtype)
+    a_shape, dtype = a.shape, a.data.dtype
 
     def backward(g):
-        return (np.full_like(a.data, g),)
+        return (np.full(a_shape, g, dtype),)
 
     return _emit(out, (a,), backward)
 
@@ -401,9 +433,10 @@ def sum_all(a: Tensor) -> Tensor:
 def mean_all(a: Tensor) -> Tensor:
     n = a.size
     out = np.asarray(a.data.sum(dtype=np.float64) / n, dtype=a.data.dtype)
+    a_shape, dtype = a.shape, a.data.dtype
 
     def backward(g):
-        return (np.full_like(a.data, g / n),)
+        return (np.full(a_shape, g / n, dtype),)
 
     return _emit(out, (a,), backward)
 
@@ -451,16 +484,17 @@ def gelu(x: Tensor) -> Tensor:
     the backward recasts ``x`` to float64 itself, while recomputing ``cdf``
     would cost a second ``erf``.
     """
-    x64 = x.data.astype(np.float64)
+    xd = x.data
+    x64 = xd.astype(np.float64)
     cdf = np.multiply(x64, _INV_SQRT2)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out = np.multiply(x64, cdf, out=np.empty(x.shape, x.data.dtype))
+    out = np.multiply(x64, cdf, out=np.empty(xd.shape, xd.dtype))
 
     def backward(g):
         # g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi)
-        x64 = x.data.astype(np.float64)
+        x64 = xd.astype(np.float64)
         t = np.multiply(x64, -0.5)
         t *= x64
         np.exp(t, out=t)
@@ -468,7 +502,7 @@ def gelu(x: Tensor) -> Tensor:
         t *= x64
         t += cdf
         t *= g
-        return (t.astype(x.data.dtype),)
+        return (t.astype(xd.dtype),)
 
     return _emit(out, (x,), backward)
 
@@ -482,26 +516,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},)")
-    x64 = x.data.astype(np.float64)
+    xd, gd, bias_dtype = x.data, gain.data, bias.data.dtype
+    x64 = xd.astype(np.float64)
     mu = x64.mean(axis=-1, keepdims=True)
     x64 -= mu
     var = (x64 ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     x64 *= inv                                  # xhat
-    out = (x64 * gain.data + bias.data).astype(x.data.dtype)
+    out = (x64 * gd + bias.data).astype(xd.dtype)
 
     def backward(g):
-        xhat = x.data.astype(np.float64)
+        xhat = xd.astype(np.float64)
         xhat -= mu
         xhat *= inv
         g64 = g.astype(np.float64)
         lead = tuple(range(g.ndim - 1))
-        dgain = (g64 * xhat).sum(axis=lead).astype(gain.data.dtype)
-        dbias = g64.sum(axis=lead).astype(bias.data.dtype)
-        h = g64 * gain.data.astype(np.float64)
+        dgain = (g64 * xhat).sum(axis=lead).astype(gd.dtype)
+        dbias = g64.sum(axis=lead).astype(bias_dtype)
+        h = g64 * gd.astype(np.float64)
         hm = h.mean(axis=-1, keepdims=True)
         hxm = (h * xhat).mean(axis=-1, keepdims=True)
-        dx = (inv * (h - hm - xhat * hxm)).astype(x.data.dtype)
+        dx = (inv * (h - hm - xhat * hxm)).astype(xd.dtype)
         return dx, dgain, dbias
 
     return _emit(out, (x, gain, bias), backward)
@@ -514,11 +549,12 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p >= 1.0:
         raise ContractError("dropout rate must be < 1")
     keep = (rng.random(x.shape) >= p)
-    factor = x.data.dtype.type(1.0 / (1.0 - p))
-    out = x.data * (keep.astype(x.data.dtype) * factor)
+    dtype = x.data.dtype
+    factor = dtype.type(1.0 / (1.0 - p))
+    out = x.data * (keep.astype(dtype) * factor)
 
     def backward(g):
         # the boolean mask is a quarter of a float32 one; rebuild the scale
-        return (g * (keep.astype(x.data.dtype) * factor),)
+        return (g * (keep.astype(dtype) * factor),)
 
     return _emit(out, (x,), backward)

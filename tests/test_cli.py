@@ -218,6 +218,24 @@ class TestTrainCommand:
         assert "io error: emb.word" in err
         assert not (tmp_path / "b" / "student.tqm").exists()
 
+    def test_refused_teacher_leaves_nothing_written(self, tmp_path):
+        args = ["train", "--task", "majority", "--epochs", 1, "--teacher-epochs", 1,
+                "--train-n", 32, "--eval-n", 16, "--layers", 1, "--hidden", 16,
+                "--ffn", 32, "--seq-len", 8]
+        assert run(args + ["--out", tmp_path / "a"]) == 0
+        assert run(["quantize", tmp_path / "a" / "teacher.tqm", "--plan", "2-2-8",
+                    "--out", tmp_path / "q"]) == 0
+        other = ModelConfig(layers=1, hidden=8, heads=2, ffn=16, vocab=8,
+                            max_positions=16, classes=4)
+        write_float_checkpoint(tmp_path / "other.tqm", config=other)
+        for teacher, code in ((tmp_path / "missing.tqm", cli.EXIT_IO),
+                              (tmp_path / "other.tqm", cli.EXIT_CONFIG),
+                              (tmp_path / "q" / "quantized.tqm", cli.EXIT_CONFIG)):
+            out = tmp_path / f"out-{teacher.stem}"
+            assert run(args + ["--teacher", teacher, "--out", out]) == code
+            assert not (out / "train_data.jsonl").exists(), teacher
+            assert not (out / "eval_data.jsonl").exists(), teacher
+
     def test_laq3_needs_a_3bit_width(self, tmp_path):
         args = ["train", "--task", "majority", "--epochs", 0, "--teacher-epochs", 0,
                 "--train-n", 8, "--eval-n", 8, "--layers", 1, "--hidden", 16,

@@ -289,12 +289,12 @@ class TestTapeMemory:
             trace = M.forward(leaves, cfg, tokens, segments, plan=plan, train=True,
                               rng=np.random.default_rng(61))
             loss = T.sum_all(T.mul(trace.logits, trace.logits))
-        produced = {id(e.output) for e in tape._entries}
-        reached = {id(i) for e in tape._entries for i in e.inputs
-                   if i.requires_grad and id(i) not in produced}
+        produced = {e.output for e in tape._entries}
+        reached = {i[0] for e in tape._entries for i in e.inputs
+                   if i is not None and i[0] not in produced}
         grads = tape.gradients(loss)
         assert set(grads._grads) == reached
-        assert {id(leaf) for leaf in leaves.values() if leaf in grads} == reached
+        assert {leaf.key for leaf in leaves.values() if leaf in grads} == reached
 
     @staticmethod
     def _held_bytes(op, x):
@@ -328,6 +328,54 @@ class TestTapeMemory:
         y, held = self._held_bytes(
             lambda a: T.dropout(a, 0.1, np.random.default_rng(63)), x)
         assert held <= y.data.nbytes + x.size + 64 * 1024
+
+    def test_tape_keeps_no_output_that_no_backward_reads(self):
+        x = Tensor(np.zeros(1 << 18, dtype=np.float32), requires_grad=True)  # 1 MiB
+        c = Tensor(np.ones(1 << 18, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with GradTape() as tape:
+                h = x
+                for _ in range(8):
+                    h = T.add(h, c)
+                held = tracemalloc.get_traced_memory()[0] - before
+                loss = T.sum_all(h)
+        finally:
+            tracemalloc.stop()
+        assert held <= h.data.nbytes + 64 * 1024
+        # the freed outputs' id()s may be reused; their keys are not
+        grads = tape.gradients(loss)
+        np.testing.assert_array_equal(grads.wrt(x), np.ones_like(x.data))
+        assert c not in grads
+
+    @pytest.mark.parametrize("name,op", [
+        ("add", lambda a: T.add(a, Tensor(np.ones(a.shape, np.float32)))),
+        ("sub", lambda a: T.sub(a, Tensor(np.ones(a.shape, np.float32)))),
+        ("scale", lambda a: T.scale(a, 1.7)),
+        ("reshape", lambda a: T.reshape(a, (-1,))),
+        ("narrow", lambda a: T.narrow(a, 0, 1, 2)),
+        ("gather_rows", lambda a: T.gather_rows(a, np.array([0, 3]))),
+        ("sum_all", T.sum_all),
+        ("mean_all", T.mean_all),
+        ("dropout", lambda a: T.dropout(a, 0.1, np.random.default_rng(65))),
+    ])
+    def test_shape_only_backward_frees_its_input(self, name, op):
+        data = np.random.default_rng(66).standard_normal((512, 512))
+        tracemalloc.start()     # before x exists, so its buffer is traced
+        try:
+            # Fortran order, so the reshape to 1-D copies rather than views x
+            x = Tensor(np.asfortranarray(data, dtype=np.float32), requires_grad=True)
+            nbytes = x.data.nbytes
+            with GradTape() as tape:
+                y = op(x)
+            before = tracemalloc.get_traced_memory()[0]
+            del x
+            freed = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 and y.requires_grad
+        assert freed >= nbytes, name
 
 
 PRIMITIVES = [

@@ -16,9 +16,10 @@ tensor itself, and each backward closure holds only the arrays it reads
 backward reads is freed as soon as the caller drops it.  The replay frees
 each intermediate gradient as soon as the op that produced that tensor
 has read it, so only leaves (tracked tensors that no recorded op
-produced) keep a gradient.  Each thread has its own stack of active
-tapes, so threads may each record on their own tape at the same time; a
-tape records only the ops of the thread that entered it.
+produced) keep a gradient.  A backward is plain numpy: the replay runs
+no op.  A thread records on at most one tape: entering a second, or
+asking a tape for a loss it did not record, is a :class:`ContractError`.
+Threads may each record on their own tape at the same time.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -93,21 +94,17 @@ class Tensor:
         return sub(self, other)
 
 
-class _TapeEntry:
+class _TapeEntry(NamedTuple):
     """One recorded op: its output's key, ``(key, dtype)`` per input (None
     for an untracked input) and the backward closure."""
 
-    __slots__ = ("output", "inputs", "backward")
-
-    def __init__(self, output: int, inputs: tuple[tuple[int, np.dtype] | None, ...],
-                 backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]):
-        self.output = output
-        self.inputs = inputs
-        self.backward = backward
+    output: int
+    inputs: tuple[tuple[int, np.dtype] | None, ...]
+    backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]
 
 
 class Gradients:
-    """Gradient per leaf of a replayed tape; untouched leaves read as zero.
+    """Gradient per leaf of a replayed loss; leaves it does not reach read zero.
 
     Only leaves, the tracked tensors that no recorded op produced, keep a
     gradient: the replay frees every intermediate one once it is used.
@@ -134,35 +131,34 @@ class Gradients:
         return t.key in self._grads
 
 
-class _TapeStack(threading.local):
-    """The active tapes of the current thread, innermost last."""
+class _Recording(threading.local):
+    """The current thread's recording tape, if any."""
 
-    def __init__(self):
-        self.tapes: list[GradTape] = []
+    tape: GradTape | None = None
 
 
-_TAPE_STACK = _TapeStack()
+_RECORDING = _Recording()
 
 
 class GradTape:
-    """Ordered record of primitive ops, replayed backward for gradients."""
+    """Ordered record of the ops its thread runs in its ``with`` block,
+    replayed backward for a loss it recorded.  Tapes do not nest."""
 
     def __init__(self):
         self._entries: list[_TapeEntry] = []
 
     def __enter__(self) -> "GradTape":
-        _TAPE_STACK.tapes.append(self)
+        if _RECORDING.tape is not None:
+            raise ContractError("this thread already records on a GradTape; "
+                                "tapes do not nest")
+        _RECORDING.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.tapes.pop()
-        assert popped is self
+        _RECORDING.tape = None
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _record(self, entry: _TapeEntry) -> None:
-        self._entries.append(entry)
 
     def gradients(self, loss: Tensor) -> Gradients:
         """Accumulated gradient of a scalar loss for every tracked leaf.
@@ -175,6 +171,9 @@ class GradTape:
         """
         if loss.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")
+        produced = {entry.output for entry in self._entries}
+        if loss.key not in produced:
+            raise ContractError(f"{loss!r} was not recorded by this tape")
         grads: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
         for entry in reversed(self._entries):
             g_out = grads.pop(entry.output, None)
@@ -191,12 +190,7 @@ class GradTape:
                     grads[key] = g.copy() if g.base is not None else g
                 else:
                     grads[key] = prev + g
-        return Gradients(grads, {entry.output for entry in self._entries})
-
-
-def _active_tape() -> GradTape | None:
-    tapes = _TAPE_STACK.tapes
-    return tapes[-1] if tapes else None
+        return Gradients(grads, produced)
 
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...],
@@ -204,9 +198,9 @@ def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...],
           name: str | None = None) -> Tensor:
     tracked = any(i.requires_grad for i in inputs)
     out = Tensor(out_data, requires_grad=tracked, name=name)
-    tape = _active_tape()
+    tape = _RECORDING.tape
     if tape is not None and tracked:
-        tape._record(_TapeEntry(
+        tape._entries.append(_TapeEntry(
             out.key, tuple((i.key, i.data.dtype) if i.requires_grad else None
                            for i in inputs), backward))
     return out
@@ -362,27 +356,33 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _emit(out, (a,), backward)
 
 
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    b, n, _ = x.shape
+    return x.reshape(b, n, heads, -1).transpose(2, 0, 1, 3).reshape(heads * b, n, -1)
+
+
+def _merge_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    hb, n, dh = x.shape
+    return x.reshape(heads, -1, n, dh).transpose(1, 2, 0, 3).reshape(hb // heads, n, -1)
+
+
 def split_heads(a: Tensor, heads: int) -> Tensor:
     """``(batch, n, heads*d_head)`` to ``(heads*batch, n, d_head)``: row
     ``h*batch + b`` holds head ``h`` of batch element ``b``.  The inverse of
-    :func:`merge_heads`, which is its backward."""
-    batch, n, d = a.shape
-    if d % heads:
+    :func:`merge_heads`, whose reshape is its backward."""
+    if a.shape[-1] % heads:
         raise ShapeError(f"last axis of {a.shape} does not split into {heads} heads")
-    out = a.data.reshape(batch, n, heads, d // heads).transpose(2, 0, 1, 3)
-    return _emit(out.reshape(heads * batch, n, d // heads), (a,),
-                 lambda g: (merge_heads(Tensor(g), heads).data,))
+    return _emit(_split_heads(a.data, heads), (a,),
+                 lambda g: (_merge_heads(g, heads),))
 
 
 def merge_heads(a: Tensor, heads: int) -> Tensor:
     """``(heads*batch, n, d_head)`` to ``(batch, n, heads*d_head)``.  The
-    inverse of :func:`split_heads`, which is its backward."""
-    hb, n, dh = a.shape
-    if hb % heads:
+    inverse of :func:`split_heads`, whose reshape is its backward."""
+    if a.shape[0] % heads:
         raise ShapeError(f"first axis of {a.shape} does not split into {heads} heads")
-    out = a.data.reshape(heads, hb // heads, n, dh).transpose(1, 2, 0, 3)
-    return _emit(out.reshape(hb // heads, n, heads * dh), (a,),
-                 lambda g: (split_heads(Tensor(g), heads).data,))
+    return _emit(_merge_heads(a.data, heads), (a,),
+                 lambda g: (_split_heads(g, heads),))
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .model import (ForwardTrace, ModelConfig, QuantPlan, attention_scores,
-                    build_leaves, forward, init_params, predict, save_checkpoint)
+from .model import (ForwardTrace, ModelConfig, QuantPlan, attention_scores, build_leaves,
+                    forward, init_params, param_shapes, predict, save_checkpoint)
 from .tasks import Example, as_arrays
 from .tensor import GradTape, Tensor
 
@@ -168,6 +168,8 @@ class TeacherTargets:
     """
 
     def __init__(self, params: dict[str, np.ndarray], config: ModelConfig):
+        if {k: v.shape for k, v in params.items()} != param_shapes(config):
+            raise ValueError("teacher parameters do not match the model config")
         self.params = params
         self.config = config
         self.forwards = 0
@@ -235,12 +237,14 @@ class TrainState:
                opt_cfg: OptimizerConfig,
                loss_cfg: DistillLossConfig | None = None,
                seed: int = 0, stages: int = 1) -> "TrainState":
-        """``teacher`` is the teacher's parameters, or a store to share
-        with other runs on the same teacher; ground-truth training
-        (both losses off) keeps neither.  A schedule that cannot run
-        raises ``ValueError`` (:func:`check_schedule`)."""
+        """``teacher`` is the teacher's parameters, or a store to share with
+        other runs on the same teacher; ground-truth training (both losses
+        off) keeps neither.  ``ValueError`` if the schedule cannot run
+        (:func:`check_schedule`) or a parameter set is not ``param_shapes``."""
         loss_cfg = loss_cfg or DistillLossConfig()
         check_schedule(loss_cfg, stages, teacher is not None)
+        if {k: v.shape for k, v in params.items()} != param_shapes(config):
+            raise ValueError("student parameters do not match the model config")
         if not (loss_cfg.use_trm or loss_cfg.use_logits):
             teacher = None
         elif isinstance(teacher, dict):
@@ -250,7 +254,7 @@ class TrainState:
         return TrainState(config=config, plan=plan,
                           params={k: v.copy() for k, v in params.items()},
                           teacher=teacher, opt=OptimizerState.initial(params),
-                          opt_cfg=opt_cfg, loss_cfg=loss_cfg,
+                          opt_cfg=copy.copy(opt_cfg), loss_cfg=loss_cfg,
                           rng=np.random.default_rng(seed), stages=stages)
 
 
@@ -373,11 +377,6 @@ def run_training(state: TrainState, train_set: list[Example],
         raise ValueError("training set is empty")
     if settings.batch_size < 1:
         raise ValueError(f"batch size must be at least 1, got {settings.batch_size}")
-    if state.teacher is not None:
-        shapes_t = {k: v.shape for k, v in state.teacher.params.items()}
-        shapes_s = {k: v.shape for k, v in state.params.items()}
-        if shapes_t != shapes_s:
-            raise ValueError("teacher/student configurations do not match")
     tokens, segments, labels = as_arrays(train_set)
     steps_per_epoch = -(-len(train_set) // settings.batch_size)
     total_steps = settings.epochs * steps_per_epoch

@@ -120,6 +120,14 @@ class TestTrainCommand:
         assert f"must be at least {value + 1}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # the overflow is the point
+    def test_diverging_student_exits_4(self, tmp_path, capsys):
+        code = run(["train", "--lr", 1e30, "--epochs", 1, "--teacher-epochs", 1,
+                    "--train-n", 64, "--eval-n", 32, "--layers", 1, "--hidden", 16,
+                    "--ffn", 32, "--seq-len", 8, "--out", tmp_path])
+        assert code == cli.EXIT_NUMERIC == 4
+        assert "numerical abort: non-finite loss" in capsys.readouterr().err
+
     def test_8bit_plan_with_default_granularity_trains(self, tmp_path):
         code = run(["train", "--plan", "8-8-8", "--task", "majority", "--epochs", 1,
                     "--teacher-epochs", 1, "--train-n", 16, "--eval-n", 8,

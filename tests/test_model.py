@@ -160,6 +160,12 @@ class TestForward:
         with pytest.raises(ShapeError):
             run_forward(params, CFG, np.zeros((1, 20), int), np.zeros((1, 20), int))
 
+    def test_segment_id_out_of_range(self):
+        params = M.init_params(CFG, np.random.default_rng(5))
+        with pytest.raises(ShapeError, match="segment"):
+            run_forward(params, CFG, np.zeros((1, 2), int),
+                        np.array([[0, CFG.segments]]))
+
     def test_attention_scale_switch(self):
         # default normalizes scores by sqrt(d); the conventional variant
         # by sqrt(d_head), so outputs must differ when d != d_head

@@ -315,6 +315,15 @@ class TestModelFiles:
         with pytest.raises(ValueError):
             pk.save_model(str(tmp_path / "dup.tqm"), {}, tensors)
 
+    def test_unsupported_width_rejected_on_save(self, tmp_path):
+        t = tz.TernaryTensor(codes=np.array([[1, -1]], dtype=np.int8),
+                             scales=np.array([0.5]), granularity="layer", max_level=7)
+        path = tmp_path / "4bit.tqm"
+        with pytest.raises(ValueError, match="bit width 4"):
+            pk.save_model(str(path), {}, [pk.SavedTensor("w", "other", 4, "twn_approx",
+                                                         "layer", quant=t)])
+        assert not path.exists()
+
     @pytest.mark.parametrize("bits,bad,extremes", [
         (2, [3, -2, 1, 0], [1, -1, 0, 1]),
         (3, [5, -7, 1, 0], [3, -3, 0, 2]),
@@ -372,6 +381,15 @@ class TestModelFiles:
         with pytest.raises(pk.ManifestError, match="w at"):
             pk.load_model(str(path))
         assert cli.main(["inspect", str(path), "--out", str(tmp_path)]) == cli.EXIT_IO
+
+    def test_reserved_3bit_code_in_a_file_rejected(self, tmp_path, monkeypatch):
+        # code 4 packs to 111; the blob is the writer's, so its CRC matches
+        path = tmp_path / "reserved.tqm"
+        with monkeypatch.context() as m:
+            m.setattr(tz.TernaryTensor, "validate", lambda self: None)
+            pk.save_model(str(path), {}, [self._bad_entry(3, "layer", [[4, 0]], [0.5])])
+        with pytest.raises(pk.ModelFileError, match="reserved 3-bit code"):
+            pk.load_model(str(path))
 
     @pytest.mark.parametrize("seed", [0, 7, 123, 99991])
     def test_round_trip_random_models(self, seed, tmp_path):

@@ -25,6 +25,10 @@ class TestGemmPlan:
         with pytest.raises(qk.PlanError):
             qk.GemmPlan(m=1, n=1, k=1, act_scheme="bogus")
 
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(qk.PlanError, match="negative"):
+            qk.GemmPlan(m=-1, n=1, k=1)
+
 
 class TestTernaryGemm:
     def test_identity_selection(self):
@@ -41,6 +45,12 @@ class TestTernaryGemm:
         w = tz.TernaryTensor(codes=np.array([[3, -2], [1, 0]], dtype=np.int8),
                              scales=np.array([1.0]), granularity="layer")
         with pytest.raises(ValueError, match="ternary_gemm"):
+            qk.ternary_gemm(act, w)
+
+    def test_int8_weight_rejected(self):
+        act = aq.quantize_minmax(np.array([[1.0, 2.0]], dtype=np.float32))
+        w = tz.quantize_int8(np.array([[0.5, -1.0], [2.0, 0.0]]))
+        with pytest.raises(ValueError, match="needs a ternary weight"):
             qk.ternary_gemm(act, w)
 
     @pytest.mark.parametrize("scale", [np.nan, -2.0, 0.0],

@@ -512,6 +512,47 @@ class TestThreads:
         assert not errors, errors[0]
 
 
+class TestOneTapePerThread:
+    def test_nested_tape_rejected(self):
+        x = t64([3.0])
+        with GradTape() as tape:
+            y = T.mul(x, x)
+            with pytest.raises(T.ContractError, match="nest"):
+                with GradTape():
+                    pass
+            loss = T.sum_all(T.mul(y, y))
+        # the refused tape took nothing from the outer one: d(x^4)/dx at 3
+        np.testing.assert_array_equal(tape.gradients(loss).wrt(x), [108.0])
+
+    @pytest.mark.parametrize("loss", ["after-the-block", "other-tape", "leaf"])
+    def test_loss_the_tape_did_not_record_rejected(self, loss):
+        x = t64([3.0])
+        with GradTape() as tape:
+            y = T.mul(x, x)
+        with GradTape():
+            elsewhere = T.sum_all(T.mul(x, x))
+        unrecorded = {"after-the-block": T.sum_all(y), "other-tape": elsewhere,
+                      "leaf": x}[loss]
+        with pytest.raises(T.ContractError, match="not recorded by this tape"):
+            tape.gradients(unrecorded)
+
+    def test_replay_takes_no_key(self):
+        cfg = M.ModelConfig(layers=2, hidden=16, heads=2, ffn=24, vocab=12,
+                            max_positions=8, classes=3)
+        rng = np.random.default_rng(67)
+        plan = M.plan_from_notation("2-2-8")
+        leaves, _ = M.build_leaves(M.init_params(cfg, rng), plan, trainable=True)
+        tokens = rng.integers(0, cfg.vocab, size=(3, 6))
+        segments = rng.integers(0, cfg.segments, size=(3, 6))
+        with GradTape() as tape:
+            trace = M.forward(leaves, cfg, tokens, segments, plan=plan, train=True,
+                              rng=np.random.default_rng(68))
+            loss = T.sum_all(T.mul(trace.logits, trace.logits))
+        before = next(T._KEYS)
+        tape.gradients(loss)
+        assert next(T._KEYS) == before + 1
+
+
 class TestDeterminismAndMisc:
     def test_forward_deterministic(self):
         rng = np.random.default_rng(13)
@@ -534,6 +575,10 @@ class TestDeterminismAndMisc:
         np.testing.assert_allclose(y.data[kept], 2.0)
         np.testing.assert_allclose(g[kept], 2.0)
         np.testing.assert_allclose(g[~kept], 0.0)
+
+    def test_dropout_rate_one_rejected(self):
+        with pytest.raises(T.ContractError):
+            T.dropout(Tensor(np.ones((2, 2))), 1.0, np.random.default_rng(0))
 
     def test_dropout_zero_rate_is_identity(self):
         x = Tensor(np.ones((2, 2)))

@@ -320,9 +320,12 @@ class TestQuantize:
         lambda w: tz.lat_subproblem(w, None),
         lambda w: tz.quantize(w, "laq3"),
         lambda w: tz.quantize(w, "twn"),
+        lambda w: tz.lat_subproblem(w, np.ones_like(w), "layer", "bogus"),
+        lambda w: tz.TernaryTensor(np.zeros(w.shape, np.int8), np.ones(2), "layer").validate(),
     ], ids=["twn_approx-Layer", "twn_exact-rows", "int8-rows", "lat-iters-0",
             "lat-iters-neg", "lat-exact-iters-0", "lat-exact-iters-neg",
-            "lat-no-v", "quantize-no-v", "quantize-alias"])
+            "lat-no-v", "quantize-no-v", "quantize-alias", "lat-bogus-mode",
+            "validate-two-layer-scales"])
     def test_bad_arguments_raise_value_error(self, call):
         with pytest.raises(ValueError):
             call(np.random.default_rng(19).standard_normal((3, 4)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -386,11 +387,38 @@ class TestRunTraining:
         other = M.ModelConfig(layers=1, hidden=8, heads=2, ffn=16, vocab=6,
                               max_positions=8, classes=3, dropout=0.0)
         student = M.init_params(other, rng)
-        state = TR.TrainState.create(other, student, teacher, None,
-                                     TR.OptimizerConfig(lr=1e-3))
         with pytest.raises(ValueError):
+            state = TR.TrainState.create(other, student, teacher, None,
+                                         TR.OptimizerConfig(lr=1e-3))
             TR.run_training(state, make_data(16), make_data(16),
                             TR.TrainSettings(epochs=1))
+
+    @pytest.mark.parametrize("who", ["teacher", "student"])
+    def test_params_of_another_config_rejected_at_create(self, who):
+        # a deeper teacher would be distilled from its first layer only; an
+        # extra student entry would be weight-decayed though forward never reads it
+        rng = np.random.default_rng(6)
+        params = M.init_params(CFG, rng)
+        deeper = M.init_params(dataclasses.replace(CFG, layers=2), rng)
+        teacher, student = (deeper, params) if who == "teacher" else \
+            (params, {**params, "extra.w": np.zeros((2, 2), np.float32)})
+        with pytest.raises(ValueError, match=f"{who} parameters"):
+            TR.TrainState.create(CFG, student, teacher, M.plan_from_notation("2-2-8"),
+                                 TR.OptimizerConfig(lr=1e-3))
+
+    def test_run_training_leaves_a_shared_optimizer_config_alone(self):
+        teacher = M.init_params(CFG, np.random.default_rng(6))
+        opt = TR.OptimizerConfig(lr=1e-3)
+        a, b = (TR.TrainState.create(CFG, teacher, teacher, None, opt) for _ in range(2))
+        data = make_data(16)
+        TR.run_training(a, data, data, TR.TrainSettings(epochs=1, batch_size=8,
+                                                        eval_every=0))
+        assert a.opt_cfg.total_steps == 2
+        assert opt.total_steps == b.opt_cfg.total_steps == TR.OptimizerConfig().total_steps
+        tokens, segments, labels = tasks.as_arrays(data[:8])
+        for _ in range(3):
+            rec = TR.train_step(b, tokens, segments, labels)
+        assert rec["lr"] > 0
 
     def test_evaluate_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -598,6 +626,14 @@ class TestTeacherTargets:
         student = M.forward(leaves, CFG, tokens, segments, plan=state.plan)
         want = TR.loss_trm(student, state.teacher.trace(tokens, segments))
         assert got > 0 and got == float(want.data)
+
+    def test_mismatched_tokens_and_segments_rejected(self):
+        # the check that keeps the row keys from zipping a short batch
+        store = TR.TeacherTargets(M.init_params(CFG, np.random.default_rng(27)), CFG)
+        tokens, segments, _ = tasks.as_arrays(make_data(4, seed=28))
+        with pytest.raises(T.ShapeError):
+            store.trace(tokens, segments[:-1])
+        assert len(store) == 0 and store.forwards == 0
 
     def test_duplicate_examples_add_no_entry(self):
         store = TR.TeacherTargets(M.init_params(CFG, np.random.default_rng(27)), CFG)

@@ -109,7 +109,7 @@ def cmd_quantize(args) -> int:
     record = report.to_dict()
     record["seed"] = args.seed
     record["plan"] = plan.notation
-    metrics.append_records(_out_path(args, "reports.jsonl"), [record])
+    metrics.write_records(_out_path(args, "reports.jsonl"), [record])
     print(report)
     print(f"wrote {out}")
     return EXIT_OK
@@ -180,7 +180,7 @@ def cmd_train(args) -> int:
     if args.checkpoint_every:
         _out_path(args, "checkpoints").mkdir(parents=True, exist_ok=True)
     history = run_training(state, data_train, data_eval, settings)
-    metrics.append_records(_out_path(args, "metrics.jsonl"), history)
+    metrics.write_records(_out_path(args, "metrics.jsonl"), history)
 
     student_acc = evaluate(state.params, config, data_eval, plan=plan,
                            second_moments=state.opt.v)
@@ -201,7 +201,7 @@ def cmd_eval(args) -> int:
     acc = evaluate(ckpt.params, ckpt.config, examples, plan=ckpt.plan)
     record = {"kind": "eval", "model": str(args.model), "data": str(args.data),
               "n": len(examples), "accuracy": acc, "seed": args.seed}
-    metrics.append_records(_out_path(args, "eval.jsonl"), [record])
+    metrics.write_records(_out_path(args, "eval.jsonl"), [record])
     print(json.dumps(record))
     return EXIT_OK
 
@@ -237,7 +237,7 @@ def cmd_inspect(args) -> int:
             rec["seed"] = args.seed
             hists.append(rec)
             print(json.dumps(rec))
-        metrics.append_records(_out_path(args, "histograms.jsonl"), hists)
+        metrics.write_records(_out_path(args, "histograms.jsonl"), hists)
     return EXIT_OK
 
 
@@ -247,7 +247,7 @@ def cmd_bench(args) -> int:
     rec = qkernels.bench_gemm(plan, args.reps,
                               np.random.default_rng(args.seed)).to_dict()
     rec["seed"] = args.seed
-    metrics.append_records(_out_path(args, "bench.jsonl"), [rec])
+    metrics.write_records(_out_path(args, "bench.jsonl"), [rec])
     print(json.dumps(rec))
     return EXIT_OK
 
@@ -292,7 +292,7 @@ def cmd_ablate(args) -> int:
                         "plan": plan.notation, "eval_acc": acc,
                         "teacher_acc": teacher_acc})
         print(f"{label:28s} {acc:8.3f}")
-    metrics.append_records(_out_path(args, "ablation.jsonl"), records)
+    metrics.write_records(_out_path(args, "ablation.jsonl"), records)
     return EXIT_OK
 
 

@@ -2,7 +2,7 @@
 
 Every record is one JSON object per line.  A command writes every file
 under its ``--out`` directory (``cli._out_path`` creates it), and
-nothing else chooses where.
+nothing else chooses where; each file holds that one invocation's records.
 """
 
 from __future__ import annotations
@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 
 
-def append_records(path, records) -> None:
-    with open(path, "a") as f:
+def write_records(path, records) -> None:
+    with open(path, "w") as f:
         for r in records:
             f.write(json.dumps(r) + "\n")
 

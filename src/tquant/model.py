@@ -104,9 +104,9 @@ def _method_for_bits(bits: int, requested: str) -> str:
     raise ValueError(f"{bits}-bit weights need one of {fits}, got {requested!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantPlan:
-    """A W-E-A bit plan plus method/granularity choices."""
+    """A W-E-A bit plan plus method/granularity choices, checked once when built."""
 
     w_bits: int = 2
     e_bits: int = 2
@@ -124,12 +124,12 @@ class QuantPlan:
             raise ValueError(f"activation bits must be in {ACT_BITS}")
         if self.act_scheme not in actquant.SCHEMES:
             raise ValueError(f"unknown activation scheme {self.act_scheme!r}")
-        self.w_method = _method_for_bits(self.w_bits, self.w_method)
-        self.e_method = _method_for_bits(self.e_bits, self.e_method)
+        object.__setattr__(self, "w_method", _method_for_bits(self.w_bits, self.w_method))
+        object.__setattr__(self, "e_method", _method_for_bits(self.e_bits, self.e_method))
         if self.w_gran is None:
-            self.w_gran = "layer"
+            object.__setattr__(self, "w_gran", "layer")
         if self.e_gran is None:
-            self.e_gran = "layer" if self.e_bits == 8 else "row"
+            object.__setattr__(self, "e_gran", "layer" if self.e_bits == 8 else "row")
         for bits, gran, what in ((self.w_bits, self.w_gran, "weights"),
                                  (self.e_bits, self.e_gran, "embedding")):
             if gran not in ternarize.GRANULARITIES:

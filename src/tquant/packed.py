@@ -38,7 +38,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -287,8 +287,9 @@ class TensorRecord:
     crc32: int = 0
 
 
-# a TensorRecord field's annotation -> the type its value has in the JSON
-_JSON_TYPES = {"str": str, "int": int, "tuple[int, ...]": list}
+# each TensorRecord field -> the type its value has in the JSON
+_RECORD_JSON = {"name": str, "role": str, "bits": int, "method": str, "granularity": str,
+                "shape": list, "offset": int, "length": int, "crc32": int}
 
 
 @dataclass
@@ -457,15 +458,14 @@ def load_model(path: str) -> LoadedModel:
     end = 8 + mlen              # the blobs tile the rest of the file
     for t in tensor_entries:
         try:
-            rec = TensorRecord(**{f.name: t[f.name] for f in fields(TensorRecord)})
+            values = {name: t[name] for name in _RECORD_JSON}
         except (KeyError, TypeError) as e:
             raise ModelFileError(f"malformed tensor record: {e}") from e
-        if any(type(getattr(rec, f.name)) is not _JSON_TYPES[f.type]
-               for f in fields(TensorRecord)) \
-                or any(type(n) is not int or n < 0 for n in rec.shape) \
-                or rec.length < 0:
-            raise ManifestError(f"malformed record for tensor {rec.name!r}")
-        rec.shape = tuple(rec.shape)
+        if any(type(values[name]) is not kind for name, kind in _RECORD_JSON.items()) \
+                or any(type(n) is not int or n < 0 for n in values["shape"]) \
+                or values["length"] < 0:
+            raise ManifestError(f"malformed record for tensor {values['name']!r}")
+        rec = TensorRecord(**{**values, "shape": tuple(values["shape"])})
         if rec.offset != end:
             raise ManifestError(f"blob for {rec.name} starts at {rec.offset}, not {end}")
         end += rec.length

@@ -58,21 +58,23 @@ def make_parity_dataset(n_examples: int, seq_len: int = 16, vocab: int = 8,
     return out
 
 
-TASKS = {"majority": make_majority_dataset, "parity": make_parity_dataset}
+# task -> (class count, builder of (n, seq_len, classes, vocab, seed))
+TASKS = {"majority": (4, make_majority_dataset),
+         "parity": (2, lambda n, seq_len, _, vocab, seed:
+                    make_parity_dataset(n, seq_len, vocab, seed))}
 
 
 def task_classes(task: str) -> int:
-    return 4 if task == "majority" else 2
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}; known: {sorted(TASKS)}")
+    return TASKS[task][0]
 
 
 def make_dataset(task: str, n: int, seq_len: int, vocab: int,
                  seed: int) -> list[Example]:
-    """``n`` examples of ``task`` ("majority" has ``task_classes`` classes)."""
-    if task == "parity":
-        return make_parity_dataset(n, seq_len, vocab, seed)
-    if task == "majority":
-        return make_majority_dataset(n, seq_len, task_classes(task), vocab, seed)
-    raise ValueError(f"unknown task {task!r}")
+    """``n`` examples of ``task``, labelled with its ``task_classes`` classes."""
+    classes = task_classes(task)        # ValueError for an unknown task
+    return TASKS[task][1](n, seq_len, classes, vocab, seed)
 
 
 def as_arrays(examples: list[Example]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -370,8 +370,8 @@ def split_heads(a: Tensor, heads: int) -> Tensor:
     """``(batch, n, heads*d_head)`` to ``(heads*batch, n, d_head)``: row
     ``h*batch + b`` holds head ``h`` of batch element ``b``.  The inverse of
     :func:`merge_heads`, whose reshape is its backward."""
-    if a.shape[-1] % heads:
-        raise ShapeError(f"last axis of {a.shape} does not split into {heads} heads")
+    if a.ndim != 3 or a.shape[-1] % heads:
+        raise ShapeError(f"{a.shape} is not (batch, n, d) with d split into {heads} heads")
     return _emit(_split_heads(a.data, heads), (a,),
                  lambda g: (_merge_heads(g, heads),))
 
@@ -379,8 +379,8 @@ def split_heads(a: Tensor, heads: int) -> Tensor:
 def merge_heads(a: Tensor, heads: int) -> Tensor:
     """``(heads*batch, n, d_head)`` to ``(batch, n, heads*d_head)``.  The
     inverse of :func:`split_heads`, whose reshape is its backward."""
-    if a.shape[0] % heads:
-        raise ShapeError(f"first axis of {a.shape} does not split into {heads} heads")
+    if a.ndim != 3 or a.shape[0] % heads:
+        raise ShapeError(f"{a.shape} is not (heads*batch, n, d_head) for {heads} heads")
     return _emit(_merge_heads(a.data, heads), (a,),
                  lambda g: (_split_heads(g, heads),))
 

@@ -35,9 +35,8 @@ arrays must not be mutated while a :class:`TrainState` holds them.
 
 from __future__ import annotations
 
-import copy
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,7 +51,7 @@ class TrainingDiverged(ArithmeticError):
     """The loss went non-finite; message names the first bad tensor."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistillLossConfig:
     use_trm: bool = True
     use_logits: bool = True
@@ -64,7 +63,7 @@ EPS = 1e-6
 WEIGHT_DECAY = 0.01
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     lr: float = 1e-3
     total_steps: int = 1000
@@ -228,7 +227,7 @@ class TrainState:
     stages: int = 1
 
     def __post_init__(self):
-        self._start_plan = copy.copy(self.plan)   # train_step checks against it
+        self._start_plan = self.plan   # train_step checks against it
 
     @staticmethod
     def create(config: ModelConfig, params: dict[str, np.ndarray],
@@ -254,7 +253,7 @@ class TrainState:
         return TrainState(config=config, plan=plan,
                           params={k: v.copy() for k, v in params.items()},
                           teacher=teacher, opt=OptimizerState.initial(params),
-                          opt_cfg=copy.copy(opt_cfg), loss_cfg=loss_cfg,
+                          opt_cfg=opt_cfg, loss_cfg=loss_cfg,
                           rng=np.random.default_rng(seed), stages=stages)
 
 
@@ -354,7 +353,7 @@ def eval_loss_trm(state: TrainState, examples: list[Example]) -> float:
     return float(loss_trm(student, teacher.trace(tokens, segments)).data)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainSettings:
     epochs: int = 4
     batch_size: int = 32
@@ -377,10 +376,12 @@ def run_training(state: TrainState, train_set: list[Example],
         raise ValueError("training set is empty")
     if settings.batch_size < 1:
         raise ValueError(f"batch size must be at least 1, got {settings.batch_size}")
+    if settings.checkpoint_every and not settings.checkpoint_dir:
+        raise ValueError("checkpoint_every needs a checkpoint_dir")
     tokens, segments, labels = as_arrays(train_set)
     steps_per_epoch = -(-len(train_set) // settings.batch_size)
     total_steps = settings.epochs * steps_per_epoch
-    state.opt_cfg.total_steps = max(total_steps, 1)
+    state.opt_cfg = replace(state.opt_cfg, total_steps=max(total_steps, 1))
     stage_boundary = total_steps // 2 if state.stages == 2 else 0
 
     metrics: list[dict] = []
@@ -398,8 +399,7 @@ def run_training(state: TrainState, train_set: list[Example],
                 rec["eval_acc"] = None
             rec["seed"] = settings.seed
             metrics.append(rec)
-            if settings.checkpoint_every and settings.checkpoint_dir and \
-                    rec["step"] % settings.checkpoint_every == 0:
+            if settings.checkpoint_every and rec["step"] % settings.checkpoint_every == 0:
                 save_checkpoint(
                     os.path.join(settings.checkpoint_dir, f"step{rec['step']:06d}.tqm"),
                     state.config, state.params, state.plan, state.opt.v,
@@ -410,12 +410,10 @@ def run_training(state: TrainState, train_set: list[Example],
 
 def train_float_baseline(config: ModelConfig, train_set: list[Example],
                          eval_set: list[Example], opt_cfg: OptimizerConfig,
-                         settings: TrainSettings,
-                         init: dict[str, np.ndarray] | None = None
+                         settings: TrainSettings
                          ) -> tuple[dict[str, np.ndarray], list[dict]]:
     """Supervised full-precision training; the usual way to make a teacher."""
-    params = init if init is not None else \
-        init_params(config, np.random.default_rng(settings.seed))
+    params = init_params(config, np.random.default_rng(settings.seed))
     state = TrainState.create(config, params, teacher=None, plan=None,
                               opt_cfg=opt_cfg,
                               loss_cfg=DistillLossConfig(False, False),

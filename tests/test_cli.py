@@ -164,6 +164,16 @@ class TestTrainCommand:
         b = metrics.read_records(tmp_path / "b" / "metrics.jsonl")
         assert a == b
 
+    def test_second_run_replaces_the_metrics_file(self, tmp_path):
+        # one --out, two seeds: the file holds the second run's steps only
+        for seed in (0, 1):
+            assert run(["train", "--task", "majority", "--epochs", 1,
+                        "--teacher-epochs", 1, "--train-n", 16, "--eval-n", 8,
+                        "--batch", 8, "--layers", 1, "--hidden", 8, "--ffn", 16,
+                        "--seq-len", 4, "--out", tmp_path, "--seed", seed]) == 0
+        records = metrics.read_records(tmp_path / "metrics.jsonl")
+        assert [(r["step"], r["seed"]) for r in records] == [(1, 1), (2, 1)]
+
     def test_mismatched_teacher_checkpoint_is_config_error(self, tmp_path):
         other = ModelConfig(layers=1, hidden=8, heads=2, ffn=16, vocab=8,
                             max_positions=16, classes=4)
@@ -718,3 +728,7 @@ class TestMakeDataset:
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError):
             tasks.make_dataset("sorting", 4, 8, 8, 0)
+
+    def test_unknown_task_has_no_class_count(self):
+        with pytest.raises(ValueError, match="sorting"):
+            tasks.task_classes("sorting")

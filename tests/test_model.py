@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -426,3 +428,29 @@ class TestCheckpoint:
         params = M.init_params(CFG, np.random.default_rng(61))
         M.save_checkpoint(tmp_path / "m.tqm", CFG, params, plan)
         assert M.load_checkpoint(tmp_path / "m.tqm").plan is None
+
+
+# (notation, field, value): at the parent each edit, made after the plan was
+# checked, made save_checkpoint write a file that load_checkpoint refused
+PLAN_EDITS = [("8-8-8", "e_gran", "row"), ("2-2-8", "act_scheme", "nope"),
+              ("2-2-8", "w_bits", 3)]
+
+
+class TestFrozenPlan:
+    @pytest.mark.parametrize("notation, field, value", PLAN_EDITS)
+    def test_edit_after_the_check_refused(self, tmp_path, notation, field, value):
+        config = M.ModelConfig(layers=1, hidden=8, heads=2, ffn=16, vocab=10,
+                               max_positions=8, classes=3)
+        plan = M.plan_from_notation(notation)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(plan, field, value)
+        assert plan == M.plan_from_notation(notation)
+        M.save_checkpoint(tmp_path / "m.tqm", config,
+                          M.init_params(config, np.random.default_rng(63)), plan)
+        assert M.load_checkpoint(tmp_path / "m.tqm").file.manifest.extras["plan"] == \
+            plan.to_dict()
+
+    @pytest.mark.parametrize("notation, field, value", PLAN_EDITS[:2])
+    def test_replace_checks_again(self, notation, field, value):
+        with pytest.raises(ValueError):
+            dataclasses.replace(M.plan_from_notation(notation), **{field: value})

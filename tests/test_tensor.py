@@ -475,6 +475,9 @@ class TestHeadOps:
             T.split_heads(Tensor(np.zeros((2, 3, 5))), 2)
         with pytest.raises(T.ShapeError):
             T.merge_heads(Tensor(np.zeros((3, 3, 5))), 2)
+        for op in (T.split_heads, T.merge_heads):
+            with pytest.raises(T.ShapeError, match=r"\(2, 6\)"):
+                op(Tensor(np.zeros((2, 6))), 2)
 
 
 class TestThreads:

@@ -304,16 +304,17 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("start", ["2-2-8", None])
     def test_plan_edited_mid_run_rejected(self, start):
-        # the state keeps a copy of its plan: an edit in place, or a plan
-        # given to a full-precision run, is caught too
+        # a plan is frozen, so an edit in place is refused at the assignment;
+        # a plan given to a full-precision run is caught by train_step
         teacher, data = self._teacher(epochs=1)
         state = fresh_state(teacher, plan=start and M.plan_from_notation(start))
         tokens, segments, labels = tasks.as_arrays(data[:4])
         TR.train_step(state, tokens, segments, labels)
         if start:
-            state.plan.w_gran = "row"
-        else:
-            state.plan = M.plan_from_notation("2-2-8")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                state.plan.w_gran = "row"
+            return
+        state.plan = M.plan_from_notation("2-2-8")
         with pytest.raises(ValueError, match="changed mid-run"):
             TR.train_step(state, tokens, segments, labels)
 
@@ -321,7 +322,7 @@ class TestTrainStep:
         teacher, data = self._teacher(epochs=10)
         plan = M.plan_from_notation("2-2-8")
         state = fresh_state(teacher, plan=plan, lr=1e-3)
-        state.opt_cfg.total_steps = 200
+        state.opt_cfg = dataclasses.replace(state.opt_cfg, total_steps=200)
         tokens, segments, labels = tasks.as_arrays(data)
         rng = np.random.default_rng(0)
         history = []
@@ -419,6 +420,22 @@ class TestRunTraining:
         for _ in range(3):
             rec = TR.train_step(b, tokens, segments, labels)
         assert rec["lr"] > 0
+
+    def test_checkpoint_every_needs_a_directory(self):
+        state = fresh_state(M.init_params(CFG, np.random.default_rng(6)))
+        data = make_data(16)
+        settings = TR.TrainSettings(epochs=1, batch_size=4, eval_every=0,
+                                    checkpoint_every=1)
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            TR.run_training(state, data, data, settings)
+        assert state.opt.step == 0
+
+    @pytest.mark.parametrize("cfg", [TR.OptimizerConfig(), TR.DistillLossConfig(),
+                                     TR.TrainSettings()], ids=lambda c: type(c).__name__)
+    def test_settings_are_frozen(self, cfg):
+        name = dataclasses.fields(cfg)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
 
     def test_evaluate_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -66,6 +66,8 @@ def _ternary_weight(w) -> TernaryTensor:
 def ternary_gemm(act: QuantizedActivation, w) -> np.ndarray:
     """act (m x k) codes times stored-transposed ternary weight (n x k)."""
     w = _ternary_weight(w)
+    if np.ndim(act.params.scale):
+        raise ValueError("ternary_gemm needs activation codes over one range")
     m, k = act.codes.shape
     n, k2 = w.codes.shape
     if k != k2:
@@ -74,8 +76,7 @@ def ternary_gemm(act: QuantizedActivation, w) -> np.ndarray:
 
     b = w.codes.astype(np.float64)
     acc = act.codes.astype(np.float64) @ b.T            # exact: see module doc
-    alpha = (np.full(n, w.scales[0], dtype=np.float64) if w.granularity == "layer"
-             else w.scales.astype(np.float64))
+    alpha = np.broadcast_to(w.scales.astype(np.float64), (n,))
     s = act.params.scale
     out64 = acc * (s * alpha)
     if act.params.scheme == "minmax8":

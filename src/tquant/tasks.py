@@ -94,11 +94,15 @@ def save_dataset(path: str, examples: list[Example]) -> None:
 def load_dataset(path: str) -> list[Example]:
     out = []
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+        for n, line in enumerate(f, 1):
+            if not line.strip():
                 continue
-            d = json.loads(line)
-            out.append(Example(tokens=d["tokens"], segments=d["segments"],
-                               label=d["label"]))
+            try:
+                d = json.loads(line)
+            except json.JSONDecodeError:
+                d = None
+            if not (isinstance(d, dict) and {"tokens", "segments", "label"} <= d.keys()):
+                raise ValueError(f"{path} line {n}: not a JSON object with "
+                                 "tokens, segments and label")
+            out.append(Example(d["tokens"], d["segments"], d["label"]))
     return out

@@ -472,10 +472,9 @@ def quantize(w, method: str, granularity: str = "layer", v=None) -> TernaryTenso
 
 
 def dequantize(t: TernaryTensor) -> np.ndarray:
-    """Elementwise scale * code, float32."""
-    if t.granularity == "layer":
-        return (t.scales[0] * t.codes).astype(np.float32)
-    return (t.scales[:, None] * t.codes).astype(np.float32)
+    """Elementwise scale * code, float32: each scale over its group's codes."""
+    groups = t.codes.reshape(t.scales.size, -1)
+    return (t.scales[:, None] * groups).reshape(t.codes.shape)
 
 
 def weighted_residual(w, t: TernaryTensor, v=None) -> float:

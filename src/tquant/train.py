@@ -24,7 +24,11 @@ Losses: L_trm sums MSE over the embedding output and every layer output
 plus MSE over raw attention scores of all heads; L_pred is the soft
 cross-entropy between student and teacher logits.  With both disabled,
 training falls back to ground-truth cross-entropy and never touches the
-teacher.
+teacher.  With two stages the first ``total_steps // 2`` steps train on
+L_trm alone: the stage follows the step, in any :func:`train_step` loop.
+A :class:`TrainState` is frozen once ``create`` has checked it.
+:func:`run_training` schedules a copy that shares its params, moments, rng
+and store, and leaves the caller's ``opt_cfg`` as given.
 
 The teacher is frozen, so its hidden states and logits for an example
 never change: the store keeps them, ``(L+1)*n*d + classes`` float32
@@ -213,7 +217,7 @@ class TeacherTargets:
 # training state and loop
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainState:
     config: ModelConfig
     plan: QuantPlan | None
@@ -223,11 +227,7 @@ class TrainState:
     opt_cfg: OptimizerConfig
     loss_cfg: DistillLossConfig
     rng: np.random.Generator
-    stage: int = 1
     stages: int = 1
-
-    def __post_init__(self):
-        self._start_plan = self.plan   # train_step checks against it
 
     @staticmethod
     def create(config: ModelConfig, params: dict[str, np.ndarray],
@@ -284,14 +284,11 @@ def _first_nonfinite(trace: ForwardTrace) -> str | None:
 def train_step(state: TrainState, tokens: np.ndarray, segments: np.ndarray,
                labels: np.ndarray) -> dict:
     """One pass of the distillation-aware ternarization loop."""
-    if state.plan != state._start_plan:
-        raise ValueError("quantization method changed mid-run; "
-                         "start a fresh TrainState instead")
     cfg = state.loss_cfg
-    stage1_trm_only = state.stages == 2 and state.stage == 1
-    use_trm = cfg.use_trm
-    use_logits = cfg.use_logits and not stage1_trm_only
-    distilling = use_trm or use_logits
+    second_half = state.opt.step >= state.opt_cfg.total_steps // 2
+    stage = 2 if state.stages == 2 and second_half else 1
+    use_logits = cfg.use_logits and stage == state.stages   # stage 1 of 2: L_trm alone
+    distilling = cfg.use_trm or use_logits
 
     with GradTape() as tape:
         # loss-aware methods read the optimizer's accumulated second moment
@@ -303,7 +300,7 @@ def train_step(state: TrainState, tokens: np.ndarray, segments: np.ndarray,
         l_pred_t = None
         if distilling:
             teacher = state.teacher.trace(tokens, segments)
-            if use_trm:
+            if cfg.use_trm:
                 l_trm_t = loss_trm(student, teacher)
             if use_logits:
                 l_pred_t = loss_pred(student.logits, teacher.logits)
@@ -322,7 +319,7 @@ def train_step(state: TrainState, tokens: np.ndarray, segments: np.ndarray,
     grads_t = tape.gradients(total)
     grads = {name: grads_t.wrt(leaf) for name, leaf in leaves.items()}
     lr, delta = optimizer_step(state.params, grads, state.opt, state.opt_cfg)
-    return {"step": state.opt.step, "stage": state.stage,
+    return {"step": state.opt.step, "stage": stage,
             "loss_trm": float(l_trm_t.data) if l_trm_t is not None else None,
             "loss_pred": float(l_pred_t.data) if l_pred_t is not None else None,
             "loss_total": loss_val, "lr": lr, "weight_delta": delta}
@@ -381,15 +378,13 @@ def run_training(state: TrainState, train_set: list[Example],
     tokens, segments, labels = as_arrays(train_set)
     steps_per_epoch = -(-len(train_set) // settings.batch_size)
     total_steps = settings.epochs * steps_per_epoch
-    state.opt_cfg = replace(state.opt_cfg, total_steps=max(total_steps, 1))
-    stage_boundary = total_steps // 2 if state.stages == 2 else 0
+    # a copy scheduled over this run; it shares params, opt, rng and store
+    state = replace(state, opt_cfg=replace(state.opt_cfg, total_steps=max(total_steps, 1)))
 
     metrics: list[dict] = []
     shuffle_rng = np.random.default_rng(settings.seed + 0x5EED)
     for _ in range(settings.epochs):
         for idx in _batches(len(train_set), settings.batch_size, shuffle_rng):
-            if state.stages == 2:
-                state.stage = 1 if state.opt.step < stage_boundary else 2
             rec = train_step(state, tokens[idx], segments[idx], labels[idx])
             if settings.eval_every and rec["step"] % settings.eval_every == 0:
                 rec["eval_acc"] = evaluate(state.params, state.config, eval_set,
@@ -403,7 +398,7 @@ def run_training(state: TrainState, train_set: list[Example],
                 save_checkpoint(
                     os.path.join(settings.checkpoint_dir, f"step{rec['step']:06d}.tqm"),
                     state.config, state.params, state.plan, state.opt.v,
-                    extras={"step": rec["step"], "stage": state.stage,
+                    extras={"step": rec["step"], "stage": rec["stage"],
                             "seed": settings.seed})
     return metrics
 

@@ -327,6 +327,17 @@ class TestEvalCommand:
         code = run(["eval", tmp_path / "student.tqm", empty, "--out", tmp_path])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '{"tokens": [0, 1], "segments": [0, 0]}',
+                                      "{not json"], ids=["list", "no-label", "bad-json"])
+    def test_line_that_is_not_an_example_is_config_error(self, tmp_path, capsys, line):
+        model = tmp_path / "float.tqm"
+        write_float_checkpoint(model)
+        data = tmp_path / "bad.jsonl"
+        good = json.dumps({"tokens": [0, 1], "segments": [0, 0], "label": 1})
+        data.write_text(f"{good}\n\n{line}\n")
+        assert run(["eval", model, data, "--out", tmp_path]) == cli.EXIT_CONFIG
+        assert f"{data} line 3: not a JSON object" in capsys.readouterr().err
+
     def test_quantized_model_matches_dequantized_reference_predictions(
             self, tmp_path):
         self._train_quick(tmp_path)

@@ -53,6 +53,14 @@ class TestTernaryGemm:
         with pytest.raises(ValueError, match="needs a ternary weight"):
             qk.ternary_gemm(act, w)
 
+    def test_grouped_activation_codes_rejected(self):
+        # (4, 32) codes with (4, 1) ranges would otherwise give a (4, 5) product
+        x = np.random.default_rng(0).standard_normal((8, 16)).astype(np.float32)
+        act = aq.quantize(x, "minmax8", groups=4)
+        w = tz.twn_approx(np.random.default_rng(1).standard_normal((5, 32)), "layer")
+        with pytest.raises(ValueError, match="one range"):
+            qk.ternary_gemm(act, w)
+
     @pytest.mark.parametrize("scale", [np.nan, -2.0, 0.0],
                              ids=["nan", "negative", "zero-over-nonzero-codes"])
     def test_scale_a_tqm_cannot_hold_rejected(self, scale):

@@ -298,14 +298,13 @@ class TestTrainStep:
         state = fresh_state(teacher, plan=plan)
         tokens, segments, labels = tasks.as_arrays(data[:4])
         TR.train_step(state, tokens, segments, labels)
-        state.plan = M.plan_from_notation("2-2-8", method="lat")
-        with pytest.raises(ValueError):
-            TR.train_step(state, tokens, segments, labels)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.plan = M.plan_from_notation("2-2-8", method="lat")
 
     @pytest.mark.parametrize("start", ["2-2-8", None])
     def test_plan_edited_mid_run_rejected(self, start):
-        # a plan is frozen, so an edit in place is refused at the assignment;
-        # a plan given to a full-precision run is caught by train_step
+        # a plan and a run are frozen: an edit in place and a plan given to
+        # a full-precision run are both refused at the assignment
         teacher, data = self._teacher(epochs=1)
         state = fresh_state(teacher, plan=start and M.plan_from_notation(start))
         tokens, segments, labels = tasks.as_arrays(data[:4])
@@ -314,15 +313,15 @@ class TestTrainStep:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 state.plan.w_gran = "row"
             return
-        state.plan = M.plan_from_notation("2-2-8")
-        with pytest.raises(ValueError, match="changed mid-run"):
-            TR.train_step(state, tokens, segments, labels)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.plan = M.plan_from_notation("2-2-8")
 
     def test_loss_trm_decreases_over_moving_average(self):
         teacher, data = self._teacher(epochs=10)
         plan = M.plan_from_notation("2-2-8")
         state = fresh_state(teacher, plan=plan, lr=1e-3)
-        state.opt_cfg = dataclasses.replace(state.opt_cfg, total_steps=200)
+        state = dataclasses.replace(
+            state, opt_cfg=dataclasses.replace(state.opt_cfg, total_steps=200))
         tokens, segments, labels = tasks.as_arrays(data)
         rng = np.random.default_rng(0)
         history = []
@@ -337,14 +336,40 @@ class TestTrainStep:
     def test_stage_schedule_controls_losses(self):
         teacher, data = self._teacher(epochs=1)
         plan = M.plan_from_notation("2-2-8")
-        state = fresh_state(teacher, plan=plan, stages=2)
+        state = TR.TrainState.create(CFG, teacher, teacher, plan,
+                                     TR.OptimizerConfig(lr=1e-3, total_steps=2), stages=2)
         tokens, segments, labels = tasks.as_arrays(data[:8])
-        state.stage = 1
         rec1 = TR.train_step(state, tokens, segments, labels)
+        assert rec1["stage"] == 1
         assert rec1["loss_pred"] is None and rec1["loss_trm"] is not None
-        state.stage = 2
         rec2 = TR.train_step(state, tokens, segments, labels)
+        assert rec2["stage"] == 2
         assert rec2["loss_pred"] is not None and rec2["loss_trm"] is not None
+
+    def test_direct_steps_follow_the_two_stage_schedule(self):
+        # the stage is a function of the step, not of run_training
+        teacher = M.init_params(CFG, np.random.default_rng(3))
+        state = TR.TrainState.create(CFG, teacher, teacher, None,
+                                     TR.OptimizerConfig(lr=1e-3, total_steps=4), stages=2)
+        tokens, segments, labels = tasks.as_arrays(make_data(16))
+        records = [TR.train_step(state, tokens, segments, labels) for _ in range(4)]
+        assert [r["stage"] for r in records] == [1, 1, 2, 2]
+        assert [r["loss_pred"] is not None for r in records] == [False, False, True, True]
+        assert all(r["loss_trm"] is not None for r in records)
+
+    @pytest.mark.parametrize("field,value", [
+        ("plan", M.plan_from_notation("2-2-8")), ("config", CFG), ("teacher", None),
+        ("loss_cfg", TR.DistillLossConfig(True, True)), ("opt_cfg", TR.OptimizerConfig()),
+        ("stages", 2)], ids=lambda v: v if isinstance(v, str) else "to")
+    def test_a_created_state_is_frozen(self, field, value):
+        # no edit gets past create's checks: here two stages without L_trm,
+        # a schedule create refuses, could otherwise run
+        teacher = M.init_params(CFG, np.random.default_rng(3))
+        state = fresh_state(teacher, loss_cfg=TR.DistillLossConfig(False, True))
+        before = getattr(state, field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, field, value)
+        assert getattr(state, field) is before
 
 
 class TestRunTraining:
@@ -412,9 +437,12 @@ class TestRunTraining:
         opt = TR.OptimizerConfig(lr=1e-3)
         a, b = (TR.TrainState.create(CFG, teacher, teacher, None, opt) for _ in range(2))
         data = make_data(16)
-        TR.run_training(a, data, data, TR.TrainSettings(epochs=1, batch_size=8,
-                                                        eval_every=0))
-        assert a.opt_cfg.total_steps == 2
+        records = TR.run_training(a, data, data, TR.TrainSettings(epochs=1, batch_size=8,
+                                                                  eval_every=0))
+        # the run's schedule spans its own 2 steps; the caller's config is untouched
+        assert [r["lr"] for r in records] == [1e-3, 5e-4]
+        assert a.opt_cfg is opt
+        assert a.opt.step == 2
         assert opt.total_steps == b.opt_cfg.total_steps == TR.OptimizerConfig().total_steps
         tokens, segments, labels = tasks.as_arrays(data[:8])
         for _ in range(3):

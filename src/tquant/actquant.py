@@ -21,7 +21,8 @@ unchanged where x lies inside the representable range and is zeroed
 outside it.  Under a dynamic range every x lies inside the minmax8 range
 by construction, so minmax8's backward is the identity.  Symmetric8 keeps
 the clipped STE (``ste_backward``): its bound ``127 * (max|x| / 127)`` can
-round below the peak.
+round below the peak in float64.  For float32 activations the bound,
+rounded to float32, is the peak itself, so the mask is all ones.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from .model import (ACT_ALIASES, METHOD_ALIASES, ModelConfig, QuantPlan,
 from .packed import ModelFileError, size_report
 from .train import (DistillLossConfig, OptimizerConfig, TeacherTargets,
                     TrainSettings, TrainState, TrainingDiverged, check_schedule,
-                    evaluate, run_training, train_float_baseline)
+                    evaluate, run_training, train_float_baseline, training_steps)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -157,6 +157,12 @@ def cmd_train(args) -> int:
                              f"plan {recorded.notation}; distillation needs a "
                              "full-precision teacher")
     data_train, data_eval = _datasets(args)
+    # the first write: the --out directory keeps no earlier run's outputs
+    out, ckpt_dir = Path(args.out), Path(args.out) / "checkpoints"
+    for path in [out / "metrics.jsonl", out / "student.tqm", out / "teacher.tqm",
+                 *ckpt_dir.glob("step*.tqm")]:
+        if path.exists() and not (args.teacher and path.samefile(args.teacher)):
+            path.unlink()
     tasks.save_dataset(str(_out_path(args, "train_data.jsonl")), data_train)
     tasks.save_dataset(str(_out_path(args, "eval_data.jsonl")), data_eval)
 
@@ -173,14 +179,18 @@ def cmd_train(args) -> int:
                               loss_cfg=loss_cfg, seed=args.seed,
                               stages=args.stages)
     settings = TrainSettings(epochs=args.epochs, batch_size=args.batch,
-                             eval_every=args.eval_every, seed=args.seed,
-                             checkpoint_every=args.checkpoint_every,
-                             checkpoint_dir=str(_out_path(args, "checkpoints"))
-                             if args.checkpoint_every else None)
-    if args.checkpoint_every:
-        _out_path(args, "checkpoints").mkdir(parents=True, exist_ok=True)
-    history = run_training(state, data_train, data_eval, settings)
-    metrics.write_records(_out_path(args, "metrics.jsonl"), history)
+                             eval_every=args.eval_every, seed=args.seed)
+
+    def steps():    # each step's record is written before the next step runs
+        for rec in training_steps(state, data_train, data_eval, settings):
+            yield rec
+            if args.checkpoint_every and rec["step"] % args.checkpoint_every == 0:
+                ckpt_dir.mkdir(exist_ok=True)
+                save_checkpoint(ckpt_dir / f"step{rec['step']:06d}.tqm", config,
+                                state.params, plan, state.opt.v,
+                                extras={"step": rec["step"], "stage": rec["stage"],
+                                        "seed": args.seed})
+    metrics.write_records(_out_path(args, "metrics.jsonl"), steps())
 
     student_acc = evaluate(state.params, config, data_eval, plan=plan,
                            second_moments=state.opt.v)
@@ -191,7 +201,7 @@ def cmd_train(args) -> int:
                             "ablation": args.ablation, "stages": args.stages})
     print(json.dumps({"teacher_acc": teacher_acc, "student_acc": student_acc,
                       "plan": plan.notation, "ablation": args.ablation,
-                      "steps": len(history), "seed": args.seed}))
+                      "steps": state.opt.step, "seed": args.seed}))
     return EXIT_OK
 
 
@@ -378,7 +388,7 @@ def main(argv=None) -> int:
     except (ModelFileError, OSError) as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

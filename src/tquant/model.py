@@ -350,10 +350,9 @@ def forward(leaves: dict[str, Tensor], config: ModelConfig,
     def drop(x: Tensor) -> Tensor:
         return T.dropout(x, p_drop, rng) if p_drop > 0 else x
 
-    pos = np.broadcast_to(np.arange(n), (batch, n))
     emb = T.gather_rows(leaves["emb.word"], tokens) \
         + T.gather_rows(leaves["emb.seg"], segments) \
-        + T.gather_rows(leaves["emb.pos"], pos)
+        + T.narrow(leaves["emb.pos"], 0, 0, n)
     h = drop(T.layer_norm(emb, leaves["emb.ln_g"], leaves["emb.ln_b"]))
 
     scale = 1.0 / math.sqrt(config.hidden if config.attn_scale == "sqrt_d"

@@ -27,8 +27,10 @@ training falls back to ground-truth cross-entropy and never touches the
 teacher.  With two stages the first ``total_steps // 2`` steps train on
 L_trm alone: the stage follows the step, in any :func:`train_step` loop.
 A :class:`TrainState` is frozen once ``create`` has checked it.
-:func:`run_training` schedules a copy that shares its params, moments, rng
-and store, and leaves the caller's ``opt_cfg`` as given.
+:func:`training_steps` yields each step's record as the step ends and
+opens no file; :func:`run_training` lists them.  A run schedules a copy
+sharing params, moments, rng and store, leaves the caller's ``opt_cfg``
+as given, and decays over the state's earlier steps and its own.
 
 The teacher is frozen, so its hidden states and logits for an example
 never change: the store keeps them, ``(L+1)*n*d + classes`` float32
@@ -39,14 +41,14 @@ arrays must not be mutated while a :class:`TrainState` holds them.
 
 from __future__ import annotations
 
-import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
 from .model import (ForwardTrace, ModelConfig, QuantPlan, attention_scores, build_leaves,
-                    forward, init_params, param_shapes, predict, save_checkpoint)
+                    forward, init_params, param_shapes, predict)
 from .tasks import Example, as_arrays
 from .tensor import GradTape, Tensor
 
@@ -356,8 +358,6 @@ class TrainSettings:
     batch_size: int = 32
     eval_every: int = 25
     seed: int = 0
-    checkpoint_every: int = 0          # 0 disables periodic checkpoints
-    checkpoint_dir: str | None = None
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -366,22 +366,19 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
-def run_training(state: TrainState, train_set: list[Example],
-                 eval_set: list[Example], settings: TrainSettings) -> list[dict]:
-    """Run the full loop; returns the metrics history (one record per step)."""
+def training_steps(state: TrainState, train_set: list[Example],
+                   eval_set: list[Example], settings: TrainSettings) -> Iterator[dict]:
+    """Run the loop, yielding each step's record as the step ends."""
     if not train_set:
         raise ValueError("training set is empty")
     if settings.batch_size < 1:
         raise ValueError(f"batch size must be at least 1, got {settings.batch_size}")
-    if settings.checkpoint_every and not settings.checkpoint_dir:
-        raise ValueError("checkpoint_every needs a checkpoint_dir")
     tokens, segments, labels = as_arrays(train_set)
     steps_per_epoch = -(-len(train_set) // settings.batch_size)
-    total_steps = settings.epochs * steps_per_epoch
-    # a copy scheduled over this run; it shares params, opt, rng and store
+    total_steps = state.opt.step + settings.epochs * steps_per_epoch
+    # a copy scheduled to end with this run; it shares params, opt, rng and store
     state = replace(state, opt_cfg=replace(state.opt_cfg, total_steps=max(total_steps, 1)))
 
-    metrics: list[dict] = []
     shuffle_rng = np.random.default_rng(settings.seed + 0x5EED)
     for _ in range(settings.epochs):
         for idx in _batches(len(train_set), settings.batch_size, shuffle_rng):
@@ -393,14 +390,13 @@ def run_training(state: TrainState, train_set: list[Example],
             else:
                 rec["eval_acc"] = None
             rec["seed"] = settings.seed
-            metrics.append(rec)
-            if settings.checkpoint_every and rec["step"] % settings.checkpoint_every == 0:
-                save_checkpoint(
-                    os.path.join(settings.checkpoint_dir, f"step{rec['step']:06d}.tqm"),
-                    state.config, state.params, state.plan, state.opt.v,
-                    extras={"step": rec["step"], "stage": rec["stage"],
-                            "seed": settings.seed})
-    return metrics
+            yield rec
+
+
+def run_training(state: TrainState, train_set: list[Example],
+                 eval_set: list[Example], settings: TrainSettings) -> list[dict]:
+    """Run the full loop; returns the metrics history (one record per step)."""
+    return list(training_steps(state, train_set, eval_set, settings))
 
 
 def train_float_baseline(config: ModelConfig, train_set: list[Example],

@@ -109,6 +109,18 @@ class TestSte:
             expect = g[i] if -1.5 <= x[i] <= 1.5 else 0.0
             assert got[i] == np.float32(expect)
 
+    @pytest.mark.parametrize("groups", [1, 4])
+    def test_symmetric8_float32_mask_is_all_ones(self, groups):
+        # 127 * (peak / 127) may fall below the peak in float64, never once
+        # rounded to float32
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            magnitude = np.exp2(rng.uniform(-100, 100, (groups, 1)))
+            x = (rng.standard_normal((groups, 64)) * magnitude).astype(np.float32)
+            assert aq.ste_mask(x, aq.quantize(x, "symmetric8", groups).params).all()
+        x64 = np.array([0.1, 0.993])     # 127 * (0.993 / 127) < 0.993
+        assert not aq.ste_mask(x64, aq.quantize_symmetric(x64).params).all()
+
     def test_fake_quantize_op_gradient(self):
         x = Tensor(np.array([[0.1, -0.4, 0.9]], dtype=np.float32),
                    requires_grad=True)

@@ -22,6 +22,11 @@ def write_float_checkpoint(path, seed=0, config=CFG):
     return params
 
 
+# a 1-layer d16 run of one epoch, 64 examples, on a teacher trained one epoch
+D16_RUN = ["--epochs", 1, "--teacher-epochs", 1, "--train-n", 64, "--eval-n", 32,
+           "--layers", 1, "--hidden", 16, "--ffn", 32, "--seq-len", 8]
+
+
 def run(argv):
     return cli.main([str(a) for a in argv])
 
@@ -283,6 +288,48 @@ class TestTrainCommand:
                         "--out", tmp_path]) == 0
             accs.append(json.loads(capsys.readouterr().out)["accuracy"])
         assert accs[0] == accs[1]
+
+    def test_periodic_checkpoints_written(self, tmp_path):
+        # 64 examples in batches of 32 for two epochs: steps 1..4
+        assert run(["train", "--epochs", 2, "--teacher-epochs", 1, "--train-n", 64,
+                    "--eval-n", 32, "--layers", 1, "--hidden", 16, "--ffn", 32,
+                    "--seq-len", 8, "--checkpoint-every", 2, "--out", tmp_path,
+                    "--seed", 9]) == 0
+        files = sorted((tmp_path / "checkpoints").iterdir())
+        assert [f.name for f in files] == ["step000002.tqm", "step000004.tqm"]
+        assert [(e["step"], e["seed"]) for e in
+                (load_model(str(f)).manifest.extras for f in files)] == [(2, 9), (4, 9)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # the overflow is the point
+    def test_aborted_run_keeps_its_finished_steps(self, tmp_path):
+        # step 1 ends; step 2 meets the overflow of step 1's update
+        assert run(["train", *D16_RUN, "--lr", 1e30, "--seed", 7,
+                    "--out", tmp_path]) == cli.EXIT_NUMERIC
+        records = metrics.read_records(tmp_path / "metrics.jsonl")
+        assert [(r["step"], r["seed"]) for r in records] == [(1, 7)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_aborted_run_leaves_no_earlier_outputs(self, tmp_path):
+        assert run(["train", *D16_RUN, "--seed", 0, "--out", tmp_path]) == 0
+        assert run(["train", *D16_RUN, "--lr", 1e30, "--seed", 7,
+                    "--out", tmp_path]) == cli.EXIT_NUMERIC
+        records = metrics.read_records(tmp_path / "metrics.jsonl")
+        assert [(r["step"], r["seed"]) for r in records] == [(1, 7)]
+        assert not (tmp_path / "student.tqm").exists()
+        assert load_model(str(tmp_path / "teacher.tqm")).manifest.extras["seed"] == 7
+
+    def test_checkpoints_are_the_last_runs_only(self, tmp_path):
+        args = ["train", *D16_RUN, "--batch", 16, "--checkpoint-every", 2,
+                "--out", tmp_path]
+        assert run(args + ["--epochs", 2, "--seed", 0]) == 0
+        assert run(args + ["--seed", 5]) == 0
+        files = sorted((tmp_path / "checkpoints").iterdir())
+        assert [f.name for f in files] == ["step000002.tqm", "step000004.tqm"]
+        assert {load_model(str(f)).manifest.extras["seed"] for f in files} == {5}
+        # the --teacher file stays, though it is an earlier run's output
+        teacher = (tmp_path / "teacher.tqm").read_bytes()
+        assert run(args + ["--seed", 5, "--teacher", tmp_path / "teacher.tqm"]) == 0
+        assert (tmp_path / "teacher.tqm").read_bytes() == teacher
 
     def test_ablation_flag_controls_losses(self, tmp_path):
         code = run(["train", "--task", "majority", "--epochs", 1,
@@ -668,6 +715,16 @@ class TestOutDir:
             "train_data.jsonl", "eval_data.jsonl", "teacher.tqm", "student.tqm",
             "metrics.jsonl"}
         assert not elsewhere.exists()
+
+
+class TestMain:
+    def test_key_error_is_a_crash_not_a_config_error(self, monkeypatch):
+        def broken(args):
+            raise KeyError("no such entry")
+
+        monkeypatch.setitem(cli.COMMANDS, "size", broken)
+        with pytest.raises(KeyError):
+            run(["size"])
 
 
 class TestSizeCommand:

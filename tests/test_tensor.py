@@ -459,6 +459,22 @@ class TestPrimitiveGradients:
         fd = fd_gradient(loss_fn, arrays, "t")
         assert rel_norm_error(tape.gradients(loss).wrt(leaf), fd) < 1e-3
 
+    def test_position_slice_gradient_is_the_gather_scatter(self):
+        # forward adds emb.pos[:n] broadcast over the batch; the gradient sums
+        # the batch rows in the order the gather's np.add.at adds them
+        rng = np.random.default_rng(13)
+        table = Tensor(rng.standard_normal((8, 4)).astype(np.float32), requires_grad=True)
+        scale = 10.0 ** rng.integers(-3, 4, (5, 6, 1))
+        x = Tensor(np.zeros((5, 6, 4), np.float32))
+        for g in ((rng.standard_normal((5, 6, 4)) * scale).astype(np.float32),
+                  np.full((5, 6, 4), -0.0, np.float32)):
+            with GradTape() as tape:
+                y = T.add(x, T.narrow(table, 0, 0, 6))
+                loss = T.sum_all(T.mul(y, Tensor(g)))
+            want = np.zeros((8, 4), np.float32)
+            np.add.at(want, np.broadcast_to(np.arange(6), (5, 6)), g)
+            assert tape.gradients(loss).wrt(table).tobytes() == want.tobytes()
+
 
 class TestHeadOps:
     def test_split_layout_and_merge_inverse(self):

@@ -449,15 +449,6 @@ class TestRunTraining:
             rec = TR.train_step(b, tokens, segments, labels)
         assert rec["lr"] > 0
 
-    def test_checkpoint_every_needs_a_directory(self):
-        state = fresh_state(M.init_params(CFG, np.random.default_rng(6)))
-        data = make_data(16)
-        settings = TR.TrainSettings(epochs=1, batch_size=4, eval_every=0,
-                                    checkpoint_every=1)
-        with pytest.raises(ValueError, match="checkpoint_dir"):
-            TR.run_training(state, data, data, settings)
-        assert state.opt.step == 0
-
     @pytest.mark.parametrize("cfg", [TR.OptimizerConfig(), TR.DistillLossConfig(),
                                      TR.TrainSettings()], ids=lambda c: type(c).__name__)
     def test_settings_are_frozen(self, cfg):
@@ -469,21 +460,38 @@ class TestRunTraining:
         with pytest.raises(ValueError):
             TR.evaluate(M.init_params(CFG, np.random.default_rng(0)), CFG, [])
 
-    def test_periodic_checkpoints_written(self, tmp_path):
-        data = make_data(64, seed=9)
-        opt = TR.OptimizerConfig(lr=2e-3)
-        settings = TR.TrainSettings(epochs=1, batch_size=16, eval_every=0,
-                                    seed=9, checkpoint_every=2,
-                                    checkpoint_dir=str(tmp_path))
-        teacher, _ = TR.train_float_baseline(CFG, data, data, opt,
-                                             TR.TrainSettings(epochs=1, seed=9))
-        state = fresh_state(teacher, plan=M.plan_from_notation("2-2-8"))
-        TR.run_training(state, data, data, settings)
-        from tquant.packed import load_model
-        files = sorted(tmp_path.glob("step*.tqm"))
-        assert len(files) == 2
-        loaded = load_model(str(files[0]))
-        assert loaded.manifest.extras["step"] == 2
+    def test_training_steps_yields_the_records_of_run_training(self):
+        teacher = M.init_params(CFG, np.random.default_rng(6))
+        data = make_data(40, seed=9)
+        settings = TR.TrainSettings(epochs=2, batch_size=16, eval_every=2, seed=9)
+        a, b = (fresh_state(teacher, plan=M.plan_from_notation("2-2-8"), seed=9)
+                for _ in range(2))
+        steps = TR.training_steps(a, data, data, settings)
+        first = next(steps)
+        # the first record is out while the rest of the run has not started
+        assert first["step"] == a.opt.step == 1
+        records = [first, *steps]
+        assert records == TR.run_training(b, data, data, settings)
+        assert [r["step"] for r in records] == list(range(1, 7))
+        for k in a.params:
+            np.testing.assert_array_equal(a.params[k], b.params[k])
+
+    def test_settings_have_no_file_fields(self):
+        assert [f.name for f in dataclasses.fields(TR.TrainSettings)] == \
+            ["epochs", "batch_size", "eval_every", "seed"]
+
+    def test_a_second_run_on_one_state_continues_the_decay(self):
+        teacher = M.init_params(CFG, np.random.default_rng(6))
+        state = TR.TrainState.create(CFG, teacher, teacher, None,
+                                     TR.OptimizerConfig(lr=1e-3))
+        data = make_data(16)
+        settings = TR.TrainSettings(epochs=1, batch_size=8, eval_every=0)
+        first = TR.run_training(state, data, data, settings)
+        second = TR.run_training(state, data, data, settings)
+        # one decay over all four steps: the second run is not at lr 0
+        assert [r["lr"] for r in first] == [1e-3, 5e-4]
+        assert [r["lr"] for r in second] == [5e-4, 2.5e-4]
+        assert all(r["weight_delta"] > 0 for r in second)
 
     def test_two_stage_switches_midway(self):
         data = make_data(64, seed=8)

@@ -114,7 +114,7 @@ def quantize(x, scheme: str, groups: int = 1) -> QuantizedActivation:
     equal slice of the leading axis; the codes are then ``(groups, m)`` and
     the params hold ``(groups, 1)`` arrays.  A range that is not finite
     (x holds NaN or inf) has no codes and raises ``ValueError``."""
-    arr = np.asarray(getattr(x, "data", x), dtype=np.float64)
+    arr = np.asarray(getattr(x, "data", x))     # _round_codes makes the float64 copy
     rows, x_min, x_max, s = _ranges(arr, scheme, groups)
     if not (np.isfinite(x_min).all() and np.isfinite(x_max).all()):
         raise ValueError("activation range is not finite")

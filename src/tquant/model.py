@@ -385,16 +385,6 @@ def forward(leaves: dict[str, Tensor], config: ModelConfig,
     return ForwardTrace(hidden=hidden, attention=attention, logits=logits)
 
 
-def predict(params: dict[str, np.ndarray], config: ModelConfig,
-            tokens: np.ndarray, segments: np.ndarray,
-            plan: QuantPlan | None = None,
-            second_moments: dict[str, np.ndarray] | None = None) -> np.ndarray:
-    """Deterministic class predictions (dropout off)."""
-    leaves, _ = build_leaves(params, plan, second_moments, trainable=False)
-    trace = forward(leaves, config, tokens, segments, plan=plan, train=False)
-    return np.argmax(trace.logits.data, axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # persistence
 

@@ -33,7 +33,7 @@ class PlanError(ValueError):
     """The requested GEMM has an unknown scheme or cannot be accumulated exactly."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GemmPlan:
     m: int
     n: int

@@ -8,15 +8,22 @@ Both tasks are reproducible from a seed and ship with their labeling rule:
   rejected and resampled so every label is unambiguous.
 * parity: the label is count(tokens == 1) mod 2.
 
-Datasets serialize as JSON lines with token ids, segment ids and label.
+Datasets serialize as JSON lines with token ids, segment ids and label,
+through :func:`metrics.write_records`, the one writer of every JSONL file a
+command writes.  A line holds exactly those three keys: tokens and
+segments are non-empty integer lists of one length, and the label is an
+integer (booleans are not integers here).  ``save_dataset`` checks the
+rule before it writes and ``load_dataset`` on every line it reads.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from . import metrics
 
 
 @dataclass
@@ -84,11 +91,26 @@ def as_arrays(examples: list[Example]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return tokens, segments, labels
 
 
+def _breaks_rule(d) -> str | None:
+    """What keeps ``d`` from being a dataset line, or None."""
+    if not (isinstance(d, dict) and d.keys() == {"tokens", "segments", "label"}):
+        return "not a JSON object with exactly tokens, segments and label"
+    for key in ("tokens", "segments"):
+        if not (type(d[key]) is list and d[key] and all(type(v) is int for v in d[key])):
+            return f"{key} is not a non-empty list of integers"
+    if len(d["tokens"]) != len(d["segments"]):
+        return "tokens and segments differ in length"
+    if type(d["label"]) is not int:
+        return "label is not an integer"
+    return None
+
+
 def save_dataset(path: str, examples: list[Example]) -> None:
-    with open(path, "w") as f:
-        for e in examples:
-            f.write(json.dumps({"tokens": e.tokens, "segments": e.segments,
-                                "label": e.label}) + "\n")
+    records = [asdict(e) for e in examples]
+    for n, d in enumerate(records, 1):      # checked before the file opens
+        if problem := _breaks_rule(d):
+            raise ValueError(f"example {n} of {path}: {problem}")
+    metrics.write_records(path, records)
 
 
 def load_dataset(path: str) -> list[Example]:
@@ -101,8 +123,7 @@ def load_dataset(path: str) -> list[Example]:
                 d = json.loads(line)
             except json.JSONDecodeError:
                 d = None
-            if not (isinstance(d, dict) and {"tokens", "segments", "label"} <= d.keys()):
-                raise ValueError(f"{path} line {n}: not a JSON object with "
-                                 "tokens, segments and label")
+            if problem := _breaks_rule(d):
+                raise ValueError(f"{path} line {n}: {problem}")
             out.append(Example(d["tokens"], d["segments"], d["label"]))
     return out

@@ -35,8 +35,10 @@ as given, and decays over the state's earlier steps and its own.
 The teacher is frozen, so its hidden states and logits for an example
 never change: the store keeps them, ``(L+1)*n*d + classes`` float32
 values per distinct example, and recomputes only the attention scores
-from the stored hidden states on each lookup.  The teacher's parameter
-arrays must not be mutated while a :class:`TrainState` holds them.
+from the stored hidden states on each lookup.  The store serves training
+only: :func:`eval_loss_trm` runs the teacher's forward on its probe batch
+itself.  The teacher's parameter arrays must not be mutated while a
+:class:`TrainState` holds them.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 
 from . import tensor as T
 from .model import (ForwardTrace, ModelConfig, QuantPlan, attention_scores, build_leaves,
-                    forward, init_params, param_shapes, predict)
+                    forward, init_params, param_shapes)
 from .tasks import Example, as_arrays
 from .tensor import GradTape, Tensor
 
@@ -150,7 +152,15 @@ def loss_pred(student_logits: Tensor, teacher_logits: Tensor) -> Tensor:
     return _soft_cross_entropy(student_logits, T.softmax_rows(teacher_logits).data)
 
 
+def _check_labels(labels: np.ndarray, classes: int) -> None:
+    """``ValueError`` unless every label is a class index ``0..classes-1``."""
+    bad = labels[(labels < 0) | (labels >= classes)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} is outside 0..{classes - 1}")
+
+
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    _check_labels(labels, logits.shape[1])
     onehot = np.zeros(logits.shape, dtype=np.float32)
     onehot[np.arange(logits.shape[0]), labels] = 1.0
     return _soft_cross_entropy(logits, onehot)
@@ -315,7 +325,7 @@ def train_step(state: TrainState, tokens: np.ndarray, segments: np.ndarray,
     loss_val = float(total.data)
     if not np.isfinite(loss_val):
         culprit = _first_nonfinite(student) or "loss"
-        raise TrainingDiverged(f"non-finite loss at step {state.opt.step}; "
+        raise TrainingDiverged(f"non-finite loss at step {state.opt.step + 1}; "
                                f"first bad tensor: {culprit}")
 
     grads_t = tape.gradients(total)
@@ -333,9 +343,10 @@ def evaluate(params: dict[str, np.ndarray], config: ModelConfig,
     if not examples:
         raise ValueError("cannot evaluate on an empty dataset")
     tokens, segments, labels = as_arrays(examples)
-    preds = predict(params, config, tokens, segments, plan=plan,
-                    second_moments=second_moments)
-    return float((preds == labels).mean())
+    _check_labels(labels, config.classes)
+    leaves, _ = build_leaves(params, plan, second_moments, trainable=False)
+    logits = forward(leaves, config, tokens, segments, plan=plan).logits
+    return float((np.argmax(logits.data, axis=-1) == labels).mean())
 
 
 def eval_loss_trm(state: TrainState, examples: list[Example]) -> float:
@@ -345,11 +356,11 @@ def eval_loss_trm(state: TrainState, examples: list[Example]) -> float:
     tokens, segments, _ = as_arrays(examples)
     leaves, _ = build_leaves(state.params, state.plan,
                              second_moments=state.opt.v, trainable=False)
-    student = forward(leaves, state.config, tokens, segments,
-                      plan=state.plan, train=False)
-    # a store of its own: the training store keeps what training reads
-    teacher = TeacherTargets(state.teacher.params, state.config)
-    return float(loss_trm(student, teacher.trace(tokens, segments)).data)
+    student = forward(leaves, state.config, tokens, segments, plan=state.plan)
+    # the teacher's own forward: probe rows never enter the training store
+    leaves, _ = build_leaves(state.teacher.params, trainable=False)
+    teacher = forward(leaves, state.config, tokens, segments)
+    return float(loss_trm(student, teacher).data)
 
 
 @dataclass(frozen=True)

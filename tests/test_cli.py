@@ -133,6 +133,14 @@ class TestTrainCommand:
         assert code == cli.EXIT_NUMERIC == 4
         assert "numerical abort: non-finite loss" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # the overflow is the point
+    def test_abort_numbers_the_step_as_the_records_do(self, tmp_path, capsys):
+        # step 1 ends with a finite record; step 2 is the one that fails
+        assert run(["train", *D16_RUN, "--lr", 1e30, "--seed", 7,
+                    "--out", tmp_path]) == cli.EXIT_NUMERIC
+        assert [r["step"] for r in metrics.read_records(tmp_path / "metrics.jsonl")] == [1]
+        assert "non-finite loss at step 2;" in capsys.readouterr().err
+
     def test_8bit_plan_with_default_granularity_trains(self, tmp_path):
         code = run(["train", "--plan", "8-8-8", "--task", "majority", "--epochs", 1,
                     "--teacher-epochs", 1, "--train-n", 16, "--eval-n", 8,
@@ -385,10 +393,35 @@ class TestEvalCommand:
         assert run(["eval", model, data, "--out", tmp_path]) == cli.EXIT_CONFIG
         assert f"{data} line 3: not a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,reason", [
+        ('{"tokens": [0, 1], "segments": [0, 0], "label": 9}', "label 9 is outside 0..3"),
+        ('{"tokens": [0, 1], "segments": [0, 0], "label": -1}', "label -1 is outside 0..3"),
+        ('{"tokens": [0, 1], "segments": [0, 0], "label": true}',
+         "line 1: label is not an integer"),
+        ('{"tokens": [0, 1.5], "segments": [0, 0], "label": 1}',
+         "line 1: tokens is not a non-empty list of integers"),
+        ('{"tokens": [0, 1], "segments": [0, false], "label": 1}',
+         "line 1: segments is not a non-empty list of integers"),
+        ('{"tokens": [0, 1], "segments": [0, 0], "label": 1, "weight": 2}',
+         "line 1: not a JSON object with exactly tokens, segments and label"),
+        ('{"tokens": [], "segments": [], "label": 1}',
+         "line 1: tokens is not a non-empty list of integers"),
+    ], ids=["label-9", "label-minus-1", "label-true", "float-token", "bool-segment",
+            "extra-key", "empty"])
+    def test_dataset_line_outside_the_rule_is_config_error(self, tmp_path, capsys,
+                                                           line, reason):
+        model = tmp_path / "float.tqm"
+        write_float_checkpoint(model)       # 4 classes
+        data = tmp_path / "bad.jsonl"
+        data.write_text(line + "\n")
+        assert run(["eval", model, data, "--out", tmp_path]) == cli.EXIT_CONFIG
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "eval.jsonl").exists()
+
     def test_quantized_model_matches_dequantized_reference_predictions(
             self, tmp_path):
         self._train_quick(tmp_path)
-        from tquant.model import ModelConfig, QuantPlan, predict
+        from tquant.model import ModelConfig, QuantPlan
         loaded = load_model(str(tmp_path / "student.tqm"))
         config = ModelConfig.from_dict(loaded.manifest.config)
         params, _ = params_from_loaded(loaded.tensors, config)
@@ -399,7 +432,9 @@ class TestEvalCommand:
                              act_scheme=stored["act_scheme"])
         # oracle: explicit dequantization happened in params_from_loaded;
         # the CLI eval path must agree prediction-for-prediction
-        oracle = predict(params, config, tokens, segments, plan=act_only)
+        leaves, _ = build_leaves(params, act_only, trainable=False)
+        trace = forward(leaves, config, tokens, segments, plan=act_only)
+        oracle = np.argmax(trace.logits.data, axis=-1)
         assert run(["eval", tmp_path / "student.tqm",
                     tmp_path / "eval_data.jsonl", "--out", tmp_path]) == 0
         recorded = metrics.read_records(tmp_path / "eval.jsonl")[-1]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,13 @@ class TestGemmPlan:
     def test_negative_dimension_rejected(self):
         with pytest.raises(qk.PlanError, match="negative"):
             qk.GemmPlan(m=-1, n=1, k=1)
+
+    def test_checked_plan_cannot_be_edited(self):
+        # an edit after the check would let traffic_bytes price a k the plan refuses
+        plan = qk.GemmPlan(64, 64, 64)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.k = 2**40
+        assert plan.k == 64
 
 
 class TestTernaryGemm:

@@ -245,6 +245,15 @@ class TestTrainStep:
         for k in frozen:
             np.testing.assert_array_equal(state.teacher.params[k], frozen[k])
 
+    def test_abort_numbers_the_step_as_the_records_do(self):
+        state = fresh_state(M.init_params(CFG, np.random.default_rng(40)))
+        state.params["layer0.bq"][:] = np.nan
+        tokens, segments, labels = tasks.as_arrays(make_data(8, seed=41))
+        # the first step's record would say step 1
+        with pytest.raises(TR.TrainingDiverged,
+                           match=r"at step 1; first bad tensor: hidden\[2\]"):
+            TR.train_step(state, tokens, segments, labels)
+
     def test_ground_truth_mode_ignores_teacher(self):
         teacher, data = self._teacher(epochs=1)
         bad_teacher = {k: np.full_like(v, np.nan) for k, v in teacher.items()}
@@ -526,6 +535,27 @@ class TestTasks:
         tasks.save_dataset(str(path), data)
         again = tasks.load_dataset(str(path))
         assert again == data
+
+    @pytest.mark.parametrize("bad", [
+        tasks.Example([0, 1], [0], 1), tasks.Example([], [], 1),
+        tasks.Example([0, True], [0, 0], 1), tasks.Example([0, 1], [0, 0], np.int64(1)),
+        tasks.Example((0, 1), (0, 0), 1)],
+        ids=["lengths", "empty", "bool-token", "numpy-label", "tuples"])
+    def test_save_refuses_what_load_would(self, tmp_path, bad):
+        path = tmp_path / "data.jsonl"
+        with pytest.raises(ValueError, match="example 2 of"):
+            tasks.save_dataset(str(path), [make_data(1, seed=13)[0], bad])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("label", [-1, 3, 9])
+    def test_label_outside_the_classes_rejected(self, label):
+        data = make_data(2, seed=14)
+        data[1].label = label
+        with pytest.raises(ValueError, match=f"label {label} is outside 0..2"):
+            TR.cross_entropy(Tensor(np.zeros((2, 3), dtype=np.float32)),
+                             tasks.as_arrays(data)[2])
+        with pytest.raises(ValueError, match=f"label {label} is outside 0..2"):
+            TR.evaluate(M.init_params(CFG, np.random.default_rng(15)), CFG, data)
 
     def test_generation_deterministic(self):
         a = make_data(20, seed=12)

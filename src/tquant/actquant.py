@@ -183,21 +183,13 @@ def fake_quantize(x: T.Tensor, scheme: str, groups: int = 1) -> T.Tensor:
     return T.custom_op([x], out, backward, name="fake_quant")
 
 
-@dataclass
-class HistogramRecord:
-    bins: int
-    lo: float
-    hi: float
-    counts: list[int]
-    total: int
+def histogram_export(x, bins: int) -> dict:
+    """Counts per uniform bin over [min, max]; counts sum to element count.
 
-    def to_dict(self) -> dict:
-        return {"kind": "histogram", "bins": self.bins, "lo": self.lo,
-                "hi": self.hi, "counts": self.counts, "total": self.total}
-
-
-def histogram_export(x, bins: int) -> HistogramRecord:
-    """Counts per uniform bin over [min, max]; counts sum to element count."""
+    Returns the dict ``bins, lo, hi, counts, total``: the bin count, the
+    range, one count per bin and the element count.  A constant tensor puts
+    every element in the first bin.
+    """
     if bins < 2:
         raise ValueError("need at least 2 bins")
     arr = np.asarray(getattr(x, "data", x), dtype=np.float64).reshape(-1)
@@ -209,4 +201,4 @@ def histogram_export(x, bins: int) -> HistogramRecord:
     else:
         counts, _ = np.histogram(arr, bins=bins, range=(lo, hi))
         counts = [int(c) for c in counts]
-    return HistogramRecord(bins=bins, lo=lo, hi=hi, counts=counts, total=int(arr.size))
+    return {"bins": bins, "lo": lo, "hi": hi, "counts": counts, "total": int(arr.size)}

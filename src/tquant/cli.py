@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -106,9 +107,11 @@ def cmd_quantize(args) -> int:
     # post-training quantization has no optimizer history; loss-aware
     # methods fall back to a uniform curvature proxy
     save_checkpoint(out, ckpt.config, ckpt.params, plan, extras={"seed": args.seed})
-    record = report.to_dict()
-    record["seed"] = args.seed
-    record["plan"] = plan.notation
+    record = {"kind": "size_report",
+              "categories": [asdict(c) for c in report.categories],
+              "total_bits": report.total_bits, "total_mb": report.total_mb,
+              "fp32_mb": report.fp32_mb, "compression_ratio": report.compression_ratio,
+              "seed": args.seed, "plan": plan.notation}
     metrics.write_records(_out_path(args, "reports.jsonl"), [record])
     print(report)
     print(f"wrote {out}")
@@ -242,9 +245,8 @@ def cmd_inspect(args) -> int:
         trace = forward(leaves, ckpt.config, tokens, segments, plan=ckpt.plan)
         hists = []
         for i, h in enumerate(trace.hidden):
-            rec = actquant.histogram_export(h, args.bins).to_dict()
-            rec["tensor"] = f"hidden[{i + 1}]"
-            rec["seed"] = args.seed
+            rec = {"kind": "histogram", **actquant.histogram_export(h, args.bins),
+                   "tensor": f"hidden[{i + 1}]", "seed": args.seed}
             hists.append(rec)
             print(json.dumps(rec))
         metrics.write_records(_out_path(args, "histograms.jsonl"), hists)
@@ -254,9 +256,9 @@ def cmd_inspect(args) -> int:
 def cmd_bench(args) -> int:
     plan = qkernels.GemmPlan(m=args.m, n=args.n, k=args.k,
                              act_scheme=ACT_ALIASES[args.act])
-    rec = qkernels.bench_gemm(plan, args.reps,
-                              np.random.default_rng(args.seed)).to_dict()
-    rec["seed"] = args.seed
+    rec = {"kind": "gemm_bench",
+           **qkernels.bench_gemm(plan, args.reps, np.random.default_rng(args.seed)),
+           "seed": args.seed}
     metrics.write_records(_out_path(args, "bench.jsonl"), [rec])
     print(json.dumps(rec))
     return EXIT_OK

@@ -219,17 +219,6 @@ class SizeReport:
     def compression_ratio(self) -> float:
         return self.fp32_bits / self.total_bits
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "size_report",
-            "categories": [{"name": c.name, "elements": c.elements, "bits": c.bits}
-                           for c in self.categories],
-            "total_bits": self.total_bits,
-            "total_mb": self.total_mb,
-            "fp32_mb": self.fp32_mb,
-            "compression_ratio": self.compression_ratio,
-        }
-
     def __str__(self) -> str:
         lines = [f"{'category':24s} {'elements':>12s} {'bits':>14s} {'MiB':>8s}"]
         for c in self.categories:

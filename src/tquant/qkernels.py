@@ -17,7 +17,7 @@ int32 or int64 accumulation.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,20 +91,6 @@ def float_reference(act: QuantizedActivation, w) -> np.ndarray:
     return (a @ wd.T).astype(np.float32)
 
 
-@dataclass
-class BenchRecord:
-    m: int
-    n: int
-    k: int
-    repetitions: int
-    ternary_ns_per_op: float
-    float_ns_per_op: float
-    bytes_touched: int
-
-    def to_dict(self) -> dict:
-        return {"kind": "gemm_bench", **asdict(self)}
-
-
 def traffic_bytes(plan: GemmPlan) -> int:
     """Analytic memory-traffic estimate: codes + activations + output."""
     weight_bytes = (plan.n * plan.k + 3) // 4      # 2-bit packed
@@ -114,10 +100,17 @@ def traffic_bytes(plan: GemmPlan) -> int:
 
 
 def bench_gemm(plan: GemmPlan, repetitions: int,
-               rng: np.random.Generator | None = None) -> BenchRecord:
-    """Time the ternary kernel against a float matmul; informational only."""
+               rng: np.random.Generator | None = None) -> dict:
+    """Time the ternary kernel against a float matmul; informational only.
+
+    Returns the dict ``m, n, k, repetitions, ternary_ns_per_op,
+    float_ns_per_op, bytes_touched``: the plan's shape, the repetition
+    count, the mean wall time of one ternary and one float product, and
+    :func:`traffic_bytes`.  With no repetitions every count and time is 0.
+    """
     if repetitions <= 0:
-        return BenchRecord(plan.m, plan.n, plan.k, 0, 0.0, 0.0, 0)
+        return {"m": plan.m, "n": plan.n, "k": plan.k, "repetitions": 0,
+                "ternary_ns_per_op": 0.0, "float_ns_per_op": 0.0, "bytes_touched": 0}
     rng = rng or np.random.default_rng(0)
     x = rng.standard_normal((plan.m, plan.k)).astype(np.float32)
     act = actquant.quantize(x, plan.act_scheme)
@@ -133,6 +126,7 @@ def bench_gemm(plan: GemmPlan, repetitions: int,
     for _ in range(repetitions):
         np.matmul(xd, wd.T)
     t3 = time.perf_counter_ns()
-    return BenchRecord(plan.m, plan.n, plan.k, repetitions,
-                       (t1 - t0) / repetitions, (t3 - t2) / repetitions,
-                       traffic_bytes(plan))
+    return {"m": plan.m, "n": plan.n, "k": plan.k, "repetitions": repetitions,
+            "ternary_ns_per_op": (t1 - t0) / repetitions,
+            "float_ns_per_op": (t3 - t2) / repetitions,
+            "bytes_touched": traffic_bytes(plan)}

@@ -12,8 +12,10 @@ Datasets serialize as JSON lines with token ids, segment ids and label,
 through :func:`metrics.write_records`, the one writer of every JSONL file a
 command writes.  A line holds exactly those three keys: tokens and
 segments are non-empty integer lists of one length, and the label is an
-integer (booleans are not integers here).  ``save_dataset`` checks the
-rule before it writes and ``load_dataset`` on every line it reads.
+integer (booleans are not integers here).  Every integer fits int64, and
+every line of a file holds as many tokens as its first.  ``save_dataset``
+checks the rule before it writes and ``load_dataset`` on every line it
+reads.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import metrics
+
+INT64 = np.iinfo(np.int64)
 
 
 @dataclass
@@ -91,30 +95,39 @@ def as_arrays(examples: list[Example]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return tokens, segments, labels
 
 
-def _breaks_rule(d) -> str | None:
-    """What keeps ``d`` from being a dataset line, or None."""
+def _breaks_rule(d, length: int | None = None) -> str | None:
+    """What keeps ``d`` from being a dataset line, or None; ``length`` is
+    the first line's token count, which every later line must match."""
     if not (isinstance(d, dict) and d.keys() == {"tokens", "segments", "label"}):
         return "not a JSON object with exactly tokens, segments and label"
     for key in ("tokens", "segments"):
         if not (type(d[key]) is list and d[key] and all(type(v) is int for v in d[key])):
             return f"{key} is not a non-empty list of integers"
+        if min(d[key]) < INT64.min or max(d[key]) > INT64.max:
+            return f"{key} holds an integer outside int64"
     if len(d["tokens"]) != len(d["segments"]):
         return "tokens and segments differ in length"
     if type(d["label"]) is not int:
         return "label is not an integer"
+    if not INT64.min <= d["label"] <= INT64.max:
+        return "label is an integer outside int64"
+    if length is not None and len(d["tokens"]) != length:
+        return f"{len(d['tokens'])} tokens where the first line holds {length}"
     return None
 
 
 def save_dataset(path: str, examples: list[Example]) -> None:
     records = [asdict(e) for e in examples]
+    length = None
     for n, d in enumerate(records, 1):      # checked before the file opens
-        if problem := _breaks_rule(d):
+        if problem := _breaks_rule(d, length):
             raise ValueError(f"example {n} of {path}: {problem}")
+        length = len(d["tokens"])
     metrics.write_records(path, records)
 
 
 def load_dataset(path: str) -> list[Example]:
-    out = []
+    out, length = [], None
     with open(path) as f:
         for n, line in enumerate(f, 1):
             if not line.strip():
@@ -123,7 +136,8 @@ def load_dataset(path: str) -> list[Example]:
                 d = json.loads(line)
             except json.JSONDecodeError:
                 d = None
-            if problem := _breaks_rule(d):
+            if problem := _breaks_rule(d, length):
                 raise ValueError(f"{path} line {n}: {problem}")
+            length = len(d["tokens"])
             out.append(Example(d["tokens"], d["segments"], d["label"]))
     return out

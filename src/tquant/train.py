@@ -76,6 +76,11 @@ class OptimizerConfig:
     lr: float = 1e-3
     total_steps: int = 1000
 
+    def __post_init__(self):
+        if type(self.total_steps) is not int or self.total_steps < 1:
+            raise ValueError(f"total_steps must be an integer >= 1, "
+                             f"got {self.total_steps!r}")
+
 
 def decay_excluded(name: str) -> bool:
     leaf = name.split(".")[-1]
@@ -370,6 +375,13 @@ class TrainSettings:
     eval_every: int = 25
     seed: int = 0
 
+    def __post_init__(self):
+        for f, least in (("epochs", 0), ("batch_size", 1), ("eval_every", 0)):
+            value = getattr(self, f)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{f.replace('_', ' ')} must be an integer >= {least}, "
+                                 f"got {value!r}")
+
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(n)
@@ -382,8 +394,6 @@ def training_steps(state: TrainState, train_set: list[Example],
     """Run the loop, yielding each step's record as the step ends."""
     if not train_set:
         raise ValueError("training set is empty")
-    if settings.batch_size < 1:
-        raise ValueError(f"batch size must be at least 1, got {settings.batch_size}")
     tokens, segments, labels = as_arrays(train_set)
     steps_per_epoch = -(-len(train_set) // settings.batch_size)
     total_steps = state.opt.step + settings.epochs * steps_per_epoch

@@ -27,6 +27,28 @@ D16_RUN = ["--epochs", 1, "--teacher-epochs", 1, "--train-n", 64, "--eval-n", 32
            "--layers", 1, "--hidden", 16, "--ffn", 32, "--seq-len", 8]
 
 
+# each command record's keys, in the order its JSONL file holds them
+RECORD_KEYS = {
+    "size_report": ["kind", "categories", "total_bits", "total_mb", "fp32_mb",
+                    "compression_ratio", "seed", "plan"],
+    "eval": ["kind", "model", "data", "n", "accuracy", "seed"],
+    "histogram": ["kind", "bins", "lo", "hi", "counts", "total", "tensor", "seed"],
+    "gemm_bench": ["kind", "m", "n", "k", "repetitions", "ternary_ns_per_op",
+                   "float_ns_per_op", "bytes_touched", "seed"],
+    "ablation": ["kind", "config", "seed", "plan", "eval_acc", "teacher_acc"],
+}
+SIZE_CATEGORY_KEYS = ["name", "elements", "bits"]
+
+
+def assert_record_keys(kind, records):
+    """Every record is a ``kind`` record with that kind's keys, in order."""
+    assert records
+    for rec in records:
+        assert list(rec) == RECORD_KEYS[kind] and rec["kind"] == kind
+        for c in rec.get("categories", []):
+            assert list(c) == SIZE_CATEGORY_KEYS
+
+
 def run(argv):
     return cli.main([str(a) for a in argv])
 
@@ -42,6 +64,7 @@ class TestQuantizeCommand:
         out = capsys.readouterr().out
         assert "ratio" in out
         reports = metrics.read_records(tmp_path / "reports.jsonl")
+        assert_record_keys("size_report", reports)
         assert reports[0]["compression_ratio"] > 10
         assert reports[0]["seed"] == 0
 
@@ -418,6 +441,36 @@ class TestEvalCommand:
         assert reason in capsys.readouterr().err
         assert not (tmp_path / "eval.jsonl").exists()
 
+    @pytest.mark.parametrize("line,reason", [
+        ('{"tokens": [0, %d], "segments": [0, 0], "label": 1}' % 10**30,
+         "line 1: tokens holds an integer outside int64"),
+        ('{"tokens": [0, 1], "segments": [0, %d], "label": 1}' % -10**30,
+         "line 1: segments holds an integer outside int64"),
+        ('{"tokens": [0, 1], "segments": [0, 0], "label": %d}' % 10**26,
+         "line 1: label is an integer outside int64"),
+    ], ids=["token", "segment", "label"])
+    def test_integer_outside_int64_is_config_error(self, tmp_path, capsys, line, reason):
+        model = tmp_path / "float.tqm"
+        write_float_checkpoint(model)
+        data = tmp_path / "bad.jsonl"
+        data.write_text(line + "\n")
+        assert run(["eval", model, data, "--out", tmp_path]) == cli.EXIT_CONFIG
+        assert f"{data} {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "eval.jsonl").exists()
+
+    def test_lines_of_two_lengths_are_config_error(self, tmp_path, capsys):
+        model = tmp_path / "float.tqm"
+        write_float_checkpoint(model)
+        data = tmp_path / "bad.jsonl"
+        data.write_text(json.dumps({"tokens": [0, 1], "segments": [0, 0], "label": 1})
+                        + "\n\n"
+                        + json.dumps({"tokens": [0, 1, 2], "segments": [0, 0, 0],
+                                      "label": 1}) + "\n")
+        assert run(["eval", model, data, "--out", tmp_path]) == cli.EXIT_CONFIG
+        assert (f"{data} line 3: 3 tokens where the first line holds 2"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "eval.jsonl").exists()
+
     def test_quantized_model_matches_dequantized_reference_predictions(
             self, tmp_path):
         self._train_quick(tmp_path)
@@ -438,6 +491,7 @@ class TestEvalCommand:
         assert run(["eval", tmp_path / "student.tqm",
                     tmp_path / "eval_data.jsonl", "--out", tmp_path]) == 0
         recorded = metrics.read_records(tmp_path / "eval.jsonl")[-1]
+        assert_record_keys("eval", [recorded])
         labels = np.array([e.label for e in examples])
         assert recorded["accuracy"] == float((oracle == labels).mean())
 
@@ -496,6 +550,7 @@ class TestInspectCommand:
                     tmp_path / "probe.jsonl", "--bins", 8,
                     "--out", tmp_path]) == 0
         hists = metrics.read_records(tmp_path / "histograms.jsonl")
+        assert_record_keys("histogram", hists)
         assert len(hists) == CFG.layers + 1
         assert all(sum(h["counts"]) == h["total"] for h in hists)
 
@@ -514,8 +569,9 @@ class TestInspectCommand:
         leaves, _ = build_leaves(ckpt.params, trainable=False)
         tokens, segments, _ = tasks.as_arrays(data)
         trace = forward(leaves, cfg, tokens, segments, plan=ckpt.plan)
-        want = [actquant.histogram_export(h, 16).to_dict() for h in trace.hidden]
+        want = [actquant.histogram_export(h, 16) for h in trace.hidden]
         got = metrics.read_records(tmp_path / "histograms.jsonl")
+        assert_record_keys("histogram", got)
         assert [{k: r[k] for k in want[0]} for r in got] == want
 
 
@@ -730,6 +786,8 @@ class TestBenchCommand:
         assert run(["bench", "--m", 8, "--n", 8, "--k", 8, "--reps", 2,
                     "--out", tmp_path]) == 0
         rec = json.loads(capsys.readouterr().out.strip())
+        assert metrics.read_records(tmp_path / "bench.jsonl") == [rec]
+        assert_record_keys("gemm_bench", [rec])
         assert rec["ternary_ns_per_op"] > 0
         assert rec["bytes_touched"] == (8 * 8 + 3) // 4 + 8 * 8 + 8 * 8 * 4
 
@@ -783,6 +841,7 @@ class TestAblateCommand:
                     "--hidden", 16, "--ffn", 32, "--seq-len", 8,
                     "--out", tmp_path]) == 0
         records = metrics.read_records(tmp_path / "ablation.jsonl")
+        assert_record_keys("ablation", records)
         assert len(records) == 9
         labels = {r["config"] for r in records}
         assert "gran w=layer e=row" in labels
@@ -818,7 +877,9 @@ class TestAblateCommand:
                     "--epochs", 1, "--train-n", 32, "--eval-n", 16,
                     "--layers", 1, "--hidden", 16, "--ffn", 32, "--seq-len", 8,
                     "--out", tmp_path]) == 0
-        assert len(metrics.read_records(tmp_path / "ablation.jsonl")) == 9
+        records = metrics.read_records(tmp_path / "ablation.jsonl")
+        assert_record_keys("ablation", records)
+        assert len(records) == 9
 
 
 class TestMakeDataset:

@@ -178,17 +178,17 @@ class TestTernaryGemm:
 class TestBench:
     def test_zero_reps_empty_record(self):
         rec = qk.bench_gemm(qk.GemmPlan(2, 2, 2), 0)
-        assert rec.repetitions == 0
-        assert rec.ternary_ns_per_op == 0.0
+        assert rec["repetitions"] == 0
+        assert rec["ternary_ns_per_op"] == 0.0
 
     def test_tiny_bench_has_positive_timings(self):
         rec = qk.bench_gemm(qk.GemmPlan(2, 2, 2), 3)
-        assert rec.ternary_ns_per_op > 0
-        assert rec.float_ns_per_op > 0
+        assert rec["ternary_ns_per_op"] > 0
+        assert rec["float_ns_per_op"] > 0
 
     def test_traffic_formula(self):
         plan = qk.GemmPlan(256, 256, 256)
         expected = (256 * 256 + 3) // 4 + 256 * 256 + 256 * 256 * 4
         assert qk.traffic_bytes(plan) == expected
         rec = qk.bench_gemm(plan, 1)
-        assert rec.bytes_touched == expected
+        assert rec["bytes_touched"] == expected

@@ -381,6 +381,26 @@ class TestTrainStep:
         assert getattr(state, field) is before
 
 
+class TestSettingsChecked:
+    @pytest.mark.parametrize("build,reason", [
+        (lambda: TR.OptimizerConfig(total_steps=0), "total_steps must be an integer >= 1"),
+        (lambda: TR.OptimizerConfig(total_steps=2.0), "total_steps must be an integer"),
+        (lambda: TR.TrainSettings(epochs=-3), "epochs must be an integer >= 0"),
+        (lambda: TR.TrainSettings(epochs=True), "epochs must be an integer"),
+        (lambda: TR.TrainSettings(eval_every=-1), "eval every must be an integer >= 0"),
+        (lambda: TR.TrainSettings(batch_size=0), "batch size must be an integer >= 1"),
+        (lambda: TR.TrainSettings(batch_size=1.5), "batch size must be an integer"),
+    ], ids=["total-steps-0", "total-steps-float", "epochs-negative", "epochs-bool",
+            "eval-every-negative", "batch-0", "batch-float"])
+    def test_bad_field_rejected_when_built(self, build, reason):
+        with pytest.raises(ValueError, match=reason):
+            build()
+
+    def test_bounds_are_accepted(self):
+        TR.OptimizerConfig(total_steps=1)
+        TR.TrainSettings(epochs=0, batch_size=1, eval_every=0)
+
+
 class TestRunTraining:
     def test_batch_below_one_rejected(self):
         state = fresh_state(M.init_params(CFG, np.random.default_rng(4)))
@@ -545,6 +565,32 @@ class TestTasks:
         path = tmp_path / "data.jsonl"
         with pytest.raises(ValueError, match="example 2 of"):
             tasks.save_dataset(str(path), [make_data(1, seed=13)[0], bad])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad,reason", [
+        (tasks.Example([0, 2**63], [0, 0], 1), "tokens holds an integer outside int64"),
+        (tasks.Example([0, 1], [-2**63 - 1, 0], 1),
+         "segments holds an integer outside int64"),
+        (tasks.Example([0, 1], [0, 0], 10**26), "label is an integer outside int64"),
+    ], ids=["token", "segment", "label"])
+    def test_save_refuses_an_integer_outside_int64(self, tmp_path, bad, reason):
+        path = tmp_path / "data.jsonl"
+        with pytest.raises(ValueError, match=f"example 1 of .*: {reason}"):
+            tasks.save_dataset(str(path), [bad])
+        assert not path.exists()
+
+    def test_int64_bounds_are_kept(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        data = [tasks.Example([2**63 - 1, -2**63], [0, 0], -2**63)]
+        tasks.save_dataset(str(path), data)
+        assert tasks.load_dataset(str(path)) == data
+
+    def test_save_refuses_a_second_length(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        data = [tasks.Example([0, 1], [0, 0], 1), tasks.Example([0, 1, 2], [0, 0, 0], 1)]
+        with pytest.raises(ValueError,
+                           match="example 2 of .*: 3 tokens where the first line holds 2"):
+            tasks.save_dataset(str(path), data)
         assert not path.exists()
 
     @pytest.mark.parametrize("label", [-1, 3, 9])

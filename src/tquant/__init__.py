@@ -5,9 +5,10 @@ from .tensor import GradTape, Tensor
 from .ternarize import (TernaryTensor, dequantize, laq3, lat_subproblem, quantize,
                         twn_approx, twn_exact)
 from .actquant import quantize_minmax, quantize_symmetric
-from .packed import SizeReport, load_model, pack, save_model, size_report, unpack
+from .packed import load_model, pack, save_model, unpack
 from .qkernels import GemmPlan, ternary_gemm
-from .model import ModelConfig, QuantPlan, bert_base_config, forward, plan_from_notation
+from .model import (ModelConfig, QuantPlan, SizeReport, bert_base_config, forward,
+                    plan_from_notation, size_report)
 from .train import DistillLossConfig, OptimizerConfig, TrainState, run_training
 
 __version__ = "0.1.0"
@@ -17,8 +18,9 @@ __all__ = [
     "TernaryTensor", "dequantize", "laq3", "lat_subproblem", "quantize",
     "twn_approx", "twn_exact",
     "quantize_minmax", "quantize_symmetric",
-    "SizeReport", "load_model", "pack", "save_model", "size_report", "unpack",
+    "load_model", "pack", "save_model", "unpack",
     "GemmPlan", "ternary_gemm",
-    "ModelConfig", "QuantPlan", "bert_base_config", "forward", "plan_from_notation",
+    "ModelConfig", "QuantPlan", "SizeReport", "bert_base_config", "forward",
+    "plan_from_notation", "size_report",
     "DistillLossConfig", "OptimizerConfig", "TrainState", "run_training",
 ]

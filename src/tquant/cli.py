@@ -19,8 +19,8 @@ import numpy as np
 from . import actquant, metrics, qkernels, tasks
 from .model import (ACT_ALIASES, METHOD_ALIASES, ModelConfig, QuantPlan,
                     bert_base_config, build_leaves, forward, load_checkpoint,
-                    plan_from_notation, save_checkpoint)
-from .packed import ModelFileError, size_report
+                    plan_from_notation, save_checkpoint, size_report)
+from .packed import ModelFileError, blob_nbytes
 from .train import (DistillLossConfig, OptimizerConfig, TeacherTargets,
                     TrainSettings, TrainState, TrainingDiverged, check_schedule,
                     evaluate, run_training, train_float_baseline, training_steps)
@@ -155,7 +155,7 @@ def cmd_train(args) -> int:
             raise ValueError("teacher checkpoint config does not match run config")
         if ckpt.qinfo or ckpt.plan is not None:
             # only a recorded plan codes anything (load_checkpoint checked it)
-            recorded = QuantPlan.from_dict(ckpt.file.manifest.extras["plan"])
+            recorded = QuantPlan.from_dict(ckpt.file.extras["plan"])
             raise ValueError(f"teacher checkpoint {args.teacher} was quantized under "
                              f"plan {recorded.notation}; distillation needs a "
                              "full-precision teacher")
@@ -221,20 +221,18 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     ckpt = load_checkpoint(args.model)
-    manifest = ckpt.file.manifest
-    print(json.dumps({"config": manifest.config, "extras": manifest.extras}, indent=2))
-    rows = []
-    for rec in manifest.records:
-        row = {"name": rec.name, "role": rec.role, "bits": rec.bits,
-               "method": rec.method, "granularity": rec.granularity,
-               "shape": list(rec.shape), "bytes": rec.length}
-        if rec.name in ckpt.qinfo:
-            codes = ckpt.qinfo[rec.name].codes
+    file = ckpt.file
+    print(json.dumps({"config": file.config, "extras": file.extras}, indent=2))
+    for t in file.tensors.values():
+        row = {"name": t.name, "role": t.role, "bits": t.bits,
+               "method": t.method, "granularity": t.granularity,
+               "shape": list(t.shape), "bytes": blob_nbytes(t.bits, t.granularity, t.shape)}
+        if t.quant is not None:
+            codes = t.quant.codes
             total = codes.size
             row["zero_frac"] = float((codes == 0).sum() / total)
             row["pos_frac"] = float((codes > 0).sum() / total)
             row["neg_frac"] = float((codes < 0).sum() / total)
-        rows.append(row)
         print(json.dumps(row))
     if args.probe:
         examples = tasks.load_dataset(args.probe)
@@ -363,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(a, epochs=8)
 
     for cmd in (q, t, e, i, b, a):      # size writes nothing and draws nothing
-        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--seed", type=_at_least(0), default=0)
         cmd.add_argument("--out", default=".", help="output directory")
     return p
 

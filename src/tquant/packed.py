@@ -1,4 +1,4 @@
-"""Bit-packed model storage and size accounting.
+"""Bit-packed model storage.
 
 File format ("TQM1"): magic bytes, a little-endian u32 length prefix, a
 JSON manifest, then raw per-tensor blobs that tile the rest of the file in
@@ -20,15 +20,11 @@ nibble, nibble pair to byte); unpacking looks up each byte's four codes.
 
 A blob is written as its parts (scales, then codes), with its CRC32
 chained over them, and read as a ``memoryview`` slice of the file, so no
-multi-megabyte blob is copied on either side.
-
-Size accounting mirrors the published model-size arithmetic: quantized
-transformer weights and word embedding count ``bits`` per element plus 32
-bits per scale; segment/position embeddings, biases and layer-norm
-parameters stay at 32 bits.  Reported megabytes are MiB, and the task
-head is excluded unless asked for, which is the convention under which a
-full-precision BERT-base comes out at ~418 MB and the 2-2-8 plan at
-~28 MB (14.9x).
+multi-megabyte blob is copied on either side.  ``scale_count`` and
+``blob_nbytes`` are the one rule for a blob's scales and length.  A
+``SavedTensor`` is the one description of a tensor: ``save_model`` writes
+its manifest record, and ``load_model`` returns one per record, in file
+order.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,101 +187,7 @@ def unpack(blob: PackedTernaryBlob) -> TernaryTensor:
 
 
 # ---------------------------------------------------------------------------
-# size accounting
-
-
-@dataclass
-class SizeCategory:
-    name: str
-    elements: int
-    bits: int
-
-
-@dataclass
-class SizeReport:
-    categories: list[SizeCategory]
-    total_bits: int
-    fp32_bits: int
-
-    @property
-    def total_mb(self) -> float:
-        return self.total_bits / 8 / 2**20
-
-    @property
-    def fp32_mb(self) -> float:
-        return self.fp32_bits / 8 / 2**20
-
-    @property
-    def compression_ratio(self) -> float:
-        return self.fp32_bits / self.total_bits
-
-    def __str__(self) -> str:
-        lines = [f"{'category':24s} {'elements':>12s} {'bits':>14s} {'MiB':>8s}"]
-        for c in self.categories:
-            lines.append(f"{c.name:24s} {c.elements:12d} {c.bits:14d} "
-                         f"{c.bits / 8 / 2**20:8.2f}")
-        lines.append(f"{'total':24s} {'':12s} {self.total_bits:14d} {self.total_mb:8.2f}")
-        lines.append(f"fp32 reference: {self.fp32_mb:.2f} MiB   "
-                     f"ratio: {self.compression_ratio:.1f}x")
-        return "\n".join(lines)
-
-
-def _n_scales(bits: int, granularity: str, shape: tuple[int, ...]) -> int:
-    """Scales stored with a tensor: none at 32 bits, else one per layer or row."""
-    return 0 if bits == 32 else 1 if granularity == "layer" else shape[0]
-
-
-def size_report(config, plan, include_task_head: bool = False) -> SizeReport:
-    """Bit counts for a ``model.ModelConfig`` coded under a
-    ``model.QuantPlan``: every tensor at the bits ``model.tensor_format``
-    gives it, plus 32 bits per scale.  The task head counts only when
-    ``include_task_head`` is set."""
-    from .model import param_shapes, tensor_format
-    names = ["transformer_weights", "word_embedding", "segment_embedding",
-             "position_embedding", "biases", "layernorm"]
-    cats = {n: SizeCategory(n, 0, 0)
-            for n in names + (["task_head"] if include_task_head else [])}
-    for name, shape in param_shapes(config).items():
-        role, bits, _, gran = tensor_format(name, plan)
-        if role == "other":
-            role = "layernorm" if ".ln" in name else "biases"
-        # roles name their size category, but for the plural of the weights
-        cat = cats.get("transformer_weights" if role == "transformer_weight" else role)
-        if cat is not None:
-            cat.elements += math.prod(shape)
-            cat.bits += math.prod(shape) * bits + 32 * _n_scales(bits, gran, shape)
-    total = sum(c.bits for c in cats.values())
-    fp32 = sum(c.elements for c in cats.values()) * 32
-    return SizeReport(categories=list(cats.values()), total_bits=total, fp32_bits=fp32)
-
-
-# ---------------------------------------------------------------------------
 # model files
-
-
-@dataclass
-class TensorRecord:
-    name: str
-    role: str
-    bits: int
-    method: str
-    granularity: str
-    shape: tuple[int, ...]
-    offset: int = 0
-    length: int = 0
-    crc32: int = 0
-
-
-# each TensorRecord field -> the type its value has in the JSON
-_RECORD_JSON = {"name": str, "role": str, "bits": int, "method": str, "granularity": str,
-                "shape": list, "offset": int, "length": int, "crc32": int}
-
-
-@dataclass
-class ModelManifest:
-    config: dict
-    records: list[TensorRecord]
-    extras: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -308,6 +210,23 @@ class SavedTensor:
         return tuple(self.quant.codes.shape)
 
 
+# each key of a manifest record, in the order save_model writes them -> the
+# type its value has in the JSON
+_RECORD_JSON = {"name": str, "role": str, "bits": int, "method": str, "granularity": str,
+                "shape": list, "offset": int, "length": int, "crc32": int}
+
+
+def scale_count(bits: int, granularity: str, shape: tuple[int, ...]) -> int:
+    """Scales stored with a tensor: none at 32 bits, else one per layer or row."""
+    return 0 if bits == 32 else 1 if granularity == "layer" else shape[0]
+
+
+def blob_nbytes(bits: int, granularity: str, shape: tuple[int, ...]) -> int:
+    """Bytes of a tensor's blob: 4 per float32 scale, then the codes, which
+    every width packs densely into ceil(count * bits / 8) bytes."""
+    return 4 * scale_count(bits, granularity, shape) + (math.prod(shape) * bits + 7) // 8
+
+
 def _encode_blob(entry: SavedTensor) -> list[bytes]:
     """The blob of ``entry`` in parts: the float32 values, or the scales
     then the packed codes; the file holds them back to back."""
@@ -324,34 +243,33 @@ def _encode_blob(entry: SavedTensor) -> list[bytes]:
     return [np.ascontiguousarray(t.scales, dtype="<f4").tobytes(), pack_codes(t.codes)]
 
 
-def _decode_blob(rec: TensorRecord, blob: memoryview) -> SavedTensor:
-    if rec.bits != 32 and rec.bits not in CODE_WIDTHS:
-        raise ModelFileError(f"unsupported bit width {rec.bits} for {rec.name}")
-    shape = rec.shape
-    if rec.bits != 32 and (len(shape) != 2 or rec.granularity not in GRANULARITIES):
-        raise ManifestError(f"{rec.name}: bad shape {list(shape)} or granularity "
-                            f"{rec.granularity!r} for a {rec.bits}-bit tensor")
-    count = math.prod(shape)
-    n_scales = _n_scales(rec.bits, rec.granularity, shape)
-    # every width packs its codes densely: ceil(count * bits / 8) bytes
-    expected = 4 * n_scales + (count * rec.bits + 7) // 8
+def _decode_blob(rec: dict, blob: memoryview) -> SavedTensor:
+    """The tensor of manifest record ``rec`` (its keys already checked
+    against ``_RECORD_JSON``) from its blob."""
+    name, bits, gran, shape = rec["name"], rec["bits"], rec["granularity"], tuple(rec["shape"])
+    if bits != 32 and bits not in CODE_WIDTHS:
+        raise ModelFileError(f"unsupported bit width {bits} for {name}")
+    if bits != 32 and (len(shape) != 2 or gran not in GRANULARITIES):
+        raise ManifestError(f"{name}: bad shape {list(shape)} or granularity "
+                            f"{gran!r} for a {bits}-bit tensor")
+    expected = blob_nbytes(bits, gran, shape)
     if len(blob) != expected:
-        raise ManifestError(f"{rec.name}: shape {list(shape)} at {rec.bits} bits "
+        raise ManifestError(f"{name}: shape {list(shape)} at {bits} bits "
                             f"needs a {expected}-byte blob, got {len(blob)}")
-    if rec.bits == 32:
+    if bits == 32:
         arr = np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
-        return SavedTensor(rec.name, rec.role, 32, rec.method, rec.granularity, array=arr)
+        return SavedTensor(name, rec["role"], 32, rec["method"], gran, array=arr)
+    n_scales = scale_count(bits, gran, shape)
     scales = np.frombuffer(blob[:4 * n_scales], dtype="<f4").copy()
-    max_level, _, unpack_codes = CODE_WIDTHS[rec.bits]
-    codes = unpack_codes(blob[4 * n_scales:], count)
+    max_level, _, unpack_codes = CODE_WIDTHS[bits]
+    codes = unpack_codes(blob[4 * n_scales:], math.prod(shape))
     t = TernaryTensor(codes=codes.reshape(shape), scales=scales,
-                      granularity=rec.granularity, max_level=max_level)
+                      granularity=gran, max_level=max_level)
     try:
         t.validate()
     except ValueError as e:
-        raise ManifestError(f"{rec.name} at {rec.bits} bits: {e}") from None
-    return SavedTensor(rec.name, rec.role, rec.bits, rec.method, rec.granularity,
-                       quant=t)
+        raise ManifestError(f"{name} at {bits} bits: {e}") from None
+    return SavedTensor(name, rec["role"], bits, rec["method"], gran, quant=t)
 
 
 def save_model(path: str, config: dict, tensors: list[SavedTensor],
@@ -368,21 +286,23 @@ def save_model(path: str, config: dict, tensors: list[SavedTensor],
         crc = 0
         for part in parts:
             crc = zlib.crc32(part, crc)
-        records.append(TensorRecord(entry.name, entry.role, entry.bits, entry.method,
-                                    entry.granularity, entry.shape,
-                                    length=sum(map(len, parts)), crc32=crc))
+        records.append({"name": entry.name, "role": entry.role, "bits": entry.bits,
+                        "method": entry.method, "granularity": entry.granularity,
+                        "shape": list(entry.shape), "offset": 0,
+                        "length": sum(map(len, parts)), "crc32": crc})
         blobs += parts
 
     manifest_dict = {
         "format_version": FORMAT_VERSION,
         "config": config,
         "extras": extras or {},
+        "tensors": records,
     }
     # the manifest's length depends on the offsets it records: render it
     # with the last offsets until they stop moving
     def render(offsets):
-        manifest_dict["tensors"] = [{**asdict(r), "offset": off}
-                                    for r, off in zip(records, offsets)]
+        for r, off in zip(records, offsets):
+            r["offset"] = off
         return json.dumps(manifest_dict).encode()
 
     offsets = [0] * len(records)
@@ -391,7 +311,7 @@ def save_model(path: str, config: dict, tensors: list[SavedTensor],
         new_offsets, pos = [], len(MAGIC) + 4 + len(body)
         for r in records:
             new_offsets.append(pos)
-            pos += r.length
+            pos += r["length"]
         if new_offsets == offsets:
             break
         offsets = new_offsets
@@ -411,8 +331,9 @@ def save_model(path: str, config: dict, tensors: list[SavedTensor],
 
 @dataclass
 class LoadedModel:
-    manifest: ModelManifest
-    tensors: dict[str, SavedTensor]
+    config: dict
+    extras: dict
+    tensors: dict[str, SavedTensor]     # in file order
 
 
 def load_model(path: str) -> LoadedModel:
@@ -443,32 +364,30 @@ def load_model(path: str) -> LoadedModel:
         raise ManifestError("manifest needs a tensor list, a config object "
                             "and an extras object")
 
-    records, tensors = [], {}
+    tensors = {}
     end = 8 + mlen              # the blobs tile the rest of the file
     for t in tensor_entries:
         try:
-            values = {name: t[name] for name in _RECORD_JSON}
+            rec = {key: t[key] for key in _RECORD_JSON}
         except (KeyError, TypeError) as e:
             raise ModelFileError(f"malformed tensor record: {e}") from e
-        if any(type(values[name]) is not kind for name, kind in _RECORD_JSON.items()) \
-                or any(type(n) is not int or n < 0 for n in values["shape"]) \
-                or values["length"] < 0:
-            raise ManifestError(f"malformed record for tensor {values['name']!r}")
-        rec = TensorRecord(**{**values, "shape": tuple(values["shape"])})
-        if rec.offset != end:
-            raise ManifestError(f"blob for {rec.name} starts at {rec.offset}, not {end}")
-        end += rec.length
+        name = rec["name"]
+        if any(type(rec[key]) is not kind for key, kind in _RECORD_JSON.items()) \
+                or any(type(n) is not int or n < 0 for n in rec["shape"]) \
+                or rec["length"] < 0:
+            raise ManifestError(f"malformed record for tensor {name!r}")
+        if rec["offset"] != end:
+            raise ManifestError(f"blob for {name} starts at {rec['offset']}, not {end}")
+        end += rec["length"]
         if end > len(data):
-            raise TruncatedFileError(f"blob for {rec.name} extends past end of file")
-        if rec.name in tensors:
-            raise ModelFileError(f"duplicate tensor {rec.name!r}")
-        blob = view[rec.offset:end]
-        if zlib.crc32(blob) != rec.crc32:
-            raise ChecksumError(f"checksum mismatch for tensor {rec.name!r}")
-        tensors[rec.name] = _decode_blob(rec, blob)
-        records.append(rec)
+            raise TruncatedFileError(f"blob for {name} extends past end of file")
+        if name in tensors:
+            raise ModelFileError(f"duplicate tensor {name!r}")
+        blob = view[rec["offset"]:end]
+        if zlib.crc32(blob) != rec["crc32"]:
+            raise ChecksumError(f"checksum mismatch for tensor {name!r}")
+        tensors[name] = _decode_blob(rec, blob)
     if end != len(data):
         raise ManifestError(f"{len(data) - end} bytes after the last blob")
 
-    manifest = ModelManifest(config=config, records=records, extras=extras)
-    return LoadedModel(manifest=manifest, tensors=tensors)
+    return LoadedModel(config=config, extras=extras, tensors=tensors)

@@ -19,7 +19,7 @@ whole matrix ("layer") or one scale per row ("row").  Methods:
 ``quantize(w, method, granularity, v)`` is the entry point that takes any
 method by name; ``METHODS`` lists the names with each method's code width.
 ``LAT_ITERS`` (alternating rounds) and ``V_FLOOR`` (the floor under ``v``)
-are the loss-aware solvers' constants; ``lat_subproblem`` still takes ``iters``.
+are the loss-aware solvers' constants.
 Every method returns a ``TernaryTensor`` of codes and scales only, the
 fields a ``.tqm`` file keeps, so a tensor read back from a file equals the
 one written.
@@ -73,7 +73,7 @@ GRANULARITIES = ("layer", "row")
 # 2^13 to 2^18
 BLOCK_ELEMENTS = 1 << 16
 
-LAT_ITERS = 3       # alternating rounds of lat_approx and laq3
+LAT_ITERS = 3       # alternating rounds of lat_approx and laq3, read at each call
 V_FLOOR = 1e-12     # floor under v before its square root
 
 
@@ -167,11 +167,10 @@ def _floored_sqrt(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(out, V_FLOOR, out=out), out=out)
 
 
-def _quantize(solve, w, granularity: str, *v, max_level: int = 1,
-              **kwargs) -> TernaryTensor:
+def _quantize(solve, w, granularity: str, *v, max_level: int = 1) -> TernaryTensor:
     """Run ``solve`` over the group matrix of ``w`` one block of rows at a time.
 
-    ``solve(ws, out, **kwargs)`` reads a block of groups from the workspace
+    ``solve(ws, out)`` reads a block of groups from the workspace
     ``ws`` (``ws.x``, and ``ws.u`` when ``v`` is given), writes its int8
     codes to ``out`` and returns its per-group scales.  Loss-aware
     quantizers pass ``v`` and the others leave it out.
@@ -192,7 +191,7 @@ def _quantize(solve, w, granularity: str, *v, max_level: int = 1,
         np.copyto(ws.x, groups[b], casting="unsafe")
         if vg is not None:
             _floored_sqrt(vg[b], out=ws.u)
-        scales[b] = solve(ws, codes[b], **kwargs)
+        scales[b] = solve(ws, codes[b])
     return TernaryTensor(codes=codes.reshape(arr.shape), scales=scales,
                          granularity=granularity, max_level=max_level)
 
@@ -305,7 +304,7 @@ def _stable_prefix(a: np.ndarray, cut: np.ndarray, k: np.ndarray,
     return keep
 
 
-def _solve_lat_approx(ws: _Workspace, out: np.ndarray, iters: int) -> np.ndarray:
+def _solve_lat_approx(ws: _Workspace, out: np.ndarray) -> np.ndarray:
     u, tmp, best = ws.u, ws.tmp, ws.m0
     a = np.abs(ws.x, out=ws.a)
     g, n = a.shape
@@ -343,7 +342,7 @@ def _solve_lat_approx(ws: _Workspace, out: np.ndarray, iters: int) -> np.ndarray
             np.greater(a, 0.0, out=support)
         else:
             _stable_prefix(a, *prefixes[start - 2], out=support)
-        for _ in range(iters):
+        for _ in range(LAT_ITERS):
             # the scale is a weighted mean of |w| over a support of nonzeros,
             # so the new support is never empty
             np.greater(a, 0.5 * alpha_for(support)[0][:, None], out=spare)
@@ -428,14 +427,11 @@ def twn_exact(w, granularity: str = "layer") -> TernaryTensor:
     return _quantize(_solve_twn_exact, w, granularity)
 
 
-def lat_subproblem(w, v, granularity: str = "layer", mode: str = "exact",
-                   iters: int = LAT_ITERS) -> TernaryTensor:
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+def lat_subproblem(w, v, granularity: str = "layer", mode: str = "exact") -> TernaryTensor:
     if mode == "exact":
         return _quantize(_solve_lat_exact, w, granularity, v)
     if mode == "approx":
-        return _quantize(_solve_lat_approx, w, granularity, v, iters=iters)
+        return _quantize(_solve_lat_approx, w, granularity, v)
     raise ValueError(f"unknown lat mode {mode!r}")
 
 

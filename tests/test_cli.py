@@ -95,8 +95,8 @@ class TestQuantizeCommand:
         write_float_checkpoint(ckpt)
         assert run(["quantize", ckpt, "--plan", "8-8-8", "--out", tmp_path]) == 0
         loaded = load_model(str(tmp_path / "quantized.tqm"))
-        assert {rec.granularity for rec in loaded.manifest.records
-                if rec.bits == 8} == {"layer"}
+        assert {t.granularity for t in loaded.tensors.values()
+                if t.bits == 8} == {"layer"}
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert run(["quantize", tmp_path / "nope.tqm", "--out", tmp_path]) == \
@@ -112,7 +112,7 @@ class TestTrainCommand:
         assert code == 0
         student = load_model(str(tmp_path / "student.tqm"))
         teacher = load_model(str(tmp_path / "teacher.tqm"))
-        config = ModelConfig.from_dict(student.manifest.config)
+        config = ModelConfig.from_dict(student.config)
         s_params, qinfo = params_from_loaded(student.tensors, config)
         t_params, _ = params_from_loaded(teacher.tensors, config)
         # student is the ternarized teacher
@@ -138,7 +138,8 @@ class TestTrainCommand:
         ("train", "--eval-every", -1), ("train", "--checkpoint-every", -1),
         ("ablate", "--batch", 0), ("ablate", "--train-n", 0), ("ablate", "--epochs", -1),
         ("bench", "--reps", -1), ("bench", "--m", 0), ("bench", "--n", 0),
-        ("bench", "--k", 0), ("inspect", "--bins", 1)])
+        ("bench", "--k", 0), ("inspect", "--bins", 1),
+        ("train", "--seed", -1), ("ablate", "--seed", -1), ("bench", "--seed", -1)])
     def test_count_below_its_bound_exits_2_writing_nothing(self, command, flag, value,
                                                           tmp_path, capsys):
         out = tmp_path / "out"
@@ -297,7 +298,7 @@ class TestTrainCommand:
         assert run(args + ["--plan", "2-2-8"]) == cli.EXIT_CONFIG
         assert not (tmp_path / "student.tqm").exists()
         assert run(args + ["--plan", "3-3-8"]) == cli.EXIT_OK
-        plan = load_model(str(tmp_path / "student.tqm")).manifest.extras["plan"]
+        plan = load_model(str(tmp_path / "student.tqm")).extras["plan"]
         assert (plan["w_method"], plan["e_method"]) == ("laq3", "laq3")
 
     def test_step_checkpoint_records_the_plan(self, tmp_path, capsys):
@@ -329,7 +330,7 @@ class TestTrainCommand:
         files = sorted((tmp_path / "checkpoints").iterdir())
         assert [f.name for f in files] == ["step000002.tqm", "step000004.tqm"]
         assert [(e["step"], e["seed"]) for e in
-                (load_model(str(f)).manifest.extras for f in files)] == [(2, 9), (4, 9)]
+                (load_model(str(f)).extras for f in files)] == [(2, 9), (4, 9)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # the overflow is the point
     def test_aborted_run_keeps_its_finished_steps(self, tmp_path):
@@ -347,7 +348,7 @@ class TestTrainCommand:
         records = metrics.read_records(tmp_path / "metrics.jsonl")
         assert [(r["step"], r["seed"]) for r in records] == [(1, 7)]
         assert not (tmp_path / "student.tqm").exists()
-        assert load_model(str(tmp_path / "teacher.tqm")).manifest.extras["seed"] == 7
+        assert load_model(str(tmp_path / "teacher.tqm")).extras["seed"] == 7
 
     def test_checkpoints_are_the_last_runs_only(self, tmp_path):
         args = ["train", *D16_RUN, "--batch", 16, "--checkpoint-every", 2,
@@ -356,7 +357,7 @@ class TestTrainCommand:
         assert run(args + ["--seed", 5]) == 0
         files = sorted((tmp_path / "checkpoints").iterdir())
         assert [f.name for f in files] == ["step000002.tqm", "step000004.tqm"]
-        assert {load_model(str(f)).manifest.extras["seed"] for f in files} == {5}
+        assert {load_model(str(f)).extras["seed"] for f in files} == {5}
         # the --teacher file stays, though it is an earlier run's output
         teacher = (tmp_path / "teacher.tqm").read_bytes()
         assert run(args + ["--seed", 5, "--teacher", tmp_path / "teacher.tqm"]) == 0
@@ -382,7 +383,7 @@ class TestEvalCommand:
     def test_teacher_reproduces_stored_accuracy(self, tmp_path, capsys):
         self._train_quick(tmp_path)
         teacher = load_model(str(tmp_path / "teacher.tqm"))
-        stored = teacher.manifest.extras["eval_acc"]
+        stored = teacher.extras["eval_acc"]
         assert run(["eval", tmp_path / "teacher.tqm",
                     tmp_path / "eval_data.jsonl", "--out", tmp_path]) == 0
         record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -476,11 +477,11 @@ class TestEvalCommand:
         self._train_quick(tmp_path)
         from tquant.model import ModelConfig, QuantPlan
         loaded = load_model(str(tmp_path / "student.tqm"))
-        config = ModelConfig.from_dict(loaded.manifest.config)
+        config = ModelConfig.from_dict(loaded.config)
         params, _ = params_from_loaded(loaded.tensors, config)
         examples = tasks.load_dataset(str(tmp_path / "eval_data.jsonl"))
         tokens, segments, _ = tasks.as_arrays(examples)
-        stored = loaded.manifest.extras["plan"]
+        stored = loaded.extras["plan"]
         act_only = QuantPlan(w_bits=32, e_bits=32, a_bits=stored["a_bits"],
                              act_scheme=stored["act_scheme"])
         # oracle: explicit dequantization happened in params_from_loaded;
@@ -540,6 +541,22 @@ class TestInspectCommand:
         rows = [json.loads(line) for line in out.splitlines()
                 if line.startswith("{") and '"zero_frac"' in line]
         assert 0.3 <= rows[0]["zero_frac"] <= 0.7
+
+    @pytest.mark.parametrize("notation,w_gran", [
+        ("2-2-8", "layer"), ("2-2-8", "row"), ("3-3-8", None), ("8-8-8", None),
+        (None, None)])
+    def test_bytes_is_each_blobs_recorded_length(self, tmp_path, capsys, notation, w_gran):
+        plan = None if notation is None else plan_from_notation(notation, w_gran=w_gran)
+        path = tmp_path / "m.tqm"
+        save_checkpoint(path, CFG, init_params(CFG, np.random.default_rng(2)), plan)
+        data = path.read_bytes()
+        (mlen,) = struct.unpack("<I", data[4:8])
+        records = json.loads(data[8:8 + mlen])["tensors"]
+        assert run(["inspect", path]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+                if line.startswith('{"name"')]
+        assert [(r["name"], r["bytes"]) for r in rows] == \
+            [(r["name"], r["length"]) for r in records]
 
     def test_probe_histograms(self, tmp_path):
         write_float_checkpoint(tmp_path / "m.tqm")
@@ -769,7 +786,7 @@ class TestCheckpointMismatch:
             assert run(["eval", path, data, "--out", tmp_path]) == cli.EXIT_OK
             accs.append(json.loads(capsys.readouterr().out.strip().splitlines()[-1]))
         new, old = ckpts
-        assert old.file.manifest.extras["plan"].keys() - new.file.manifest.extras["plan"].keys() \
+        assert old.file.extras["plan"].keys() - new.file.extras["plan"].keys() \
             == {"lat_iters", "v_floor"}
         assert (old.config, old.plan) == (new.config, new.plan)
         for name in params:

@@ -403,7 +403,7 @@ class TestCheckpoint:
         M.save_checkpoint(path, CFG, params, plan, extras={"seed": 60})
         ckpt = M.load_checkpoint(path)
         assert ckpt.config == CFG
-        assert ckpt.file.manifest.extras == {"seed": 60, "plan": plan.to_dict()}
+        assert ckpt.file.extras == {"seed": 60, "plan": plan.to_dict()}
         assert ckpt.plan == M.QuantPlan(w_bits=32, e_bits=32, a_bits=8,
                                         act_scheme="symmetric8")
         assert set(ckpt.qinfo) == {n for n in params if M.quant_slot(n)}
@@ -447,7 +447,7 @@ class TestFrozenPlan:
         assert plan == M.plan_from_notation(notation)
         M.save_checkpoint(tmp_path / "m.tqm", config,
                           M.init_params(config, np.random.default_rng(63)), plan)
-        assert M.load_checkpoint(tmp_path / "m.tqm").file.manifest.extras["plan"] == \
+        assert M.load_checkpoint(tmp_path / "m.tqm").file.extras["plan"] == \
             plan.to_dict()
 
     @pytest.mark.parametrize("notation, field, value", PLAN_EDITS[:2])

@@ -10,7 +10,7 @@ from tquant import packed as pk
 from tquant import ternarize as tz
 from tquant.model import (ModelConfig, QuantPlan, bert_base_config, init_params,
                           load_checkpoint, params_from_loaded, plan_from_notation,
-                          save_checkpoint, to_saved_tensors)
+                          save_checkpoint, size_report, to_saved_tensors)
 
 from oracles import pack_2bit_reference
 
@@ -119,36 +119,36 @@ MICRO = ModelConfig(layers=2, hidden=8, heads=2, ffn=16, vocab=12,
 
 class TestSizeReport:
     def test_bert_base_fp32(self):
-        report = pk.size_report(bert_base_config(), QuantPlan(32, 32, 32))
+        report = size_report(bert_base_config(), QuantPlan(32, 32, 32))
         assert abs(report.total_mb - 418) / 418 < 0.03
 
     def test_bert_base_2_2_8(self):
-        report = pk.size_report(bert_base_config(), plan_from_notation("2-2-8"))
+        report = size_report(bert_base_config(), plan_from_notation("2-2-8"))
         assert abs(report.total_mb - 28) / 28 < 0.05
         assert abs(report.compression_ratio - 14.9) / 14.9 < 0.05
 
     def test_degenerate_zero_layers(self):
         config = ModelConfig(layers=0, hidden=4, heads=2, ffn=8, vocab=10,
                              segments=2, max_positions=6, classes=2)
-        report = pk.size_report(config, QuantPlan(32, 32, 32))
+        report = size_report(config, QuantPlan(32, 32, 32))
         # embeddings (10+2+6)*4 plus the embedding layer norm 2*4
         assert report.total_bits == ((10 + 2 + 6) * 4 + 8) * 32
 
     def test_plan_monotonicity(self):
         cfg = MICRO
-        t2 = pk.size_report(cfg, plan_from_notation("2-2-8")).total_bits
-        t8 = pk.size_report(cfg, plan_from_notation("8-8-8", e_gran="layer")).total_bits
-        t32 = pk.size_report(cfg, QuantPlan(32, 32, 32)).total_bits
+        t2 = size_report(cfg, plan_from_notation("2-2-8")).total_bits
+        t8 = size_report(cfg, plan_from_notation("8-8-8", e_gran="layer")).total_bits
+        t32 = size_report(cfg, QuantPlan(32, 32, 32)).total_bits
         assert t2 < t8 < t32
 
     def test_totals_additive(self):
-        report = pk.size_report(MICRO, plan_from_notation("2-2-8"))
+        report = size_report(MICRO, plan_from_notation("2-2-8"))
         assert report.total_bits == sum(c.bits for c in report.categories)
 
     def test_task_head_optional(self):
-        with_head = pk.size_report(MICRO, QuantPlan(32, 32, 32),
-                                   include_task_head=True)
-        without = pk.size_report(MICRO, QuantPlan(32, 32, 32))
+        with_head = size_report(MICRO, QuantPlan(32, 32, 32),
+                                include_task_head=True)
+        without = size_report(MICRO, QuantPlan(32, 32, 32))
         assert with_head.total_bits > without.total_bits
 
 
@@ -159,10 +159,11 @@ def test_size_report_matches_the_written_file(tmp_path, notation, w_gran):
     plan = plan_from_notation(notation, w_gran=w_gran)
     save_checkpoint(tmp_path / "m.tqm", MICRO,
                     init_params(MICRO, np.random.default_rng(0)), plan)
-    records = pk.load_model(str(tmp_path / "m.tqm")).manifest.records
-    report = pk.size_report(MICRO, plan, include_task_head=True)
-    slack = 8 * sum(r.length for r in records) - report.total_bits
-    assert 0 <= slack < 8 * len(records)
+    tensors = pk.load_model(str(tmp_path / "m.tqm")).tensors.values()
+    report = size_report(MICRO, plan, include_task_head=True)
+    slack = 8 * sum(pk.blob_nbytes(t.bits, t.granularity, t.shape)
+                    for t in tensors) - report.total_bits
+    assert 0 <= slack < 8 * len(tensors)
 
 
 @pytest.mark.parametrize("gran", tz.GRANULARITIES)

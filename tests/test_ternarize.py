@@ -97,14 +97,15 @@ class TestLat:
             got = residual(w, tz.lat_subproblem(w, v, "layer", "exact"), v)
             assert abs(got - brute_force_quant(w, u)) < 1e-6
 
-    def test_approx_objective_non_increasing_in_iters(self):
+    def test_approx_objective_non_increasing_in_iters(self, monkeypatch):
         rng = np.random.default_rng(4)
         for _ in range(20):
             w = rng.standard_normal(12)
             v = rng.random(12)
-            objs = [residual(w, tz.lat_subproblem(w, v, "layer", "approx",
-                                                  iters=k), v)
-                    for k in range(1, 6)]
+            objs = []
+            for k in range(1, 6):
+                monkeypatch.setattr(tz, "LAT_ITERS", k)
+                objs.append(residual(w, tz.lat_subproblem(w, v, "layer", "approx"), v))
             for a, b in zip(objs, objs[1:]):
                 assert b <= a + 1e-12
 
@@ -313,17 +314,12 @@ class TestQuantize:
         lambda w: tz.twn_approx(w, "Layer"),
         lambda w: tz.twn_exact(w, "rows"),
         lambda w: tz.quantize_int8(w, "rows"),
-        lambda w: tz.lat_subproblem(w, np.ones_like(w), "layer", "approx", iters=0),
-        lambda w: tz.lat_subproblem(w, np.ones_like(w), "layer", "approx", iters=-5),
-        lambda w: tz.lat_subproblem(w, np.ones_like(w), "layer", "exact", iters=0),
-        lambda w: tz.lat_subproblem(w, np.ones_like(w), "layer", "exact", iters=-5),
         lambda w: tz.lat_subproblem(w, None),
         lambda w: tz.quantize(w, "laq3"),
         lambda w: tz.quantize(w, "twn"),
         lambda w: tz.lat_subproblem(w, np.ones_like(w), "layer", "bogus"),
         lambda w: tz.TernaryTensor(np.zeros(w.shape, np.int8), np.ones(2), "layer").validate(),
-    ], ids=["twn_approx-Layer", "twn_exact-rows", "int8-rows", "lat-iters-0",
-            "lat-iters-neg", "lat-exact-iters-0", "lat-exact-iters-neg",
+    ], ids=["twn_approx-Layer", "twn_exact-rows", "int8-rows",
             "lat-no-v", "quantize-no-v", "quantize-alias", "lat-bogus-mode",
             "validate-two-layer-scales"])
     def test_bad_arguments_raise_value_error(self, call):

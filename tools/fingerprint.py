@@ -15,7 +15,12 @@ Each line is one digest over a fixed, seeded set of inputs:
 * ``ternarize`` -- ``ternarize.quantize`` for every method and granularity;
 * ``training`` -- ``run_training`` records and final parameters for six
   configurations, and ``eval_loss_trm`` after each distilling run on a
-  probe set that shares half its examples with the training set.
+  probe set that shares half its examples with the training set;
+* ``cli`` -- one d16 run of every command but ``bench`` (whose records
+  hold timings) through ``cli.main``: the exit codes, stdout, and every
+  file written, by sorted relative path, with the temp dir replaced by a
+  fixed token.  It calls nothing else of tquant, so it also runs against
+  a tree whose library API differs.
 
 Two trees that print the same lines produce the same files, codes and
 training runs on these inputs.
@@ -23,7 +28,9 @@ training runs on these inputs.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -32,7 +39,7 @@ import tempfile
 
 import numpy as np
 
-from tquant import actquant, tasks, ternarize
+from tquant import actquant, cli, tasks, ternarize
 from tquant import tensor as T
 from tquant import train as TR
 from tquant.model import (ModelConfig, QuantPlan, init_params, load_checkpoint,
@@ -98,7 +105,7 @@ def checkpoints(d: Digest, tmp: str) -> None:
         ckpt = load_checkpoint(path)
         d.text(json.dumps(ckpt.config.to_dict(), sort_keys=True))
         d.text(None if ckpt.plan is None else json.dumps(ckpt.plan.to_dict(), sort_keys=True))
-        d.text(json.dumps(ckpt.file.manifest.extras, sort_keys=True))
+        d.text(json.dumps(ckpt.file.extras, sort_keys=True))
         for name in sorted(ckpt.params):
             d.text(name)
             d.array(ckpt.params[name])
@@ -215,17 +222,54 @@ def _train_record(d: Digest, history, params) -> None:
     d.items += 1
 
 
+# a d16 model and a run of one teacher and one student epoch on it
+D16_RUN = ["--layers", "1", "--hidden", "16", "--heads", "2", "--ffn", "32",
+           "--seq-len", "8", "--train-n", "64", "--eval-n", "32", "--epochs", "1",
+           "--teacher-epochs", "1"]
+
+
+def cli_commands(d: Digest, tmp: str) -> None:
+    run = os.path.join(tmp, "train")
+    student, probe = os.path.join(run, "student.tqm"), os.path.join(run, "eval_data.jsonl")
+    commands = [
+        ["train", *D16_RUN, "--checkpoint-every", "1", "--out", run],
+        ["quantize", os.path.join(run, "teacher.tqm"), "--plan", "2-2-8",
+         "--out", os.path.join(tmp, "q228")],
+        ["quantize", os.path.join(run, "teacher.tqm"), "--plan", "3-8-8",
+         "--out", os.path.join(tmp, "q388")],
+        ["inspect", student, "--probe", probe, "--out", os.path.join(tmp, "inspect")],
+        ["inspect", os.path.join(tmp, "q228", "quantized.tqm")],
+        ["eval", student, probe, "--out", os.path.join(tmp, "eval")],
+        ["size", "--bert-base"],
+        ["ablate", *D16_RUN, "--out", os.path.join(tmp, "ablate")],
+    ]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        for argv in commands:
+            d.text(cli.main(argv))
+            d.items += 1
+    d.text(stdout.getvalue().replace(tmp, "<tmp>"))
+    paths = sorted(os.path.relpath(os.path.join(root, f), tmp)
+                   for root, _, files in os.walk(tmp) for f in files)
+    for rel in paths:
+        with open(os.path.join(tmp, rel), "rb") as f:
+            d.text(rel)
+            d.h.update(f.read().replace(tmp.encode(), b"<tmp>"))
+
+
 def main() -> int:
-    ckpt, codes, deq, fake, quant, runs = (Digest() for _ in range(6))
+    ckpt, codes, deq, fake, quant, runs, commands = (Digest() for _ in range(7))
     with tempfile.TemporaryDirectory() as tmp:
         checkpoints(ckpt, tmp)
     activations(codes, deq, fake)
     deq.items = fake.items = codes.items
     weights(quant)
     training(runs)
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_commands(commands, tmp)
     for name, d in (("checkpoints", ckpt), ("activation_codes", codes),
                     ("activation_dequantize", deq), ("activation_fake_quant", fake),
-                    ("ternarize", quant), ("training", runs)):
+                    ("ternarize", quant), ("training", runs), ("cli", commands)):
         print(f"{name:22s} {d.items:4d} {d.h.hexdigest()}")
     return 0
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ from .model import (ACT_ALIASES, METHOD_ALIASES, ModelConfig, QuantPlan,
                     plan_from_notation, save_checkpoint, size_report)
 from .packed import ModelFileError, blob_nbytes
 from .train import (DistillLossConfig, OptimizerConfig, TeacherTargets,
-                    TrainSettings, TrainState, TrainingDiverged, check_schedule,
-                    evaluate, run_training, train_float_baseline, training_steps)
+                    TrainSettings, TrainState, TrainingDiverged, evaluate,
+                    run_training, train_float_baseline, training_steps)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,6 +45,17 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
         return int(text)
     return count
+
+
+def _rate(text: str) -> float:
+    """An argparse type: a finite number no smaller than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
 
 
 def _add_plan_flags(p: argparse.ArgumentParser) -> None:
@@ -72,8 +84,8 @@ def _add_task_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_run_flags(p: argparse.ArgumentParser, epochs: int) -> None:
     p.add_argument("--teacher-epochs", type=_at_least(0), default=8)
-    p.add_argument("--teacher-lr", type=float, default=2e-3)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--teacher-lr", type=_rate, default=2e-3)
+    p.add_argument("--lr", type=_rate, default=1e-3)
     p.add_argument("--epochs", type=_at_least(0), default=epochs)
     p.add_argument("--batch", type=_at_least(1), default=32)
 
@@ -144,8 +156,7 @@ def _train_teacher(args, config, data_train, data_eval):
 
 
 def cmd_train(args) -> int:
-    loss_cfg = ABLATIONS[args.ablation]
-    check_schedule(loss_cfg, args.stages)
+    loss_cfg = replace(ABLATIONS[args.ablation], stages=args.stages)
     classes = tasks.task_classes(args.task)
     config = _config_from_args(args, classes)
     plan = _plan_from_args(args)
@@ -179,8 +190,7 @@ def cmd_train(args) -> int:
 
     state = TrainState.create(config, teacher, teacher, plan,
                               OptimizerConfig(lr=args.lr),
-                              loss_cfg=loss_cfg, seed=args.seed,
-                              stages=args.stages)
+                              loss_cfg=loss_cfg, seed=args.seed)
     settings = TrainSettings(epochs=args.epochs, batch_size=args.batch,
                              eval_every=args.eval_every, seed=args.seed)
 

@@ -101,7 +101,11 @@ def bert_base_config(classes: int = 2) -> ModelConfig:
 
 def _method_for_bits(bits: int, requested: str) -> str:
     """The requested method if its codes have width ``bits``, else the
-    width's only method."""
+    width's only method.  A recorded 32-bit slot names ``"none"``."""
+    if bits == 32 and requested == "none":
+        return requested
+    if not isinstance(requested, str) or requested not in ternarize.METHODS:
+        raise ValueError(f"unknown weight method {requested!r}")
     if bits == 32:
         return "none"
     fits = [m for m, (width, _) in ternarize.METHODS.items() if width == bits]

@@ -41,6 +41,8 @@ class GemmPlan:
     act_scheme: str = "minmax8"
 
     def __post_init__(self):
+        if any(type(d) is not int for d in (self.m, self.n, self.k)):
+            raise PlanError(f"dimensions must be ints, got {(self.m, self.n, self.k)!r}")
         if self.act_scheme not in actquant.SCHEMES:
             raise PlanError(f"unknown activation scheme {self.act_scheme!r}")
         peak = actquant.SCHEMES[self.act_scheme][1]

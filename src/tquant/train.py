@@ -26,7 +26,8 @@ cross-entropy between student and teacher logits.  With both disabled,
 training falls back to ground-truth cross-entropy and never touches the
 teacher.  With two stages the first ``total_steps // 2`` steps train on
 L_trm alone: the stage follows the step, in any :func:`train_step` loop.
-A :class:`TrainState` is frozen once ``create`` has checked it.
+A :class:`TrainState` and each setting it holds check themselves whenever
+they are built, by ``create`` or by ``dataclasses.replace``, and are frozen.
 :func:`training_steps` yields each step's record as the step ends and
 opens no file; :func:`run_training` lists them.  A run schedules a copy
 sharing params, moments, rng and store, leaves the caller's ``opt_cfg``
@@ -43,6 +44,7 @@ itself.  The teacher's parameter arrays must not be mutated while a
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -61,8 +63,21 @@ class TrainingDiverged(ArithmeticError):
 
 @dataclass(frozen=True)
 class DistillLossConfig:
+    """The losses a run trains on, and its stages: with two, the first half
+    of the steps trains on ``L_trm`` alone."""
+
     use_trm: bool = True
     use_logits: bool = True
+    stages: int = 1
+
+    def __post_init__(self):
+        if type(self.use_trm) is not bool or type(self.use_logits) is not bool:
+            raise ValueError(f"use_trm and use_logits must be bools, "
+                             f"got {self.use_trm!r} and {self.use_logits!r}")
+        if type(self.stages) is not int or self.stages not in (1, 2):
+            raise ValueError(f"stages must be 1 or 2, got {self.stages!r}")
+        if self.stages == 2 and not self.use_trm:
+            raise ValueError("two-stage training needs the transformer loss enabled")
 
 
 BETA1 = 0.9
@@ -77,6 +92,8 @@ class OptimizerConfig:
     total_steps: int = 1000
 
     def __post_init__(self):
+        if type(self.lr) not in (int, float) or not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be a finite number >= 0, got {self.lr!r}")
         if type(self.total_steps) is not int or self.total_steps < 1:
             raise ValueError(f"total_steps must be an integer >= 1, "
                              f"got {self.total_steps!r}")
@@ -236,6 +253,11 @@ class TeacherTargets:
 
 @dataclass(frozen=True)
 class TrainState:
+    """One run: the student, its teacher and its settings, checked on every
+    build.  ``ValueError`` if a loss distils without a teacher, the student's
+    parameters are not ``param_shapes(config)``, or the teacher was built
+    for another config."""
+
     config: ModelConfig
     plan: QuantPlan | None
     params: dict[str, np.ndarray]            # full-precision shadow weights
@@ -244,7 +266,14 @@ class TrainState:
     opt_cfg: OptimizerConfig
     loss_cfg: DistillLossConfig
     rng: np.random.Generator
-    stages: int = 1
+
+    def __post_init__(self):
+        if self.teacher is None and (self.loss_cfg.use_trm or self.loss_cfg.use_logits):
+            raise ValueError("distillation losses enabled but no teacher set")
+        if self.teacher is not None and self.teacher.config != self.config:
+            raise ValueError("teacher store was built for another model config")
+        if {k: v.shape for k, v in self.params.items()} != param_shapes(self.config):
+            raise ValueError("student parameters do not match the model config")
 
     @staticmethod
     def create(config: ModelConfig, params: dict[str, np.ndarray],
@@ -252,38 +281,20 @@ class TrainState:
                plan: QuantPlan | None,
                opt_cfg: OptimizerConfig,
                loss_cfg: DistillLossConfig | None = None,
-               seed: int = 0, stages: int = 1) -> "TrainState":
+               seed: int = 0) -> "TrainState":
         """``teacher`` is the teacher's parameters, or a store to share with
         other runs on the same teacher; ground-truth training (both losses
-        off) keeps neither.  ``ValueError`` if the schedule cannot run
-        (:func:`check_schedule`) or a parameter set is not ``param_shapes``."""
+        off) keeps neither."""
         loss_cfg = loss_cfg or DistillLossConfig()
-        check_schedule(loss_cfg, stages, teacher is not None)
-        if {k: v.shape for k, v in params.items()} != param_shapes(config):
-            raise ValueError("student parameters do not match the model config")
         if not (loss_cfg.use_trm or loss_cfg.use_logits):
             teacher = None
         elif isinstance(teacher, dict):
             teacher = TeacherTargets(teacher, config)
-        elif teacher is not None and teacher.config != config:
-            raise ValueError("teacher store was built for another model config")
         return TrainState(config=config, plan=plan,
                           params={k: v.copy() for k, v in params.items()},
                           teacher=teacher, opt=OptimizerState.initial(params),
                           opt_cfg=opt_cfg, loss_cfg=loss_cfg,
-                          rng=np.random.default_rng(seed), stages=stages)
-
-
-def check_schedule(loss_cfg: DistillLossConfig, stages: int,
-                   has_teacher: bool = True) -> None:
-    """``ValueError`` unless stages is 1 or 2, two stages have ``L_trm`` (the
-    first trains on it alone) and a distillation loss has a teacher."""
-    if stages not in (1, 2):
-        raise ValueError(f"stages must be 1 or 2, got {stages!r}")
-    if stages == 2 and not loss_cfg.use_trm:
-        raise ValueError("two-stage training needs the transformer loss enabled")
-    if (loss_cfg.use_trm or loss_cfg.use_logits) and not has_teacher:
-        raise ValueError("distillation losses enabled but no teacher set")
+                          rng=np.random.default_rng(seed))
 
 
 def _first_nonfinite(trace: ForwardTrace) -> str | None:
@@ -303,8 +314,8 @@ def train_step(state: TrainState, tokens: np.ndarray, segments: np.ndarray,
     """One pass of the distillation-aware ternarization loop."""
     cfg = state.loss_cfg
     second_half = state.opt.step >= state.opt_cfg.total_steps // 2
-    stage = 2 if state.stages == 2 and second_half else 1
-    use_logits = cfg.use_logits and stage == state.stages   # stage 1 of 2: L_trm alone
+    stage = 2 if cfg.stages == 2 and second_half else 1
+    use_logits = cfg.use_logits and stage == cfg.stages   # stage 1 of 2: L_trm alone
     distilling = cfg.use_trm or use_logits
 
     with GradTape() as tape:

@@ -311,13 +311,12 @@ def trained_teacher(majority_task):
     return params, acc
 
 
-def _distill(teacher, train_set, eval_set, loss_cfg, seed, stages=1,
-             plan=None):
+def _distill(teacher, train_set, eval_set, loss_cfg, seed, plan=None):
     c = CALIBRATION
     plan = plan or M.plan_from_notation("2-2-8")
     state = TR.TrainState.create(TASK_CFG, teacher, teacher, plan,
                                  TR.OptimizerConfig(lr=c["student_lr"]),
-                                 loss_cfg=loss_cfg, seed=seed, stages=stages)
+                                 loss_cfg=loss_cfg, seed=seed)
     settings = TR.TrainSettings(epochs=c["student_epochs"], batch_size=32,
                                 eval_every=0, seed=seed)
     TR.run_training(state, train_set, eval_set, settings)
@@ -354,8 +353,7 @@ def test_c11_two_stage_schedule(majority_task, trained_teacher):
     for seed in range(5):
         for stages, store in ((1, singles), (2, doubles)):
             state = _distill(teacher, train_set, eval_set,
-                             TR.DistillLossConfig(True, True), seed,
-                             stages=stages)
+                             TR.DistillLossConfig(True, True, stages), seed)
             store.append(TR.eval_loss_trm(state, probe))
     mean_single = float(np.mean(singles))
     mean_double = float(np.mean(doubles))

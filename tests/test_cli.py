@@ -149,6 +149,24 @@ class TestTrainCommand:
         assert f"must be at least {value + 1}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("train", "--lr", "nan"), ("train", "--lr", "inf"), ("train", "--lr", -1),
+        ("train", "--lr", "fast"), ("train", "--teacher-lr", -1),
+        ("train", "--teacher-lr", "nan"), ("ablate", "--lr", -0.5),
+        ("ablate", "--teacher-lr", "inf")])
+    def test_rate_not_finite_or_below_0_exits_2_writing_nothing(
+            self, command, flag, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run([command, *D16_RUN, flag, value, "--out", out])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"{flag}: must be a finite number >= 0, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_rate_is_accepted(self):
+        args = cli.build_parser().parse_args(["train", "--lr", "0", "--teacher-lr", "0"])
+        assert (args.lr, args.teacher_lr) == (0.0, 0.0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # the overflow is the point
     def test_diverging_student_exits_4(self, tmp_path, capsys):
         code = run(["train", "--lr", 1e30, "--epochs", 1, "--teacher-epochs", 1,

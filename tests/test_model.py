@@ -68,6 +68,19 @@ class TestConfig:
         plan = M.plan_from_notation("2-3-8", method="twn")
         assert (plan.w_method, plan.e_method) == ("twn_approx", "laq3")
 
+    @pytest.mark.parametrize("bits", [2, 3, 8, 32])
+    def test_unknown_method_rejected(self, bits):
+        # it used to become the width's only method, or "none" at 32 bits
+        for slot in ("w", "e"):
+            with pytest.raises(ValueError, match="unknown weight method 'nonsense'"):
+                M.QuantPlan(**{f"{slot}_bits": bits, f"{slot}_method": "nonsense"})
+
+    def test_none_names_only_a_32_bit_slot(self):
+        plan = M.QuantPlan(w_bits=32, e_bits=32, w_method="none", e_method="none")
+        assert M.QuantPlan.from_dict(plan.to_dict()) == plan
+        with pytest.raises(ValueError, match="unknown weight method 'none'"):
+            M.QuantPlan(w_bits=8, w_method="none")
+
     @pytest.mark.parametrize("field,value", [
         ("layers", "1"), ("layers", -1), ("hidden", 8.0), ("heads", 0),
         ("vocab", True), ("dropout", "0.1"), ("dropout", 1.0)])

@@ -31,6 +31,12 @@ class TestGemmPlan:
         with pytest.raises(qk.PlanError, match="negative"):
             qk.GemmPlan(m=-1, n=1, k=1)
 
+    @pytest.mark.parametrize("dims", [(1.5, 2, 3), (True, 2, 3), (2, 2, 3.0), (2, "2", 3)],
+                             ids=["m-float", "m-bool", "k-float", "n-str"])
+    def test_dimension_that_is_not_an_int_rejected(self, dims):
+        with pytest.raises(qk.PlanError, match="dimensions must be ints"):
+            qk.GemmPlan(*dims)
+
     def test_checked_plan_cannot_be_edited(self):
         # an edit after the check would let traffic_bytes price a k the plan refuses
         plan = qk.GemmPlan(64, 64, 64)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tquant import model as M
+from tquant import qkernels as qk
 from tquant import tasks
 from tquant import tensor as T
 from tquant import train as TR
@@ -27,9 +28,10 @@ def make_data(n=96, seed=0, seq_len=8, classes=3, vocab=6):
 
 
 def fresh_state(teacher, plan=None, loss_cfg=None, seed=0, lr=1e-3, stages=1):
+    loss_cfg = dataclasses.replace(loss_cfg or TR.DistillLossConfig(), stages=stages)
     return TR.TrainState.create(CFG, teacher, teacher, plan,
                                 TR.OptimizerConfig(lr=lr, total_steps=100),
-                                loss_cfg=loss_cfg, seed=seed, stages=stages)
+                                loss_cfg=loss_cfg, seed=seed)
 
 
 class TestLossTrm:
@@ -346,7 +348,8 @@ class TestTrainStep:
         teacher, data = self._teacher(epochs=1)
         plan = M.plan_from_notation("2-2-8")
         state = TR.TrainState.create(CFG, teacher, teacher, plan,
-                                     TR.OptimizerConfig(lr=1e-3, total_steps=2), stages=2)
+                                     TR.OptimizerConfig(lr=1e-3, total_steps=2),
+                                     loss_cfg=TR.DistillLossConfig(stages=2))
         tokens, segments, labels = tasks.as_arrays(data[:8])
         rec1 = TR.train_step(state, tokens, segments, labels)
         assert rec1["stage"] == 1
@@ -359,7 +362,8 @@ class TestTrainStep:
         # the stage is a function of the step, not of run_training
         teacher = M.init_params(CFG, np.random.default_rng(3))
         state = TR.TrainState.create(CFG, teacher, teacher, None,
-                                     TR.OptimizerConfig(lr=1e-3, total_steps=4), stages=2)
+                                     TR.OptimizerConfig(lr=1e-3, total_steps=4),
+                                     loss_cfg=TR.DistillLossConfig(stages=2))
         tokens, segments, labels = tasks.as_arrays(make_data(16))
         records = [TR.train_step(state, tokens, segments, labels) for _ in range(4)]
         assert [r["stage"] for r in records] == [1, 1, 2, 2]
@@ -368,11 +372,10 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("field,value", [
         ("plan", M.plan_from_notation("2-2-8")), ("config", CFG), ("teacher", None),
-        ("loss_cfg", TR.DistillLossConfig(True, True)), ("opt_cfg", TR.OptimizerConfig()),
-        ("stages", 2)], ids=lambda v: v if isinstance(v, str) else "to")
+        ("loss_cfg", TR.DistillLossConfig(True, True)), ("opt_cfg", TR.OptimizerConfig())],
+        ids=lambda v: v if isinstance(v, str) else "to")
     def test_a_created_state_is_frozen(self, field, value):
-        # no edit gets past create's checks: here two stages without L_trm,
-        # a schedule create refuses, could otherwise run
+        # a state changes only through replace, which checks it again
         teacher = M.init_params(CFG, np.random.default_rng(3))
         state = fresh_state(teacher, loss_cfg=TR.DistillLossConfig(False, True))
         before = getattr(state, field)
@@ -390,8 +393,13 @@ class TestSettingsChecked:
         (lambda: TR.TrainSettings(eval_every=-1), "eval every must be an integer >= 0"),
         (lambda: TR.TrainSettings(batch_size=0), "batch size must be an integer >= 1"),
         (lambda: TR.TrainSettings(batch_size=1.5), "batch size must be an integer"),
+        (lambda: TR.OptimizerConfig(lr=math.nan), "lr must be a finite number >= 0"),
+        (lambda: TR.OptimizerConfig(lr=math.inf), "lr must be a finite number >= 0"),
+        (lambda: TR.OptimizerConfig(lr=-1e-3), "lr must be a finite number >= 0"),
+        (lambda: TR.OptimizerConfig(lr="1e-3"), "lr must be a finite number"),
     ], ids=["total-steps-0", "total-steps-float", "epochs-negative", "epochs-bool",
-            "eval-every-negative", "batch-0", "batch-float"])
+            "eval-every-negative", "batch-0", "batch-float", "lr-nan", "lr-inf",
+            "lr-negative", "lr-string"])
     def test_bad_field_rejected_when_built(self, build, reason):
         with pytest.raises(ValueError, match=reason):
             build()
@@ -399,6 +407,40 @@ class TestSettingsChecked:
     def test_bounds_are_accepted(self):
         TR.OptimizerConfig(total_steps=1)
         TR.TrainSettings(epochs=0, batch_size=1, eval_every=0)
+
+
+def _distilling_run():
+    return fresh_state(M.init_params(CFG, np.random.default_rng(5)))
+
+
+def _ground_truth_run():
+    return TR.TrainState.create(CFG, M.init_params(CFG, np.random.default_rng(5)), None,
+                                None, TR.OptimizerConfig(),
+                                loss_cfg=TR.DistillLossConfig(False, False))
+
+
+class TestReplaceChecksAgain:
+    """``dataclasses.replace`` runs the checks a frozen value runs when built."""
+
+    @pytest.mark.parametrize("build,changes,reason", [
+        (lambda: CFG, {"hidden": 0}, "hidden"),
+        (lambda: M.plan_from_notation("8-8-8"), {"w_gran": "row"}, "layer-wise"),
+        (lambda: TR.OptimizerConfig(), {"lr": math.nan}, "lr must be a finite number"),
+        (lambda: TR.TrainSettings(), {"batch_size": 0}, "batch size"),
+        (lambda: TR.DistillLossConfig(False, True), {"stages": 2}, "transformer loss"),
+        (lambda: TR.DistillLossConfig(), {"use_trm": "no"}, "must be bools"),
+        (_distilling_run, {"teacher": None}, "no teacher"),
+        (_ground_truth_run, {"loss_cfg": TR.DistillLossConfig()}, "no teacher"),
+        (_distilling_run, {"config": dataclasses.replace(CFG, hidden=8)},
+         "another model config"),
+        (lambda: qk.GemmPlan(2, 2, 3), {"m": 1.5}, "must be ints"),
+    ], ids=["model-config", "quant-plan", "optimizer", "settings", "two-stages-no-trm",
+            "loss-flag-str", "state-drops-teacher", "state-distils-without-teacher",
+            "state-other-config", "gemm-plan"])
+    def test_replace_into_an_invalid_value_raises(self, build, changes, reason):
+        value = build()
+        with pytest.raises(ValueError, match=reason):
+            dataclasses.replace(value, **changes)
 
 
 class TestRunTraining:
@@ -616,7 +658,7 @@ class TestTasks:
 
 
 class TestScheduleChecks:
-    """TrainState.create rejects a schedule that cannot run."""
+    """A schedule that cannot run is refused when its value is built."""
 
     def teacher(self):
         return M.init_params(CFG, np.random.default_rng(0))
@@ -625,6 +667,17 @@ class TestScheduleChecks:
     def test_stage_count(self, stages):
         with pytest.raises(ValueError, match="stages must be 1 or 2"):
             fresh_state(self.teacher(), stages=stages)
+
+    @pytest.mark.parametrize("stages", [True, 2.0])
+    def test_stage_count_is_an_int(self, stages):
+        with pytest.raises(ValueError, match="stages must be 1 or 2"):
+            TR.DistillLossConfig(stages=stages)
+
+    @pytest.mark.parametrize("flags", [("no", True), (True, 1), (None, False)])
+    def test_loss_flags_are_bools(self, flags):
+        # a truthy non-bool would distil with the loss it seems to switch off
+        with pytest.raises(ValueError, match="use_trm and use_logits must be bools"):
+            TR.DistillLossConfig(*flags)
 
     def test_two_stages_need_the_transformer_loss(self):
         with pytest.raises(ValueError, match="transformer loss"):

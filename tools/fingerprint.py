@@ -17,10 +17,10 @@ Each line is one digest over a fixed, seeded set of inputs:
   configurations, and ``eval_loss_trm`` after each distilling run on a
   probe set that shares half its examples with the training set;
 * ``cli`` -- one d16 run of every command but ``bench`` (whose records
-  hold timings) through ``cli.main``: the exit codes, stdout, and every
-  file written, by sorted relative path, with the temp dir replaced by a
-  fixed token.  It calls nothing else of tquant, so it also runs against
-  a tree whose library API differs.
+  hold timings), and a two-stage ``train``, through ``cli.main``: the
+  exit codes, stdout, and every file written, by sorted relative path,
+  with the temp dir replaced by a fixed token.  It calls nothing else of
+  tquant, so it also runs against a tree whose library API differs.
 
 Two trees that print the same lines produce the same files, codes and
 training runs on these inputs.
@@ -204,8 +204,8 @@ def training(d: Digest) -> None:
         student = init_params(TRAIN_CFG, np.random.default_rng(12))
         state = TR.TrainState.create(TRAIN_CFG, student, teacher, plan,
                                      TR.OptimizerConfig(lr=2e-3),
-                                     loss_cfg=TR.DistillLossConfig(True, True),
-                                     seed=4, stages=stages)
+                                     loss_cfg=TR.DistillLossConfig(True, True, stages),
+                                     seed=4)
         _train_record(d, TR.run_training(state, train_set, eval_set, settings),
                       state.params)
         d.array(np.float64(TR.eval_loss_trm(state, probe)))
@@ -233,6 +233,7 @@ def cli_commands(d: Digest, tmp: str) -> None:
     student, probe = os.path.join(run, "student.tqm"), os.path.join(run, "eval_data.jsonl")
     commands = [
         ["train", *D16_RUN, "--checkpoint-every", "1", "--out", run],
+        ["train", *D16_RUN, "--stages", "2", "--out", os.path.join(tmp, "two-stage")],
         ["quantize", os.path.join(run, "teacher.tqm"), "--plan", "2-2-8",
          "--out", os.path.join(tmp, "q228")],
         ["quantize", os.path.join(run, "teacher.tqm"), "--plan", "3-8-8",

@@ -14,7 +14,11 @@ half-away-from-zero everywhere so codes are bit-reproducible across
 platforms.  One helper rounds to codes and one scales codes back: ``quantize``
 casts the codes to integers, for the GEMM and for inspection, and
 ``fake_quantize`` scales them back as ``dequantize`` does, so it equals
-``dequantize(quantize(x))`` by construction.
+``dequantize(quantize(x))`` by construction.  Both run each group in
+blocks (``tensor.half_blocks``): a block of x is converted to float64 and
+rounded in one scratch block of ``tensor.BLOCK_ELEMENTS``, then cast into
+the integer codes, or scaled back into the float32 output, so neither
+holds a float64 copy of x.
 
 The backward rule is clipped straight-through: the gradient passes
 unchanged where x lies inside the representable range and is zeroed
@@ -83,30 +87,45 @@ def _ranges(x: np.ndarray, scheme: str, groups: int):
     return rows, x_min, x_max, s
 
 
-def _round_codes(rows: np.ndarray, x_min, s, scheme: str) -> np.ndarray:
-    """Each group's codes of ``rows``, rounded in place in a new float64
-    buffer.  No code leaves its range, so nothing clips."""
-    buf = rows.astype(np.float64)
+def _round_codes(x: np.ndarray, x_min, s, scheme: str,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The codes of ``x``, rounded in place in the float64 buffer ``out`` (a
+    new one if None).  ``x`` holds values of one group, with its range
+    ``x_min`` and scale ``s``, or ``(groups, m)`` rows with ``(groups, 1)``
+    params.  No code leaves its range, so nothing clips."""
     if scheme == "minmax8":
         # t = (x - x_min) / s is in [0, 255], so half-away is floor(t + 0.5);
         # a constant group (s = 0) has t = 0 over a unit divisor
-        buf -= x_min
-        buf /= np.where(s == 0.0, 1.0, s)
+        out = np.subtract(x, x_min, out=out, dtype=np.float64)
+        out /= np.where(s == 0.0, 1.0, s)
     else:   # t = x / s has x's sign: half-away is copysign(floor(|t| + 0.5), x)
-        buf /= s
-        np.abs(buf, out=buf)
-    buf += 0.5
-    np.floor(buf, out=buf)
+        out = np.divide(x, s, out=out, dtype=np.float64)
+        np.abs(out, out=out)
+    out += 0.5
+    np.floor(out, out=out)
     if scheme == "symmetric8":
-        np.copysign(buf, rows, out=buf)
-    return buf
+        np.copysign(out, x, out=out)
+    return out
 
 
-def _scale_back(codes: np.ndarray, x_min, s, scheme: str) -> np.ndarray:
-    """``code * s + x_min`` in place on float64 codes; symmetric8 adds 0.0 (no -0)."""
+def _block_codes(rows: np.ndarray, x_min, s, scheme: str):
+    """``(group, slice, codes)`` for each block of each row of ``rows``: the
+    float64 codes, rounded from a float64 copy of the block in one scratch
+    block (:func:`tensor.half_blocks`) that every block reuses, so the
+    caller must use them before the next."""
+    groups, m = rows.shape
+    for g, b, x64, codes in T.half_blocks(m, groups):
+        np.copyto(x64, rows[g, b])
+        yield g, b, _round_codes(x64, x_min[g, 0], s[g, 0], scheme, codes)
+
+
+def _scale_back(codes: np.ndarray, x_min, s, scheme: str, out: np.ndarray) -> np.ndarray:
+    """``code * s + x_min`` in place on float64 codes, then rounded into
+    ``out``; symmetric8 adds 0.0 (no -0)."""
     codes *= s
     codes += x_min if scheme == "minmax8" else 0.0
-    return codes
+    np.copyto(out, codes, casting="same_kind")
+    return out
 
 
 def quantize(x, scheme: str, groups: int = 1) -> QuantizedActivation:
@@ -114,11 +133,13 @@ def quantize(x, scheme: str, groups: int = 1) -> QuantizedActivation:
     equal slice of the leading axis; the codes are then ``(groups, m)`` and
     the params hold ``(groups, 1)`` arrays.  A range that is not finite
     (x holds NaN or inf) has no codes and raises ``ValueError``."""
-    arr = np.asarray(getattr(x, "data", x))     # _round_codes makes the float64 copy
+    arr = np.asarray(getattr(x, "data", x))
     rows, x_min, x_max, s = _ranges(arr, scheme, groups)
     if not (np.isfinite(x_min).all() and np.isfinite(x_max).all()):
         raise ValueError("activation range is not finite")
-    codes = _round_codes(rows, x_min, s, scheme).astype(SCHEMES[scheme][0])
+    codes = np.empty(rows.shape, SCHEMES[scheme][0])
+    for g, b, block in _block_codes(rows, x_min, s, scheme):
+        np.copyto(codes[g, b], block, casting="unsafe")
     if groups == 1:     # float params, and codes in x's shape
         return QuantizedActivation(codes.reshape(arr.shape), ActQuantParams(
             scheme, x_min.item(), x_max.item(), s.item()))
@@ -135,8 +156,8 @@ def quantize_symmetric(x) -> QuantizedActivation:
 
 def dequantize(qa: QuantizedActivation) -> np.ndarray:
     p = qa.params
-    return _scale_back(qa.codes.astype(np.float64), p.x_min, p.scale,
-                       p.scheme).astype(np.float32)
+    return _scale_back(qa.codes.astype(np.float64), p.x_min, p.scale, p.scheme,
+                       np.empty(qa.codes.shape, np.float32))
 
 
 def ste_mask(x: np.ndarray, params: ActQuantParams) -> np.ndarray:
@@ -168,7 +189,9 @@ def fake_quantize(x: T.Tensor, scheme: str, groups: int = 1) -> T.Tensor:
     or inf in x comes out as non-finite values.
     """
     rows, x_min, x_max, s = _ranges(x.data, scheme, groups)
-    buf = _scale_back(_round_codes(rows, x_min, s, scheme), x_min, s, scheme)
+    out = np.empty(rows.shape, np.float32)
+    for g, b, codes in _block_codes(rows, x_min, s, scheme):
+        _scale_back(codes, x_min[g, 0], s[g, 0], scheme, out[g, b])
     if scheme == "minmax8":
         def backward(g):    # every x lies in its own [x_min, x_max]
             return (g,)
@@ -179,7 +202,7 @@ def fake_quantize(x: T.Tensor, scheme: str, groups: int = 1) -> T.Tensor:
         def backward(g):
             return (ste_backward(g.reshape(rows.shape), rows, params).reshape(shape),)
 
-    out = buf.astype(np.float32).astype(x.data.dtype, copy=False).reshape(x.shape)
+    out = out.astype(x.data.dtype, copy=False).reshape(x.shape)
     return T.custom_op([x], out, backward, name="fake_quant")
 
 

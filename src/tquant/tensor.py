@@ -20,6 +20,17 @@ produced) keep a gradient.  A backward is plain numpy: the replay runs
 no op.  A thread records on at most one tape: entering a second, or
 asking a tape for a loss it did not record, is a :class:`ContractError`.
 Threads may each record on their own tape at the same time.
+
+``gelu`` (and ``actquant.fake_quantize``) hold at most their output, the
+arrays their backward reads and one float64 scratch block of
+``BLOCK_ELEMENTS`` (512 KiB, near the CPU caches): they run over blocks
+and convert each block of x to float64 on its own.  ``gelu`` clips erf's
+argument to [-6, 6], where erf is already exactly +-1, so no bit changes
+and erf skips its slowest range.  ``layer_norm`` and ``softmax_rows`` keep
+rows whole, so each reduction is still one numpy call over the row, and
+work in place on one float64 copy and at most one float64 product.  Each
+keeps the float64 operations of its plain formula with the same operands,
+only ``*`` and ``+`` commuted, so the bits are the formula's.
 """
 
 from __future__ import annotations
@@ -35,8 +46,17 @@ from scipy.special import erf
 DEFAULT_DTYPE = np.float32
 LAYER_NORM_EPS = 1e-12
 
+# float64 elements per scratch block (512 KiB): large enough that numpy's
+# per-call overhead vanishes, small enough that the repeated passes over a
+# block stay near the CPU caches; the fastest of 2^13 to 2^18 for the
+# weight quantizers.  GeLU and activation fake-quant read it at each call,
+# ``ternarize`` imports it by name.
+BLOCK_ELEMENTS = 1 << 16
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# scipy's erf is exactly +-1 from |z| >= 5.9216, and slowest beyond 6
+_ERF_CLIP = 6.0
 
 
 class ShapeError(ValueError):
@@ -446,16 +466,20 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis, max-subtracted for stability."""
+    """Softmax over the last axis, max-subtracted for stability, in place on
+    one float64 copy; the backward works in place on one product."""
     x64 = x.data.astype(np.float64)
-    x64 = x64 - x64.max(axis=-1, keepdims=True)
-    e = np.exp(x64)
-    y64 = e / e.sum(axis=-1, keepdims=True)
-    y = y64.astype(x.data.dtype)
+    x64 -= x64.max(axis=-1, keepdims=True)
+    np.exp(x64, out=x64)
+    y = np.divide(x64, x64.sum(axis=-1, keepdims=True),
+                  out=np.empty(x.shape, x.data.dtype))
 
     def backward(g):
-        s = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - s),)
+        t = g * y
+        s = t.sum(axis=-1, keepdims=True)
+        np.subtract(g, s, out=t)
+        t *= y
+        return (t,)
 
     return _emit(y, (x,), backward)
 
@@ -474,35 +498,70 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     return _emit(out, (x,), backward)
 
 
+def block_slices(n: int, step: int | None = None):
+    """Slices of ``range(n)`` of ``step`` elements each (``BLOCK_ELEMENTS``
+    by default), the last partial."""
+    step = step or BLOCK_ELEMENTS
+    return (slice(i, min(i + step, n)) for i in range(0, n, step))
+
+
+def half_blocks(n: int, rows: int = 1):
+    """``(row, slice, first, second)`` for each slice of ``range(n)`` in each
+    of ``rows`` rows: ``first`` and ``second`` are the two halves of one
+    float64 scratch block, cut to the slice's length, and every slice reuses
+    them.  An op that reads two float64 operands per element works in them,
+    so numpy never buffers a cast."""
+    step = max(1, BLOCK_ELEMENTS // 2)
+    first, second = np.empty((2, min(step, n)))
+    for r in range(rows):
+        for b in block_slices(n, step):
+            k = b.stop - b.start
+            yield r, b, first[:k], second[:k]
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact GeLU, x * Phi(x) with the Gaussian CDF.
 
-    Forward and backward each work in place on one float64 buffer.  Every
-    ``*`` and ``+`` takes the same operands as in the plain formula, at
-    most swapped, and IEEE ``*`` and ``+`` commute, so the bits are the
-    plain formula's.  Until the backward runs, the tape holds only ``cdf``:
-    the backward recasts ``x`` to float64 itself, while recomputing ``cdf``
-    would cost a second ``erf``.
+    Forward and backward run over blocks of ``BLOCK_ELEMENTS``, converting
+    each block of x to float64 on its own, and write the result into x's
+    dtype with ``out=``, so neither holds a float64 copy of x.  Every ``*``
+    and ``+`` takes the same operands as in the plain formula, at most
+    swapped, and IEEE ``*`` and ``+`` commute, so the bits are the plain
+    formula's.  erf's argument is clipped to [-6, 6] first: erf is exactly
+    +-1 there already, and slowest beyond.  Until the backward runs, the
+    tape holds only ``cdf``, since recomputing it would cost a second
+    ``erf``; the backward's scratch is one block (:func:`half_blocks`).
     """
     xd = x.data
-    x64 = xd.astype(np.float64)
-    cdf = np.multiply(x64, _INV_SQRT2)
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    out = np.multiply(x64, cdf, out=np.empty(xd.shape, xd.dtype))
+    flat = xd.reshape(-1)
+    cdf = np.empty(xd.size)
+    out = np.empty(xd.shape, xd.dtype)
+    for b in block_slices(xd.size):
+        c = cdf[b]
+        np.copyto(c, flat[b])
+        c *= _INV_SQRT2
+        np.clip(c, -_ERF_CLIP, _ERF_CLIP, out=c)
+        erf(c, out=c)
+        c += 1.0
+        c *= 0.5
+        np.multiply(flat[b], c, out=out.reshape(-1)[b], dtype=np.float64)
 
     def backward(g):
         # g * (cdf + x * pdf), pdf = exp(-0.5 * x * x) / sqrt(2 pi)
-        x64 = xd.astype(np.float64)
-        t = np.multiply(x64, -0.5)
-        t *= x64
-        np.exp(t, out=t)
-        t *= _INV_SQRT2PI
-        t *= x64
-        t += cdf
-        t *= g
-        return (t.astype(xd.dtype),)
+        flat_g = g.reshape(-1)
+        dx = np.empty(xd.shape, xd.dtype)
+        for _, b, x64, t in half_blocks(xd.size):
+            np.copyto(x64, flat[b])
+            np.multiply(x64, -0.5, out=t)
+            t *= x64
+            np.exp(t, out=t)
+            t *= _INV_SQRT2PI
+            t *= x64
+            t += cdf[b]
+            np.copyto(x64, flat_g[b])           # now g, as float64
+            t *= x64
+            np.copyto(dx.reshape(-1)[b], t, casting="same_kind")
+        return (dx,)
 
     return _emit(out, (x,), backward)
 
@@ -510,8 +569,11 @@ def gelu(x: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row zero mean / unit variance over the last axis, then affine.
 
-    The tape keeps only the per-row mean and inverse deviation: the
-    backward recasts ``x`` and rebuilds ``xhat`` from them, bit for bit.
+    Forward and backward each work in place on one float64 copy and one
+    float64 product, and write the float32 results with ``out=``; rows stay
+    whole, so each reduction is one numpy call over the row.  The tape
+    keeps only the per-row mean and inverse deviation: the backward
+    recasts ``x`` and rebuilds ``xhat`` from them, bit for bit.
     """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -520,24 +582,31 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     x64 = xd.astype(np.float64)
     mu = x64.mean(axis=-1, keepdims=True)
     x64 -= mu
-    var = (x64 ** 2).mean(axis=-1, keepdims=True)
+    var = np.multiply(x64, x64).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     x64 *= inv                                  # xhat
-    out = (x64 * gd + bias.data).astype(xd.dtype)
+    x64 *= gd
+    out = np.add(x64, bias.data, out=np.empty(xd.shape, xd.dtype))
 
     def backward(g):
-        xhat = xd.astype(np.float64)
-        xhat -= mu
+        # dx = inv * (h - mean(h) - xhat * mean(h * xhat)), h = g * gain
+        xhat = np.subtract(xd, mu, dtype=np.float64)
         xhat *= inv
-        g64 = g.astype(np.float64)
         lead = tuple(range(g.ndim - 1))
-        dgain = (g64 * xhat).sum(axis=lead).astype(gd.dtype)
-        dbias = g64.sum(axis=lead).astype(bias_dtype)
-        h = g64 * gd.astype(np.float64)
+        h = np.multiply(g, xhat, dtype=np.float64)
+        dgain = h.sum(axis=lead).astype(gd.dtype)
+        np.copyto(h, g)
+        dbias = h.sum(axis=lead).astype(bias_dtype)
+        h *= gd
         hm = h.mean(axis=-1, keepdims=True)
-        hxm = (h * xhat).mean(axis=-1, keepdims=True)
-        dx = (inv * (h - hm - xhat * hxm)).astype(xd.dtype)
-        return dx, dgain, dbias
+        xhat *= h                               # h * xhat
+        hxm = xhat.mean(axis=-1, keepdims=True)
+        h -= hm
+        np.subtract(xd, mu, out=xhat, dtype=np.float64)
+        xhat *= inv
+        xhat *= hxm
+        h -= xhat
+        return np.multiply(h, inv, out=np.empty(xd.shape, xd.dtype)), dgain, dbias
 
     return _emit(out, (x, gain, bias), backward)
 

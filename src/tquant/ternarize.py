@@ -27,9 +27,10 @@ one written.
 Every solver works on a group matrix of shape ``(groups, n)``: one row per
 scale.  Row granularity uses the matrix as it is; layer granularity is the
 single group ``w.reshape(1, -1)``, so both run the same code.  Rows go
-through the solvers in blocks of about ``BLOCK_ELEMENTS`` elements, and
-each block is converted to float64 on its own, so a row-wise pass over a
-large float32 embedding never holds a float64 copy of the whole matrix.
+through the solvers in blocks of about ``BLOCK_ELEMENTS`` elements (the
+constant that :mod:`tensor` defines), and each block is converted to
+float64 on its own, so a row-wise pass over a large float32 embedding
+never holds a float64 copy of the whole matrix.
 
 Each call makes one workspace (``_Workspace``): the float64 block, |w|,
 the floored sqrt(v), one product buffer and three boolean masks, each one
@@ -63,15 +64,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .actquant import round_half_away
-from .tensor import ShapeError
+from .tensor import BLOCK_ELEMENTS, ShapeError
 
 GRANULARITIES = ("layer", "row")
-
-# float64 elements per block of rows (512 KiB per workspace array): large
-# enough that numpy's per-call overhead vanishes, small enough that the
-# repeated passes over a block stay near the CPU caches; the fastest of
-# 2^13 to 2^18
-BLOCK_ELEMENTS = 1 << 16
 
 LAT_ITERS = 3       # alternating rounds of lat_approx and laq3, read at each call
 V_FLOOR = 1e-12     # floor under v before its square root

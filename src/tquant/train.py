@@ -58,7 +58,8 @@ from .tensor import GradTape, Tensor
 
 
 class TrainingDiverged(ArithmeticError):
-    """The loss went non-finite; message names the first bad tensor."""
+    """The loss or the logits went non-finite; a training step's message
+    names the first bad tensor."""
 
 
 @dataclass(frozen=True)
@@ -254,9 +255,11 @@ class TeacherTargets:
 @dataclass(frozen=True)
 class TrainState:
     """One run: the student, its teacher and its settings, checked on every
-    build.  ``ValueError`` if a loss distils without a teacher, the student's
-    parameters are not ``param_shapes(config)``, or the teacher was built
-    for another config."""
+    build.  ``ValueError`` if a loss distils without a teacher, the teacher
+    lacks the :class:`TeacherTargets` interface (``config``, ``params``,
+    ``trace``) or was built for another config,
+    the student's parameters are not ``param_shapes(config)``, or the
+    optimizer's moments do not hold exactly the student's names and shapes."""
 
     config: ModelConfig
     plan: QuantPlan | None
@@ -270,10 +273,20 @@ class TrainState:
     def __post_init__(self):
         if self.teacher is None and (self.loss_cfg.use_trm or self.loss_cfg.use_logits):
             raise ValueError("distillation losses enabled but no teacher set")
+        # a store, or any stand-in with its interface
+        if self.teacher is not None and not all(
+                hasattr(self.teacher, a) for a in ("config", "params", "trace")):
+            raise ValueError(f"teacher must be a TeacherTargets store or None, "
+                             f"got {type(self.teacher).__name__}")
         if self.teacher is not None and self.teacher.config != self.config:
             raise ValueError("teacher store was built for another model config")
-        if {k: v.shape for k, v in self.params.items()} != param_shapes(self.config):
+        shapes = {k: v.shape for k, v in self.params.items()}
+        if shapes != param_shapes(self.config):
             raise ValueError("student parameters do not match the model config")
+        for moment in ("m", "v"):
+            if {k: v.shape for k, v in getattr(self.opt, moment).items()} != shapes:
+                raise ValueError(f"optimizer moment {moment} does not hold the "
+                                 f"student's parameter names and shapes")
 
     @staticmethod
     def create(config: ModelConfig, params: dict[str, np.ndarray],
@@ -356,12 +369,16 @@ def train_step(state: TrainState, tokens: np.ndarray, segments: np.ndarray,
 def evaluate(params: dict[str, np.ndarray], config: ModelConfig,
              examples: list[Example], plan: QuantPlan | None = None,
              second_moments: dict[str, np.ndarray] | None = None) -> float:
+    """Accuracy over ``examples``; :class:`TrainingDiverged` if a logit is
+    not finite."""
     if not examples:
         raise ValueError("cannot evaluate on an empty dataset")
     tokens, segments, labels = as_arrays(examples)
     _check_labels(labels, config.classes)
     leaves, _ = build_leaves(params, plan, second_moments, trainable=False)
     logits = forward(leaves, config, tokens, segments, plan=plan).logits
+    if not np.isfinite(logits.data).all():
+        raise TrainingDiverged("non-finite logits in evaluation")
     return float((np.argmax(logits.data, axis=-1) == labels).mean())
 
 

@@ -274,6 +274,60 @@ class TestOneRounding:
                 self.assert_fake_is_dequantized_codes(x, scheme, groups)
 
 
+def block_cases():
+    """Inputs whose groups split into partial 64-element blocks, with +-0."""
+    for i, (shape, dtype) in enumerate([((4, 5, 11), np.float32), ((4, 5, 11), np.float64),
+                                        ((4, 61), np.float32), ((8, 3, 3), np.float64),
+                                        ((4, 64), np.float32), ((12, 17), np.float32)]):
+        rng = np.random.default_rng(70 + i)
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-2, 2)
+        x.flat[:4] = [0.0, -0.0, 0.0, -0.0]
+        x.flat[-3:] = [-0.0, 0.0, -1e-9]
+        yield x.astype(dtype)
+
+
+class TestBlockBoundaries:
+    """Fake-quant and codes at a 64-element block equal the frozen path."""
+
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    def test_fake_quantize_matches_frozen(self, scheme, groups, monkeypatch):
+        monkeypatch.setattr(T, "BLOCK_ELEMENTS", 64)
+        for x in block_cases():
+            c = np.random.default_rng(x.size).standard_normal(x.shape).astype(x.dtype)
+            y, g = run_op(lambda t: aq.fake_quantize(t, scheme, groups), x, c)
+            y_ref, g_ref = run_op(
+                lambda t: reference_actquant.fake_quantize(t, scheme, groups)[0], x, c)
+            assert_same_bits(y, y_ref)
+            assert_same_bits(g, g_ref)
+
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    def test_quantize_matches_frozen(self, scheme, groups, monkeypatch):
+        monkeypatch.setattr(T, "BLOCK_ELEMENTS", 64)
+        for x in block_cases():
+            qa = aq.quantize(x, scheme, groups)
+            ref = reference_actquant.quantize(x, scheme, groups)
+            assert_same_bits(qa.codes, ref.codes)
+            for got, want in zip((qa.params.x_min, qa.params.x_max, qa.params.scale),
+                                 (ref.params.x_min, ref.params.x_max, ref.params.scale)):
+                assert_same_bits(np.asarray(got, np.float64), np.asarray(want, np.float64))
+
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    def test_peak_is_output_and_one_block(self, scheme, groups):
+        x = Tensor(np.random.default_rng(66).standard_normal((32, 32, 512), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            y = aq.fake_quantize(x, scheme, groups)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= y.data.nbytes + 8 * T.BLOCK_ELEMENTS + 64 * 1024
+
+
 @pytest.mark.parametrize("scheme", aq.SCHEMES)
 def test_fake_quantize_peak_memory_within_two_float64_copies(scheme):
     x = Tensor(np.random.default_rng(14).standard_normal((32, 32, 512), dtype=np.float32))

@@ -417,6 +417,21 @@ class TestEvalCommand:
                 capsys.readouterr().out.strip().splitlines()[-1])["accuracy"])
         assert accs[0] == accs[1]
 
+    @pytest.mark.parametrize("name", ["emb.ln_g", "head.b"])
+    def test_nonfinite_logits_exit_4_writing_nothing(self, tmp_path, capsys, name):
+        # a 2-2-8 student with one NaN in an fp32 tensor scores NaN logits
+        params = init_params(CFG, np.random.default_rng(0))
+        params[name].flat[0] = np.nan
+        save_checkpoint(tmp_path / "nan.tqm", CFG, params, plan_from_notation("2-2-8"))
+        data = tmp_path / "eval.jsonl"
+        tasks.save_dataset(str(data), tasks.make_majority_dataset(
+            8, seq_len=8, classes=CFG.classes, vocab=CFG.vocab, seed=1))
+        out = tmp_path / "out"
+        assert run(["eval", tmp_path / "nan.tqm", data, "--out", out]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "numerical abort: non-finite logits in evaluation\n"
+        assert not (out / "eval.jsonl").exists()
+
     def test_empty_dataset_is_error_not_zero(self, tmp_path):
         self._train_quick(tmp_path)
         empty = tmp_path / "empty.jsonl"

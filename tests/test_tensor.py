@@ -13,6 +13,7 @@ from oracles import (fd_gradient, gaussian_cdf_quadrature, matmul_triple_loop,
                      rel_norm_error, softmax_reference)
 import reference_actquant
 import reference_attention
+import reference_tensor
 
 
 def t64(data, grad=True):
@@ -178,6 +179,89 @@ class TestGelu:
         for got, want in zip(run(T.gelu), run(reference_actquant.gelu)):
             assert got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes()
+
+
+def values_and_gradients(op, arrays, c):
+    """Output of ``op`` on leaves holding ``arrays``, and each leaf's gradient
+    of ``sum(op(...) * c)``."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    with GradTape() as tape:
+        y = op(*leaves)
+        loss = T.sum_all(T.mul(y, Tensor(c)))
+    grads = tape.gradients(loss)
+    return [y.data] + [grads.wrt(leaf) for leaf in leaves]
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def signed_sweep(shape, dtype, seed):
+    """Values of every magnitude with +-0, for bit-level comparisons."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 1.5, shape)
+    x.flat[:6] = [0.0, -0.0, 8.5, -8.5, 3e4, -3e4]
+    return x.astype(dtype)
+
+
+class TestBlockBoundaries:
+    """Blocked GeLU at a 64-element block equals the frozen plain formula on
+    sizes that split into partial blocks."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1,), (3, 7), (5, 13), (2, 64), (3, 5, 43)])
+    def test_gelu_matches_frozen_formula(self, shape, dtype, monkeypatch):
+        monkeypatch.setattr(T, "BLOCK_ELEMENTS", 64)
+        x = signed_sweep(shape, dtype, seed=sum(shape))
+        c = np.random.default_rng(2).standard_normal(shape).astype(dtype)
+        assert_same_bits(values_and_gradients(T.gelu, [x], c),
+                         values_and_gradients(reference_actquant.gelu, [x], c))
+
+    def test_gelu_backward_peak_is_output_and_one_block(self):
+        x = Tensor(np.random.default_rng(65).standard_normal((32, 32, 512))
+                   .astype(np.float32) * 4, requires_grad=True)
+        with GradTape() as tape:
+            T.gelu(x)
+        backward = tape._entries[-1].backward
+        g = np.ones(x.shape, np.float32)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            (dx,) = backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= dx.nbytes + 8 * T.BLOCK_ELEMENTS + 64 * 1024
+
+
+class TestInPlaceRowOps:
+    """softmax_rows and layer_norm, in place, against the frozen formulas."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(5,), (3, 7), (4, 6, 9), (2, 3, 4, 16)])
+    def test_softmax_matches_frozen_formula(self, shape, dtype):
+        x = signed_sweep(shape, dtype, seed=len(shape))
+        c = np.random.default_rng(3).standard_normal(shape).astype(dtype)
+        assert_same_bits(values_and_gradients(T.softmax_rows, [x], c),
+                         values_and_gradients(reference_tensor.softmax_rows, [x], c))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(5,), (3, 7), (4, 6, 9), (2, 3, 4, 16)])
+    def test_layer_norm_matches_frozen_formula(self, shape, dtype):
+        rng = np.random.default_rng(len(shape))
+        x = signed_sweep(shape, dtype, seed=len(shape))
+        x[..., :1] = 0.25                       # rows may also be constant
+        if x.ndim > 1:
+            x[0] = 0.25
+        gain = (1.0 + rng.standard_normal(shape[-1])).astype(dtype)
+        bias = rng.standard_normal(shape[-1]).astype(dtype)
+        c = rng.standard_normal(shape).astype(dtype)
+        assert_same_bits(values_and_gradients(T.layer_norm, [x, gain, bias], c),
+                         values_and_gradients(reference_tensor.layer_norm,
+                                              [x, gain, bias], c))
 
 
 class TestLayerNorm:

@@ -443,6 +443,33 @@ class TestReplaceChecksAgain:
             dataclasses.replace(value, **changes)
 
 
+class TestStateHoldsItsParts:
+    """A state's teacher is a store and its moments are the student's."""
+
+    def test_teacher_params_in_place_of_a_store_rejected(self):
+        state = _distilling_run()
+        with pytest.raises(ValueError, match="teacher must be a TeacherTargets store or "
+                                             "None, got dict"):
+            dataclasses.replace(state, teacher=state.teacher.params)
+
+    @pytest.mark.parametrize("moments", [
+        lambda p: ({}, {}),
+        lambda p: (p, {k: v for k, v in p.items() if k != "head.b"}),
+        lambda p: (p, {**p, "extra": np.zeros(1, np.float32)}),
+        lambda p: ({**p, "head.b": np.zeros(1, np.float32)}, p),
+    ], ids=["empty", "v-missing-one", "v-extra-name", "m-wrong-shape"])
+    def test_moments_must_match_the_student(self, moments):
+        state = _distilling_run()
+        m, v = moments({k: np.zeros_like(a) for k, a in state.params.items()})
+        with pytest.raises(ValueError, match="optimizer moment [mv] does not hold"):
+            dataclasses.replace(state, opt=TR.OptimizerState(m=m, v=v))
+
+    def test_matching_moments_accepted(self):
+        state = _distilling_run()
+        again = dataclasses.replace(state, opt=TR.OptimizerState.initial(state.params))
+        assert again.opt.step == 0
+
+
 class TestRunTraining:
     def test_batch_below_one_rejected(self):
         state = fresh_state(M.init_params(CFG, np.random.default_rng(4)))
@@ -530,6 +557,12 @@ class TestRunTraining:
     def test_evaluate_empty_rejected(self):
         with pytest.raises(ValueError):
             TR.evaluate(M.init_params(CFG, np.random.default_rng(0)), CFG, [])
+
+    def test_evaluate_refuses_nonfinite_logits(self):
+        params = M.init_params(CFG, np.random.default_rng(0))
+        params["head.b"][0] = np.inf
+        with pytest.raises(TR.TrainingDiverged, match="non-finite logits"):
+            TR.evaluate(params, CFG, make_data(8))
 
     def test_training_steps_yields_the_records_of_run_training(self):
         teacher = M.init_params(CFG, np.random.default_rng(6))

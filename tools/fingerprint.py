@@ -12,6 +12,11 @@ Each line is one digest over a fixed, seeded set of inputs:
   -- ``actquant.quantize`` codes and params, ``dequantize`` values, and
   ``fake_quantize`` values and gradients, for both schemes and for one
   range and four ranges per tensor;
+* ``gelu`` -- ``tensor.gelu`` values and gradient over a float32 sweep of
+  both signs: |x| below sqrt(2) (erf's own series), up to 6*sqrt(2) (where
+  erf goes through erfc), from there to 3e38, and every float32 around
+  the points where erf first reads exactly 1 and where its argument is
+  clipped;
 * ``ternarize`` -- ``ternarize.quantize`` for every method and granularity;
 * ``training`` -- ``run_training`` records and final parameters for six
   configurations, and ``eval_loss_trm`` after each distilling run on a
@@ -157,6 +162,33 @@ def activations(codes: Digest, deq: Digest, fake: Digest) -> None:
             codes.items += 1
 
 
+def gelu_inputs() -> np.ndarray:
+    """The float32 sweep of the ``gelu`` line, negatives and signed zeros
+    included."""
+    root2 = np.sqrt(2.0)
+    runs = [np.linspace(0.0, root2, 4001), np.linspace(root2, 6 * root2, 4001),
+            np.geomspace(6 * root2, 3e38, 4001), [1e-30, 1e-38, 1e-45]]
+    # every float32 within 2^-10 of erf's first exact 1 and of the clip point
+    for z in (5.9216, 6.0):
+        mid = np.array(z * root2, dtype=np.float32).view(np.int32)
+        runs.append(np.arange(mid - 8192, mid + 8192, dtype=np.int32).view(np.float32))
+    x = np.concatenate([np.asarray(r, dtype=np.float32) for r in runs])
+    return np.concatenate([x, -x])
+
+
+def gelu(d: Digest) -> None:
+    x = gelu_inputs()
+    # small weights, so that sum(gelu(x) * c) stays finite in float32
+    c = (np.random.default_rng(17).standard_normal(x.shape) * 1e-4).astype(np.float32)
+    leaf = Tensor(x, requires_grad=True)
+    with GradTape() as tape:
+        y = T.gelu(leaf)
+        loss = T.sum_all(T.mul(y, Tensor(c)))
+    d.array(y.data)
+    d.array(tape.gradients(loss).wrt(leaf))
+    d.items = x.size
+
+
 def weight_inputs():
     rng = np.random.default_rng(3)
     zero_rows = rng.standard_normal((7, 10))
@@ -259,18 +291,19 @@ def cli_commands(d: Digest, tmp: str) -> None:
 
 
 def main() -> int:
-    ckpt, codes, deq, fake, quant, runs, commands = (Digest() for _ in range(7))
+    ckpt, codes, deq, fake, act, quant, runs, commands = (Digest() for _ in range(8))
     with tempfile.TemporaryDirectory() as tmp:
         checkpoints(ckpt, tmp)
     activations(codes, deq, fake)
     deq.items = fake.items = codes.items
+    gelu(act)
     weights(quant)
     training(runs)
     with tempfile.TemporaryDirectory() as tmp:
         cli_commands(commands, tmp)
     for name, d in (("checkpoints", ckpt), ("activation_codes", codes),
                     ("activation_dequantize", deq), ("activation_fake_quant", fake),
-                    ("ternarize", quant), ("training", runs), ("cli", commands)):
+                    ("gelu", act), ("ternarize", quant), ("training", runs), ("cli", commands)):
         print(f"{name:22s} {d.items:4d} {d.h.hexdigest()}")
     return 0
 

@@ -72,7 +72,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden", type=int, default=32)
     p.add_argument("--heads", type=int, default=2)
     p.add_argument("--ffn", type=int, default=64)
-    p.add_argument("--seq-len", type=int, default=16)
+    p.add_argument("--seq-len", type=_at_least(1), default=16)
     p.add_argument("--vocab", type=int, default=8)
 
 
@@ -164,11 +164,10 @@ def cmd_train(args) -> int:
         ckpt = load_checkpoint(args.teacher)
         if ckpt.config != config:
             raise ValueError("teacher checkpoint config does not match run config")
-        if ckpt.qinfo or ckpt.plan is not None:
-            # only a recorded plan codes anything (load_checkpoint checked it)
-            recorded = QuantPlan.from_dict(ckpt.file.extras["plan"])
+        # a file whose recorded plan codes nothing is a teacher
+        if ckpt.plan is not None and ckpt.plan.notation != "32-32-32":
             raise ValueError(f"teacher checkpoint {args.teacher} was quantized under "
-                             f"plan {recorded.notation}; distillation needs a "
+                             f"plan {ckpt.plan.notation}; distillation needs a "
                              "full-precision teacher")
     data_train, data_eval = _datasets(args)
     # the first write: the --out directory keeps no earlier run's outputs
@@ -221,7 +220,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.model)
     examples = tasks.load_dataset(args.data)
-    acc = evaluate(ckpt.params, ckpt.config, examples, plan=ckpt.plan)
+    # the params are decoded already: only the activations are left to code
+    plan = ckpt.plan and replace(ckpt.plan, w_bits=32, e_bits=32)
+    acc = evaluate(ckpt.params, ckpt.config, examples, plan=plan)
     record = {"kind": "eval", "model": str(args.model), "data": str(args.data),
               "n": len(examples), "accuracy": acc, "seed": args.seed}
     metrics.write_records(_out_path(args, "eval.jsonl"), [record])
@@ -247,8 +248,8 @@ def cmd_inspect(args) -> int:
     if args.probe:
         examples = tasks.load_dataset(args.probe)
         tokens, segments, _ = tasks.as_arrays(examples)
-        # the file's activation plan, as in cmd_eval: a 2-2-8 student's
-        # layers see 8-bit inputs
+        # forward reads only the recorded plan's activation fields: a 2-2-8
+        # student's decoded layers see 8-bit inputs, as in cmd_eval
         leaves, _ = build_leaves(ckpt.params, trainable=False)
         trace = forward(leaves, ckpt.config, tokens, segments, plan=ckpt.plan)
         hists = []

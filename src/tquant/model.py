@@ -393,9 +393,10 @@ def _maybe_fq(x: Tensor, plan: QuantPlan | None, groups: int = 1) -> Tensor:
 def attention_scores(leaves: dict[str, Tensor], config: ModelConfig, layer: int,
                      h_q: Tensor, plan: QuantPlan | None = None) -> Tensor:
     """Raw scores ``Q·Kᵀ`` of every head of ``layer``, ``(heads*batch, n, n)``,
-    from that layer's input ``h_q`` (already fake-quantized under ``plan``).
-    :func:`forward` computes its scores here, so scores recomputed from a
-    stored hidden state carry the same bits."""
+    from that layer's input ``h_q`` (already fake-quantized under ``plan``,
+    of which only the activation fields are read).  :func:`forward` computes
+    its scores here, so scores recomputed from a stored hidden state carry
+    the same bits."""
     p = layer_prefix(layer)
     q = T.linear(h_q, leaves[f"{p}.wq"], leaves[f"{p}.bq"])
     k = T.linear(h_q, leaves[f"{p}.wk"], leaves[f"{p}.bk"])
@@ -407,6 +408,11 @@ def forward(leaves: dict[str, Tensor], config: ModelConfig,
             tokens: np.ndarray, segments: np.ndarray,
             plan: QuantPlan | None = None, train: bool = False,
             rng: np.random.Generator | None = None) -> ForwardTrace:
+    """The encoder over ``leaves``, which hold every weight as it is used:
+    :func:`build_leaves` or :func:`load_checkpoint` has decoded the coded
+    slots already.  Of ``plan`` only ``a_bits`` and ``act_scheme`` are
+    read, so a checkpoint's recorded plan runs its decoded params as
+    trained."""
     tokens = np.asarray(tokens)
     segments = np.asarray(segments)
     if tokens.ndim != 2 or tokens.shape != segments.shape:
@@ -514,9 +520,9 @@ def save_checkpoint(path, config: ModelConfig, params: dict[str, np.ndarray],
                     second_moments: dict[str, np.ndarray] | None = None,
                     extras: dict | None = None) -> None:
     """Write a ``.tqm`` of ``params`` coded under ``plan``; the extras record
-    the plan, so that :func:`load_checkpoint` can run the activations it
-    was trained with.  Params that are not the model of ``config`` raise
-    ``ValueError`` before anything is written."""
+    the plan, which :func:`load_checkpoint` returns.  Params that are not
+    the model of ``config`` raise ``ValueError`` before anything is
+    written."""
     tensors = to_saved_tensors(params, plan, second_moments)
     _check_records(tensors, config, plan, ValueError)
     extras = dict(extras or {})
@@ -527,10 +533,17 @@ def save_checkpoint(path, config: ModelConfig, params: dict[str, np.ndarray],
 
 @dataclass
 class Checkpoint:
+    """A model file as :func:`load_checkpoint` reads it.  ``plan`` is the
+    plan the file records (None for a file that records none), so saving
+    ``config``, ``params``, ``plan`` and ``file.extras`` again writes the
+    same bytes, except that a ``laq3`` scale may move by one ulp.  The
+    params are decoded already: :func:`forward` reads only the plan's
+    activation fields, and leaves built from them take no weight plan."""
+
     config: ModelConfig
     params: dict[str, np.ndarray]       # dequantized, float32
     qinfo: dict[str, ternarize.TernaryTensor]
-    plan: QuantPlan | None              # activation-only: the weights are coded
+    plan: QuantPlan | None
     file: LoadedModel
 
 
@@ -548,9 +561,4 @@ def load_checkpoint(path) -> Checkpoint:
         raise ManifestError(f"{path}: {e}") from e
     _check_records(file.tensors.values(), config, plan, ManifestError)
     params, qinfo = params_from_loaded(file.tensors, config)
-    if plan is not None and plan.quantizes_activations:
-        plan = QuantPlan(w_bits=32, e_bits=32, a_bits=plan.a_bits,
-                         act_scheme=plan.act_scheme)
-    else:
-        plan = None
     return Checkpoint(config, params, qinfo, plan, file)

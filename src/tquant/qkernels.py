@@ -86,13 +86,6 @@ def ternary_gemm(act: QuantizedActivation, w) -> np.ndarray:
     return out64.astype(np.float32)
 
 
-def float_reference(act: QuantizedActivation, w) -> np.ndarray:
-    """Dequantize both operands and multiply in floating point."""
-    a = actquant.dequantize(act).astype(np.float64)
-    wd = dequantize(_ternary_weight(w)).astype(np.float64)
-    return (a @ wd.T).astype(np.float32)
-
-
 def traffic_bytes(plan: GemmPlan) -> int:
     """Analytic memory-traffic estimate: codes + activations + output."""
     weight_bytes = (plan.n * plan.k + 3) // 4      # 2-bit packed

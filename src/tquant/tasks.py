@@ -59,6 +59,10 @@ def make_majority_dataset(n_examples: int, seq_len: int = 16, classes: int = 4,
 
 def make_parity_dataset(n_examples: int, seq_len: int = 16, vocab: int = 8,
                         seed: int = 0) -> list[Example]:
+    if vocab < 2:       # the body draws from ids 1..vocab-1
+        raise ValueError(f"parity needs vocab >= 2 (CLS plus a body token), got {vocab}")
+    if seq_len < 1:
+        raise ValueError(f"parity needs seq_len >= 1 (the CLS position), got {seq_len}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_examples):

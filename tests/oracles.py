@@ -126,6 +126,17 @@ def integer_gemm_reference(act_codes: np.ndarray, act_params,
     return out
 
 
+def float_reference(act, w) -> np.ndarray:
+    """Dequantize the activation codes and the ternary weight in float64
+    and multiply; float32 out, as the integer GEMM gives."""
+    p = act.params
+    a = act.codes.astype(np.float64) * p.scale
+    if p.scheme == "minmax8":
+        a = a + p.x_min
+    scales = np.asarray(w.scales, dtype=np.float64).reshape(-1, 1)
+    return (a @ (w.codes.astype(np.float64) * scales).T).astype(np.float32)
+
+
 def fd_gradient(loss_fn, params: dict[str, np.ndarray], name: str,
                 eps: float = 1e-4) -> np.ndarray:
     """Central differences of loss_fn(params) w.r.t. params[name]."""

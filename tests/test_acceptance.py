@@ -21,8 +21,8 @@ from tquant import ternarize as tz
 from tquant import train as TR
 from tquant.tensor import GradTape, Tensor
 
-from oracles import (brute_force_quant, fd_gradient, integer_gemm_reference,
-                     rel_norm_error)
+from oracles import (brute_force_quant, fd_gradient, float_reference,
+                     integer_gemm_reference, rel_norm_error)
 
 CALIBRATION = json.loads(
     (pathlib.Path(__file__).parent / "data" / "calibration.json").read_text())
@@ -169,7 +169,7 @@ def test_c07_kernel_equivalence():
         ref = integer_gemm_reference(act.codes, act.params, w.codes, w.scales,
                                      gran)
         np.testing.assert_array_equal(got, ref)
-        flt = qk.float_reference(act, w)
+        flt = float_reference(act, w)
         denom = max(float(np.abs(flt).max()), 1e-3)
         assert np.abs(got - flt).max() / denom < 1e-4
     report("7 kernel-equivalence", "1000 instances bit-exact vs integer "

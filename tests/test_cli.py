@@ -124,12 +124,17 @@ class TestTrainCommand:
                                "act": "minmax"})))
         np.testing.assert_array_equal(qinfo["layer0.wq"].codes, q.codes)
 
-    @pytest.mark.parametrize("argv", [["--stages", 2, "--ablation", "no-trm"],
-                                      ["--stages", 2, "--ablation", "no-trm-no-logits"],
-                                      ["--seq-len", 1]])
-    def test_bad_schedule_or_task_writes_nothing(self, argv, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["train", "--stages", 2, "--ablation", "no-trm"],
+        ["train", "--stages", 2, "--ablation", "no-trm-no-logits"],
+        ["train", "--seq-len", 1],
+        ["train", "--task", "parity", "--vocab", 1],
+        ["ablate", "--task", "parity", "--vocab", 1],
+        ["ablate", "--seq-len", 1]])
+    def test_bad_schedule_or_task_writes_nothing(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
-        assert run(["train", *argv, "--out", out]) == cli.EXIT_CONFIG
+        assert run([*argv, "--out", out]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command,flag,value", [
@@ -139,7 +144,8 @@ class TestTrainCommand:
         ("ablate", "--batch", 0), ("ablate", "--train-n", 0), ("ablate", "--epochs", -1),
         ("bench", "--reps", -1), ("bench", "--m", 0), ("bench", "--n", 0),
         ("bench", "--k", 0), ("inspect", "--bins", 1),
-        ("train", "--seed", -1), ("ablate", "--seed", -1), ("bench", "--seed", -1)])
+        ("train", "--seed", -1), ("ablate", "--seed", -1), ("bench", "--seed", -1),
+        ("train", "--seq-len", 0), ("ablate", "--seq-len", 0), ("size", "--seq-len", 0)])
     def test_count_below_its_bound_exits_2_writing_nothing(self, command, flag, value,
                                                           tmp_path, capsys):
         out = tmp_path / "out"

@@ -417,8 +417,7 @@ class TestCheckpoint:
         ckpt = M.load_checkpoint(path)
         assert ckpt.config == CFG
         assert ckpt.file.extras == {"seed": 60, "plan": plan.to_dict()}
-        assert ckpt.plan == M.QuantPlan(w_bits=32, e_bits=32, a_bits=8,
-                                        act_scheme="symmetric8")
+        assert ckpt.plan == plan
         assert set(ckpt.qinfo) == {n for n in params if M.quant_slot(n)}
         for name, value in params.items():
             q = M.quantize_param(name, value, plan)
@@ -437,10 +436,41 @@ class TestCheckpoint:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("plan", [None, M.plan_from_notation("2-2-32")])
-    def test_float_activations_give_no_plan(self, tmp_path, plan):
+    def test_float_activations_keep_the_recorded_plan(self, tmp_path, plan):
         params = M.init_params(CFG, np.random.default_rng(61))
         M.save_checkpoint(tmp_path / "m.tqm", CFG, params, plan)
-        assert M.load_checkpoint(tmp_path / "m.tqm").plan is None
+        assert M.load_checkpoint(tmp_path / "m.tqm").plan == plan
+
+    def test_every_plan_reads_back_as_recorded(self, tmp_path, fingerprint):
+        # the fingerprint's plans: every valid slot choice of each of w and
+        # e, times three activation settings, and no plan
+        config = fingerprint.MICRO
+        rng = np.random.default_rng(64)
+        params = M.init_params(config, rng, std=0.5)
+        moments = {k: np.abs(rng.standard_normal(v.shape)).astype(np.float32) * 1e-3
+                   for k, v in params.items()}
+        first, again = tmp_path / "a.tqm", tmp_path / "b.tqm"
+        for i, plan in enumerate(fingerprint.plans()):
+            M.save_checkpoint(first, config, params, plan,
+                              second_moments=moments if i % 2 else None,
+                              extras={"index": i})
+            ckpt = M.load_checkpoint(first)
+            assert ckpt.plan == plan
+            M.save_checkpoint(again, ckpt.config, ckpt.params, ckpt.plan,
+                              extras=ckpt.file.extras)
+            if plan is None or "laq3" not in (plan.w_method, plan.e_method):
+                assert first.read_bytes() == again.read_bytes(), plan
+                continue
+            # laq3's decoded level 3 (3 * scale) rounds to float32, so its
+            # scale may come back one ulp off; the codes do not move
+            reread = M.load_checkpoint(again)
+            for name, q in ckpt.qinfo.items():
+                np.testing.assert_array_equal(reread.qinfo[name].codes, q.codes)
+                np.testing.assert_array_max_ulp(reread.qinfo[name].scales, q.scales, 1)
+        plan = M.plan_from_notation("2-2-8")
+        M.save_checkpoint(first, config, params, plan)
+        ckpt = M.load_checkpoint(first)
+        assert M.size_report(ckpt.config, ckpt.plan) == M.size_report(config, plan)
 
 
 # (notation, field, value): at the parent each edit, made after the plan was

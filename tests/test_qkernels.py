@@ -8,7 +8,7 @@ from tquant import qkernels as qk
 from tquant import ternarize as tz
 from tquant.packed import PackedTernaryBlob, pack, pack_codes_2bit
 
-from oracles import integer_gemm_reference
+from oracles import float_reference, integer_gemm_reference
 
 
 def make_weight(rng, n, k, granularity="layer"):
@@ -116,7 +116,7 @@ class TestTernaryGemm:
             act = aq.quantize(x, scheme)
             w = make_weight(rng, 4, 16, "row")
             got = qk.ternary_gemm(act, w)
-            ref = qk.float_reference(act, w)
+            ref = float_reference(act, w)
             scale_mag = max(np.abs(ref).max(), 1e-3)
             assert np.abs(got - ref).max() / scale_mag < 1e-4
 

@@ -689,6 +689,18 @@ class TestTasks:
         with pytest.raises(ValueError, match="seq_len"):
             tasks.make_majority_dataset(4, seq_len=seq_len, classes=3, vocab=6)
 
+    @pytest.mark.parametrize("seq_len,vocab,field", [
+        (0, 6, "seq_len >= 1"), (-3, 6, "seq_len >= 1"), (8, 1, "vocab >= 2"),
+        (8, 0, "vocab >= 2")])
+    def test_parity_needs_a_position_and_a_body_token(self, seq_len, vocab, field):
+        with pytest.raises(ValueError, match=f"parity needs {field}"):
+            tasks.make_dataset("parity", 4, seq_len, vocab, seed=0)
+
+    def test_parity_keeps_its_smallest_task(self):
+        # one position (CLS alone) and the ids {0, 1}: every label is 0
+        assert [ex.label for ex in tasks.make_parity_dataset(3, seq_len=1, vocab=2)] \
+            == [0, 0, 0]
+
 
 class TestScheduleChecks:
     """A schedule that cannot run is refused when its value is built."""

@@ -28,7 +28,12 @@ Each line is one digest over a fixed, seeded set of inputs:
   tquant, so it also runs against a tree whose library API differs.
 
 Two trees that print the same lines produce the same files, codes and
-training runs on these inputs.
+training runs on these inputs.  A first ``#`` line names the numpy, BLAS
+and scipy builds the digests were made with.  ``tests/data/fingerprint.txt``
+is this tool's output, and tier-1 (``tests/test_fingerprint.py``) checks
+the tree against it; a change that means to move a digest rewrites it::
+
+    PYTHONPATH=src python3 tools/fingerprint.py > tests/data/fingerprint.txt
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import sys
 import tempfile
 
 import numpy as np
+import scipy
 
 from tquant import actquant, cli, tasks, ternarize
 from tquant import tensor as T
@@ -290,7 +296,20 @@ def cli_commands(d: Digest, tmp: str) -> None:
             d.h.update(f.read().replace(tmp.encode(), b"<tmp>"))
 
 
-def main() -> int:
+def versions() -> str:
+    """The libraries behind the digests: numpy, its BLAS, and scipy (erf).
+    Another BLAS build may sum in another order, which moves ``training``
+    and ``cli``."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):     # numpy before 1.26 prints its config only
+        blas = "unknown"
+    return f"numpy {np.__version__} (BLAS {blas}), scipy {scipy.__version__}"
+
+
+def lines() -> list[str]:
+    """One ``name items digest`` line per pinned output."""
     ckpt, codes, deq, fake, act, quant, runs, commands = (Digest() for _ in range(8))
     with tempfile.TemporaryDirectory() as tmp:
         checkpoints(ckpt, tmp)
@@ -301,10 +320,15 @@ def main() -> int:
     training(runs)
     with tempfile.TemporaryDirectory() as tmp:
         cli_commands(commands, tmp)
-    for name, d in (("checkpoints", ckpt), ("activation_codes", codes),
-                    ("activation_dequantize", deq), ("activation_fake_quant", fake),
-                    ("gelu", act), ("ternarize", quant), ("training", runs), ("cli", commands)):
-        print(f"{name:22s} {d.items:4d} {d.h.hexdigest()}")
+    return [f"{name:22s} {d.items:4d} {d.h.hexdigest()}" for name, d in (
+        ("checkpoints", ckpt), ("activation_codes", codes),
+        ("activation_dequantize", deq), ("activation_fake_quant", fake),
+        ("gelu", act), ("ternarize", quant), ("training", runs), ("cli", commands))]
+
+
+def main() -> int:
+    print(f"# {versions()}")
+    print("\n".join(lines()))
     return 0
 
 

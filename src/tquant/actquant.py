@@ -20,6 +20,11 @@ rounded in one scratch block of ``tensor.BLOCK_ELEMENTS``, then cast into
 the integer codes, or scaled back into the float32 output, so neither
 holds a float64 copy of x.
 
+``fake_quant_linear`` is ``tensor.linear(fake_quantize(x), w, b)`` as
+one tape entry, for an x that feeds nothing else: the entry keeps x's
+integer codes, one byte each, not the float32 values, and scales them
+back for the backward's ``dw``, bit for bit.
+
 The backward rule is clipped straight-through: the gradient passes
 unchanged where x lies inside the representable range and is zeroed
 outside it.  Under a dynamic range every x lies inside the minmax8 range
@@ -128,6 +133,15 @@ def _scale_back(codes: np.ndarray, x_min, s, scheme: str, out: np.ndarray) -> np
     return out
 
 
+def _fake_values(rows: np.ndarray, x_min, s, scheme: str) -> np.ndarray:
+    """The float32 values the codes of ``(groups, m)`` rows scale back to,
+    rounded and scaled back block by block, with no integer codes built."""
+    out = np.empty(rows.shape, np.float32)
+    for g, b, codes in _block_codes(rows, x_min, s, scheme):
+        _scale_back(codes, x_min[g, 0], s[g, 0], scheme, out[g, b])
+    return out
+
+
 def quantize(x, scheme: str, groups: int = 1) -> QuantizedActivation:
     """Codes over one range per tensor, or with ``groups > 1`` one range per
     equal slice of the leading axis; the codes are then ``(groups, m)`` and
@@ -189,9 +203,7 @@ def fake_quantize(x: T.Tensor, scheme: str, groups: int = 1) -> T.Tensor:
     or inf in x comes out as non-finite values.
     """
     rows, x_min, x_max, s = _ranges(x.data, scheme, groups)
-    out = np.empty(rows.shape, np.float32)
-    for g, b, codes in _block_codes(rows, x_min, s, scheme):
-        _scale_back(codes, x_min[g, 0], s[g, 0], scheme, out[g, b])
+    out = _fake_values(rows, x_min, s, scheme)
     if scheme == "minmax8":
         def backward(g):    # every x lies in its own [x_min, x_max]
             return (g,)
@@ -204,6 +216,45 @@ def fake_quantize(x: T.Tensor, scheme: str, groups: int = 1) -> T.Tensor:
 
     out = out.astype(x.data.dtype, copy=False).reshape(x.shape)
     return T.custom_op([x], out, backward, name="fake_quant")
+
+
+def fake_quant_linear(x: T.Tensor, scheme: str, w: T.Tensor,
+                      b: T.Tensor | None = None) -> T.Tensor:
+    """``tensor.linear(fake_quantize(x, scheme), w, b)`` as one tape entry,
+    with the same bits in the output and in every gradient.
+
+    The entry keeps x's :func:`quantize` codes and their scalar params,
+    not the fake-quantized values, and scales the codes back, block by
+    block and rounded through float32 as :func:`dequantize` does, into the
+    float64 GEMM operand, once for the forward and once for the backward's
+    ``dw``.  Symmetric8 also keeps its STE mask, as bool.  A range that is
+    not finite (x holds NaN or inf) has no codes, so the entry then keeps
+    the float32 values, whose NaNs are the unfused pair's.
+    """
+    n_in = x.shape[-1]
+    try:
+        qa = quantize(x.data, scheme)
+    except ValueError:      # x holds NaN or inf
+        rows, x_min, x_max, s = _ranges(x.data, scheme, 1)
+        params = ActQuantParams(scheme, x_min, x_max, s)
+        values = _fake_values(rows, x_min, s, scheme)
+
+        def operand64():
+            return values.reshape(-1, n_in).astype(np.float64)
+    else:
+        params, flat = qa.params, qa.codes.reshape(-1)
+
+        def operand64():
+            out = np.empty(flat.size)
+            f32 = np.empty(min(T.BLOCK_ELEMENTS, flat.size), np.float32)
+            for blk in T.block_slices(flat.size):
+                o = out[blk]
+                np.copyto(o, flat[blk])
+                np.copyto(o, _scale_back(o, params.x_min, params.scale, scheme,
+                                         f32[:o.size]))
+            return out.reshape(-1, n_in)
+    mask = ste_mask(x.data, params) if scheme == "symmetric8" else None
+    return T.linear_op(x, w, b, operand64, mask, name="fake_quant_linear")
 
 
 def histogram_export(x, bins: int) -> dict:

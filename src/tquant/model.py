@@ -18,8 +18,14 @@ and the task head stay in full precision.
 Weight matrices are stored transposed, (out_features, in_features), so
 row granularity means one scale per output feature, and the word
 embedding keeps one scale per vocabulary row.  Every dense layer (the six
-transformer linears and the task head) is one :func:`tensor.linear` tape
-primitive.
+transformer linears and the task head) is one tape entry.  Under an 8-bit
+plan, W^O, W^1 and W^2, whose inputs feed nothing else, are each one
+:func:`actquant.fake_quant_linear`, which keeps the input's 8-bit codes on
+the tape; the rest are :func:`tensor.linear`.  The fake-quantized layer
+input ``h_q`` stays a separate op, since Q, K and V all read it: fusing
+each would sum its gradient in another order.  Each layer runs as an
+attention block and an FFN block, so the intermediates that no backward
+reads are freed as each block returns.
 
 Size accounting (:func:`size_report`) mirrors the published model-size
 arithmetic: quantized transformer weights and word embedding count
@@ -390,6 +396,16 @@ def _maybe_fq(x: Tensor, plan: QuantPlan | None, groups: int = 1) -> Tensor:
     return x
 
 
+def _dense(x: Tensor, leaves: dict[str, Tensor], w: str, b: str,
+           plan: QuantPlan | None) -> Tensor:
+    """The linear layer ``w``, ``b`` over ``x`` fake-quantized under ``plan``,
+    for an ``x`` that feeds no other op: one tape entry that keeps x's
+    8-bit codes (:func:`actquant.fake_quant_linear`)."""
+    if plan is not None and plan.quantizes_activations:
+        return actquant.fake_quant_linear(x, plan.act_scheme, leaves[w], leaves[b])
+    return T.linear(x, leaves[w], leaves[b])
+
+
 def attention_scores(leaves: dict[str, Tensor], config: ModelConfig, layer: int,
                      h_q: Tensor, plan: QuantPlan | None = None) -> Tensor:
     """Raw scores ``Q·Kᵀ`` of every head of ``layer``, ``(heads*batch, n, n)``,
@@ -402,6 +418,34 @@ def attention_scores(leaves: dict[str, Tensor], config: ModelConfig, layer: int,
     k = T.linear(h_q, leaves[f"{p}.wk"], leaves[f"{p}.bk"])
     q, k = (T.split_heads(_maybe_fq(t, plan), config.heads) for t in (q, k))
     return T.matmul(q, T.transpose_last2(k))
+
+
+def _attention_block(leaves: dict[str, Tensor], config: ModelConfig, layer: int,
+                     h: Tensor, plan: QuantPlan | None, drop) -> tuple[Tensor, Tensor]:
+    """Layer ``layer``'s raw scores and ``X = LN(H + MHA(H))``; the block's
+    other intermediates are dropped on return, unless a backward reads them."""
+    p = layer_prefix(layer)
+    heads = config.heads
+    scale = 1.0 / math.sqrt(config.hidden if config.attn_scale == "sqrt_d"
+                            else config.d_head)
+    h_q = _maybe_fq(h, plan)
+    scores = attention_scores(leaves, config, layer, h_q, plan)
+    v = _maybe_fq(T.linear(h_q, leaves[f"{p}.wv"], leaves[f"{p}.bv"]), plan)
+    v = T.split_heads(v, heads)
+    probs = drop(T.softmax_rows(T.scale(scores, scale)))
+    probs = _maybe_fq(probs, plan, groups=heads)   # one range per head
+    ctx = T.merge_heads(T.matmul(probs, v), heads)
+    attn_out = drop(_dense(ctx, leaves, f"{p}.wo", f"{p}.bo", plan))
+    return scores, T.layer_norm(h + attn_out, leaves[f"{p}.ln1_g"], leaves[f"{p}.ln1_b"])
+
+
+def _ffn_block(leaves: dict[str, Tensor], layer: int, x: Tensor,
+               plan: QuantPlan | None, drop) -> Tensor:
+    """``H' = LN(X + FFN(X))`` of layer ``layer``."""
+    p = layer_prefix(layer)
+    inner = T.gelu(_dense(x, leaves, f"{p}.w1", f"{p}.b1", plan))
+    ffn_out = drop(_dense(inner, leaves, f"{p}.w2", f"{p}.b2", plan))
+    return T.layer_norm(x + ffn_out, leaves[f"{p}.ln2_g"], leaves[f"{p}.ln2_b"])
 
 
 def forward(leaves: dict[str, Tensor], config: ModelConfig,
@@ -436,29 +480,12 @@ def forward(leaves: dict[str, Tensor], config: ModelConfig,
         + T.narrow(leaves["emb.pos"], 0, 0, n)
     h = drop(T.layer_norm(emb, leaves["emb.ln_g"], leaves["emb.ln_b"]))
 
-    scale = 1.0 / math.sqrt(config.hidden if config.attn_scale == "sqrt_d"
-                            else config.d_head)
-    heads = config.heads
     hidden = [h]
     attention = []
     for i in range(config.layers):
-        p = layer_prefix(i)
-        h_q = _maybe_fq(h, plan)
-        scores = attention_scores(leaves, config, i, h_q, plan)
+        scores, x = _attention_block(leaves, config, i, h, plan, drop)
         attention.append(scores)
-        v = _maybe_fq(T.linear(h_q, leaves[f"{p}.wv"], leaves[f"{p}.bv"]), plan)
-        v = T.split_heads(v, heads)
-        probs = drop(T.softmax_rows(T.scale(scores, scale)))
-        probs = _maybe_fq(probs, plan, groups=heads)   # one range per head
-        ctx = T.merge_heads(T.matmul(probs, v), heads)
-        attn_out = drop(T.linear(_maybe_fq(ctx, plan), leaves[f"{p}.wo"],
-                                 leaves[f"{p}.bo"]))
-        x = T.layer_norm(h + attn_out, leaves[f"{p}.ln1_g"], leaves[f"{p}.ln1_b"])
-        inner = T.gelu(T.linear(_maybe_fq(x, plan), leaves[f"{p}.w1"],
-                                leaves[f"{p}.b1"]))
-        ffn_out = drop(T.linear(_maybe_fq(inner, plan), leaves[f"{p}.w2"],
-                                leaves[f"{p}.b2"]))
-        h = T.layer_norm(x + ffn_out, leaves[f"{p}.ln2_g"], leaves[f"{p}.ln2_b"])
+        h = _ffn_block(leaves, i, x, plan, drop)
         hidden.append(h)
 
     first = T.reshape(T.narrow(h, 1, 0, 1), (batch, config.hidden))

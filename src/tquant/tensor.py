@@ -9,28 +9,34 @@ against scalar reference implementations in the tests.
 
 Tensors are immutable values once produced; ops are pure functions.  A
 :class:`GradTape`, while active, records every primitive whose inputs are
-tracked, and ``gradients(loss)`` replays the record in reverse order.
-The tape records each tensor by its process-unique ``key``, never the
-tensor itself, and each backward closure holds only the arrays it reads
-(shapes and dtypes where it reads nothing else), so an op output that no
-backward reads is freed as soon as the caller drops it.  The replay frees
-each intermediate gradient as soon as the op that produced that tensor
-has read it, so only leaves (tracked tensors that no recorded op
-produced) keep a gradient.  A backward is plain numpy: the replay runs
-no op.  A thread records on at most one tape: entering a second, or
-asking a tape for a loss it did not record, is a :class:`ContractError`.
-Threads may each record on their own tape at the same time.
+tracked, and ``gradients(loss)`` replays the record in reverse order,
+once.  The tape records each tensor by its process-unique ``key``, never
+the tensor itself, and each backward closure holds only the arrays it
+reads (shapes and dtypes where it reads nothing else), so an op output
+that no backward reads is freed as soon as the caller drops it.  The
+replay drops each entry, with the arrays its closure holds, once its
+backward has run, and each intermediate gradient as soon as the op that
+produced that tensor has read it, so only leaves (tracked tensors that no
+recorded op produced) keep a gradient.  A second replay of a tape is a
+:class:`ContractError`; ``len(tape)`` still counts the ops it recorded.
+A backward is plain numpy: the replay runs no op.  A thread records on at
+most one tape: entering a second, or asking a tape for a loss it did not
+record, is a :class:`ContractError`.  Threads may each record on their
+own tape at the same time.
 
-``gelu`` (and ``actquant.fake_quantize``) hold at most their output, the
-arrays their backward reads and one float64 scratch block of
+``gelu``, ``dropout`` (and ``actquant.fake_quantize``) hold at most their
+output, the arrays their backward reads and one float64 scratch block of
 ``BLOCK_ELEMENTS`` (512 KiB, near the CPU caches): they run over blocks
-and convert each block of x to float64 on its own.  ``gelu`` clips erf's
-argument to [-6, 6], where erf is already exactly +-1, so no bit changes
-and erf skips its slowest range.  ``layer_norm`` and ``softmax_rows`` keep
-rows whole, so each reduction is still one numpy call over the row, and
-work in place on one float64 copy and at most one float64 product.  Each
-keeps the float64 operations of its plain formula with the same operands,
-only ``*`` and ``+`` commuted, so the bits are the formula's.
+and convert each block of x to float64 on its own.  A ``gelu`` that no
+tape records keeps no ``cdf``.  ``gelu`` clips erf's argument to [-6, 6],
+where erf is already exactly +-1, so no bit changes and erf skips its
+slowest range.  ``layer_norm`` and ``softmax_rows`` keep rows whole, so
+each reduction is still one numpy call over the row, and work in place on
+one float64 copy and at most one float64 product.  Each keeps the float64
+operations of its plain formula with the same operands, only ``*`` and
+``+`` commuted, so the bits are the formula's.  ``linear_op`` is
+``linear``'s arithmetic for an operand that another module derives from
+the input: ``actquant.fake_quant_linear`` feeds it 8-bit codes.
 """
 
 from __future__ import annotations
@@ -162,10 +168,11 @@ _RECORDING = _Recording()
 
 class GradTape:
     """Ordered record of the ops its thread runs in its ``with`` block,
-    replayed backward for a loss it recorded.  Tapes do not nest."""
+    replayed backward, once, for a loss it recorded.  Tapes do not nest."""
 
     def __init__(self):
         self._entries: list[_TapeEntry] = []
+        self._replayed = 0          # entries the replay has dropped
 
     def __enter__(self) -> "GradTape":
         if _RECORDING.tape is not None:
@@ -178,7 +185,8 @@ class GradTape:
         _RECORDING.tape = None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """The ops recorded, before or after the replay."""
+        return len(self._entries) + self._replayed
 
     def gradients(self, loss: Tensor) -> Gradients:
         """Accumulated gradient of a scalar loss for every tracked leaf.
@@ -187,15 +195,23 @@ class GradTape:
         reverse visits the graph in reverse topological order: when an
         entry is reached, its output's gradient is complete, and the entry
         that produced a tensor is the last to read that gradient, so it is
-        dropped right there.
+        dropped right there.  Each entry, with the arrays its backward
+        holds, is dropped once it has run, so a tape replays once: a second
+        call is a :class:`ContractError`.  A call refused for its loss
+        leaves the tape as it was.
         """
+        if self._replayed:
+            raise ContractError("this tape was replayed already; a tape replays once")
         if loss.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")
         produced = {entry.output for entry in self._entries}
         if loss.key not in produced:
             raise ContractError(f"{loss!r} was not recorded by this tape")
         grads: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
-        for entry in reversed(self._entries):
+        entries = self._entries
+        while entries:
+            entry = entries.pop()
+            self._replayed += 1
             g_out = grads.pop(entry.output, None)
             if g_out is None:
                 continue
@@ -330,6 +346,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     output gradient over the leading axes.  The backward recasts ``x`` and
     ``w`` to float64 rather than keeping the forward's copies alive.
     """
+    xd = x.data
+
+    def operand64():
+        return xd.reshape(-1, xd.shape[-1]).astype(np.float64)
+
+    return linear_op(x, w, b, operand64)
+
+
+def linear_op(x: Tensor, w: Tensor, b: Tensor | None,
+              operand64: Callable[[], np.ndarray],
+              dx_mask: np.ndarray | None = None, name: str | None = None) -> Tensor:
+    """:func:`linear`'s arithmetic over an operand that is a function of
+    ``x`` with x's shape and dtype, as one tape entry whose input is ``x``.
+
+    ``operand64()`` returns the operand as float64 ``(rows, in)``: the
+    forward calls it, and the backward again for ``dw``, so neither keeps
+    it.  The backward multiplies ``dx`` by ``dx_mask`` where one is given:
+    ``dx`` is the gradient of an identity or masked-identity map from
+    ``x`` to the operand.
+    """
     if w.ndim != 2 or x.ndim < 2:
         raise ShapeError(f"linear needs x with >= 2 dims and a 2-D weight, "
                          f"got {x.shape} and {w.shape}")
@@ -338,21 +374,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"input features differ: x {x.shape}, weight {w.shape}")
     if b is not None and b.shape != (n_out,):
         raise ShapeError(f"bias must have shape ({n_out},), got {b.shape}")
-    xd, wd, has_bias = x.data, w.data, b is not None
-    out64 = xd.reshape(-1, n_in).astype(np.float64) @ wd.astype(np.float64).T
-    out = out64.reshape(xd.shape[:-1] + (n_out,)).astype(xd.dtype)
+    wd, has_bias = w.data, b is not None
+    x_shape, dtype = x.shape, x.data.dtype
+    out64 = operand64() @ wd.astype(np.float64).T
+    out = out64.reshape(x_shape[:-1] + (n_out,)).astype(dtype)
     if has_bias:
         out += b.data
 
     def backward(g):
         g64 = g.reshape(-1, n_out).astype(np.float64)
-        dx = (g64 @ wd.astype(np.float64)).reshape(xd.shape).astype(xd.dtype)
-        dw = (g64.T @ xd.reshape(-1, n_in).astype(np.float64)).astype(wd.dtype)
+        dx = (g64 @ wd.astype(np.float64)).reshape(x_shape).astype(dtype)
+        if dx_mask is not None:
+            np.multiply(dx, dx_mask, out=dx)
+        dw = (g64.T @ operand64()).astype(wd.dtype)
         if not has_bias:
             return dx, dw
         return dx, dw, g.sum(axis=tuple(range(g.ndim - 1)))
 
-    return _emit(out, (x, w) if b is None else (x, w, b), backward)
+    return _emit(out, (x, w) if b is None else (x, w, b), backward, name=name)
 
 
 def transpose_last2(a: Tensor) -> Tensor:
@@ -530,14 +569,17 @@ def gelu(x: Tensor) -> Tensor:
     formula's.  erf's argument is clipped to [-6, 6] first: erf is exactly
     +-1 there already, and slowest beyond.  Until the backward runs, the
     tape holds only ``cdf``, since recomputing it would cost a second
-    ``erf``; the backward's scratch is one block (:func:`half_blocks`).
+    ``erf``; the backward's scratch is one block (:func:`half_blocks`).  A
+    call that no tape records (an untracked x, or no tape) works ``cdf`` in
+    one block too.
     """
     xd = x.data
     flat = xd.reshape(-1)
-    cdf = np.empty(xd.size)
+    kept = _RECORDING.tape is not None and x.requires_grad
+    cdf = np.empty(xd.size if kept else min(BLOCK_ELEMENTS, xd.size))
     out = np.empty(xd.shape, xd.dtype)
     for b in block_slices(xd.size):
-        c = cdf[b]
+        c = cdf[b] if kept else cdf[:b.stop - b.start]
         np.copyto(c, flat[b])
         c *= _INV_SQRT2
         np.clip(c, -_ERF_CLIP, _ERF_CLIP, out=c)
@@ -612,18 +654,45 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; call only in training mode."""
+    """Inverted dropout; call only in training mode.
+
+    The mask is ``rng.random(x.shape) >= p``; forward and backward multiply
+    by ``mask * factor`` one block of ``BLOCK_ELEMENTS`` at a time, so the
+    tape keeps only the boolean mask and neither pass makes a full-size
+    temporary.
+    """
     if p <= 0.0:
         return x
     if p >= 1.0:
         raise ContractError("dropout rate must be < 1")
-    keep = (rng.random(x.shape) >= p)
-    dtype = x.data.dtype
-    factor = dtype.type(1.0 / (1.0 - p))
-    out = x.data * (keep.astype(dtype) * factor)
+    keep = _keep_mask(x.shape, p, rng)
+    factor = x.data.dtype.type(1.0 / (1.0 - p))
 
     def backward(g):
-        # the boolean mask is a quarter of a float32 one; rebuild the scale
-        return (g * (keep.astype(dtype) * factor),)
+        return (_masked_scale(g, keep, factor),)
 
-    return _emit(out, (x,), backward)
+    return _emit(_masked_scale(x.data, keep, factor), (x,), backward)
+
+
+def _keep_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator) -> np.ndarray:
+    """``rng.random(shape) >= p``, drawn one block at a time: consecutive
+    draws continue one stream, so the mask is the full-size draw's."""
+    keep = np.empty(shape, bool)
+    draws = np.empty(min(BLOCK_ELEMENTS, keep.size))
+    for b in block_slices(keep.size):
+        u = draws[:b.stop - b.start]
+        rng.random(out=u)
+        np.greater_equal(u, p, out=keep.reshape(-1)[b])
+    return keep
+
+
+def _masked_scale(a: np.ndarray, keep: np.ndarray, factor) -> np.ndarray:
+    """``a * (keep * factor)`` in a's dtype, scaling one block at a time."""
+    out = np.empty(a.shape, a.dtype)
+    flat_a, flat_keep, flat_out = a.reshape(-1), keep.reshape(-1), out.reshape(-1)
+    scale = np.empty(min(BLOCK_ELEMENTS, a.size), a.dtype)
+    for b in block_slices(a.size):
+        s = scale[:b.stop - b.start]
+        np.multiply(flat_keep[b], factor, out=s)
+        np.multiply(flat_a[b], s, out=flat_out[b])
+    return out

@@ -239,6 +239,7 @@ class TeacherTargets:
             hidden = np.stack([h.data for h in fresh.hidden], axis=1)
             for j, key in enumerate(misses):
                 self._rows[key] = (hidden[j], fresh.logits.data[j])
+            del fresh   # the rest of its trace goes before the scores are recomputed
         rows = [self._rows[key] for key in keys]
         hidden = [Tensor(np.stack([h[l] for h, _ in rows]))
                   for l in range(self.config.layers + 1)]
@@ -324,7 +325,9 @@ def _first_nonfinite(trace: ForwardTrace) -> str | None:
 
 def train_step(state: TrainState, tokens: np.ndarray, segments: np.ndarray,
                labels: np.ndarray) -> dict:
-    """One pass of the distillation-aware ternarization loop."""
+    """One pass of the distillation-aware ternarization loop.  Both traces
+    are dropped before the replay, so the backward holds only what the
+    tape keeps, and the tape frees that as it goes."""
     cfg = state.loss_cfg
     second_half = state.opt.step >= state.opt_cfg.total_steps // 2
     stage = 2 if cfg.stages == 2 and second_half else 1
@@ -357,6 +360,7 @@ def train_step(state: TrainState, tokens: np.ndarray, segments: np.ndarray,
         raise TrainingDiverged(f"non-finite loss at step {state.opt.step + 1}; "
                                f"first bad tensor: {culprit}")
 
+    student = teacher = None
     grads_t = tape.gradients(total)
     grads = {name: grads_t.wrt(leaf) for name, leaf in leaves.items()}
     lr, delta = optimizer_step(state.params, grads, state.opt, state.opt_cfg)

@@ -1,9 +1,10 @@
 """Frozen copy of ``softmax_rows`` and ``layer_norm`` as plain formulas,
-before each worked in place on one float64 copy.
+before each worked in place on one float64 copy, and of ``dropout`` before
+it drew its mask in blocks.
 
-Each builds its result from a chain of float64 temporaries, in the order
+Each builds its result from a chain of full-size temporaries, in the order
 of the formula.  The differential tests in ``test_tensor.py`` hold
-``tquant.tensor.softmax_rows`` and ``tquant.tensor.layer_norm`` to these
+``tquant.tensor.softmax_rows``, ``layer_norm`` and ``dropout`` to these
 outputs and gradients bit for bit.
 """
 
@@ -49,3 +50,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         return dx, dgain, dbias
 
     return T.custom_op([x, gain, bias], out, backward)
+
+
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    keep = (rng.random(x.shape) >= p)
+    dtype = x.data.dtype
+    factor = dtype.type(1.0 / (1.0 - p))
+    out = x.data * (keep.astype(dtype) * factor)
+
+    def backward(g):
+        return (g * (keep.astype(dtype) * factor),)
+
+    return T.custom_op([x], out, backward)

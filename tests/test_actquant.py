@@ -248,6 +248,60 @@ class TestFrozenFakeQuant:
                 assert_same_bits(aq.dequantize(qa), reference_actquant.dequantize(ref))
 
 
+class TestFakeQuantLinear:
+    """``fake_quant_linear`` against ``fake_quantize`` then ``linear``: the
+    output and the gradients of x, w and b, byte for byte."""
+
+    @staticmethod
+    def run(op, x, w, b, c):
+        leaves = [None if a is None else Tensor(a, requires_grad=True) for a in (x, w, b)]
+        with GradTape() as tape:
+            y = op(*leaves)
+            loss = T.sum_all(T.mul(y, Tensor(c)))
+        grads = tape.gradients(loss)
+        return [y.data] + [grads.wrt(t) for t in leaves if t is not None]
+
+    def assert_fused_matches(self, scheme, x, n_out, bias):
+        rng = np.random.default_rng(x.size + n_out)
+        dtype = x.dtype
+        w = (rng.standard_normal((n_out, x.shape[-1])) * 0.1).astype(dtype)
+        b = rng.standard_normal(n_out).astype(dtype) if bias else None
+        c = rng.standard_normal(x.shape[:-1] + (n_out,)).astype(dtype)
+        got = self.run(lambda t, wt, bt: aq.fake_quant_linear(t, scheme, wt, bt), x, w, b, c)
+        want = self.run(lambda t, wt, bt: T.linear(aq.fake_quantize(t, scheme), wt, bt),
+                        x, w, b, c)
+        assert len(got) == len(want) == (4 if bias else 3)
+        for g, r in zip(got, want):
+            assert_same_bits(g, r)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("case", list(frozen_cases()))
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    def test_frozen_cases(self, scheme, case, bias):
+        x, _ = frozen_cases()[case]
+        x = x.reshape(-1, x.shape[-1]) if x.ndim > 1 else x.reshape(1, -1)
+        self.assert_fused_matches(scheme, x, 3, bias)
+
+    @pytest.mark.parametrize("x_shape,n_out", [((3, 7, 16), 5), ((32, 32, 128), 96)])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    def test_random_inputs_over_blocks(self, scheme, bias, x_shape, n_out, monkeypatch):
+        if x_shape[-1] == 16:
+            monkeypatch.setattr(T, "BLOCK_ELEMENTS", 64)    # 336 elements, 6 blocks
+        x = np.random.default_rng(71).standard_normal(x_shape).astype(np.float32) * 3
+        self.assert_fused_matches(scheme, x, n_out, bias)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    def test_nonfinite_input_keeps_the_unfused_values(self, scheme, bad):
+        # no codes exist; the fused op keeps the float32 values, so its NaNs
+        # carry the unfused pair's signs and payloads
+        x = np.random.default_rng(72).standard_normal((4, 6)).astype(np.float32)
+        x[2, 3] = bad
+        with np.errstate(invalid="ignore"):
+            self.assert_fused_matches(scheme, x, 5, True)
+
+
 class TestOneRounding:
     """fake_quantize is dequantize(quantize(x)): one rounding, one scale-back."""
 

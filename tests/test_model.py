@@ -300,7 +300,8 @@ class TestTapeSize:
     @pytest.mark.parametrize("layers", [0, 1, 3])
     def test_each_linear_is_one_entry(self, monkeypatch, layers):
         # the frozen composition records transpose, matmul and the bias add
-        # for each of the 6 transformer linears per layer and the task head
+        # for each of Q, K, V and the task head; W^O, W^1 and W^2 each take
+        # their fake-quant with them into one entry
         cfg = M.ModelConfig(layers=layers, hidden=16, heads=2, ffn=24, vocab=12,
                             max_positions=8, classes=3, dropout=0.0)
         rng = np.random.default_rng(50)
@@ -315,8 +316,13 @@ class TestTapeSize:
             return len(tape)
 
         fused = tape_length()
+        # embedding 6, head 3; a layer records 25 ops: 8 fake-quants (h, Q,
+        # K, V, probabilities and the three in the fused layers), 6 linears,
+        # 3 head splits and a merge, the K transpose, 2 matmuls, scale,
+        # softmax, GeLU, 2 residual adds and 2 layer norms, less 3 fusions
+        assert fused == 9 + 25 * layers
         monkeypatch.setattr(T, "linear", reference_attention._linear)
-        assert fused == tape_length() - 2 * (6 * layers + 1)
+        assert fused == tape_length() - 2 * (3 * layers + 1)
 
 
 class TestHeadPermutation:

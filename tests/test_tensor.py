@@ -1,10 +1,12 @@
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from tquant import actquant as aq
 from tquant import model as M
 from tquant import tensor as T
 from tquant.tensor import GradTape, Tensor
@@ -237,6 +239,46 @@ class TestBlockBoundaries:
         assert peak <= dx.nbytes + 8 * T.BLOCK_ELEMENTS + 64 * 1024
 
 
+class TestBlockedDropout:
+    """The mask drawn in blocks is the one full-size draw gives."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1,), (3, 7), (2, 64), (3, 5, 43)])
+    def test_matches_frozen_full_draw(self, shape, dtype, monkeypatch):
+        monkeypatch.setattr(T, "BLOCK_ELEMENTS", 64)
+        x = signed_sweep(shape, dtype, seed=sum(shape))
+        x.flat[-1] = np.finfo(dtype).max    # x * factor overflows; x * 0 does not
+        c = np.random.default_rng(3).standard_normal(shape).astype(dtype)
+        for p in (0.1, 0.5):
+            with np.errstate(over="ignore"):
+                assert_same_bits(
+                    values_and_gradients(
+                        lambda t: T.dropout(t, p, np.random.default_rng(9)), [x], c),
+                    values_and_gradients(
+                        lambda t: reference_tensor.dropout(t, p, np.random.default_rng(9)),
+                        [x], c))
+
+    def test_peaks_are_results_mask_and_one_block(self):
+        x = Tensor(np.ones((32, 32, 512), np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                y = T.dropout(x, 0.1, np.random.default_rng(63))
+                forward = tracemalloc.get_traced_memory()[1] - before
+            g = np.ones(x.shape, np.float32)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            (dx,) = tape._entries[-1].backward(g)
+            backward = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        block = 8 * T.BLOCK_ELEMENTS
+        assert forward <= y.data.nbytes + x.size + block + 64 * 1024
+        assert backward <= dx.nbytes + block + 64 * 1024
+
+
 class TestInPlaceRowOps:
     """softmax_rows and layer_norm, in place, against the frozen formulas."""
 
@@ -412,6 +454,19 @@ class TestTapeMemory:
         y, held = self._held_bytes(
             lambda a: T.dropout(a, 0.1, np.random.default_rng(63)), x)
         assert held <= y.data.nbytes + x.size + 64 * 1024
+
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    def test_fake_quant_linear_holds_codes_and_mask(self, scheme):
+        # the unfused pair holds the float32 fake-quantized x, 4 bytes each
+        rng = np.random.default_rng(69)
+        x = Tensor(rng.standard_normal((32, 32, 512)).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor((rng.standard_normal((128, 512)) * 0.1).astype(np.float32),
+                   requires_grad=True)
+        b = Tensor(np.zeros(128, np.float32), requires_grad=True)
+        y, held = self._held_bytes(lambda a: aq.fake_quant_linear(a, scheme, w, b), x)
+        mask = x.size if scheme == "symmetric8" else 0
+        assert held <= y.data.nbytes + x.size + mask + 64 * 1024
 
     def test_tape_keeps_no_output_that_no_backward_reads(self):
         x = Tensor(np.zeros(1 << 18, dtype=np.float32), requires_grad=True)  # 1 MiB
@@ -654,6 +709,63 @@ class TestOneTapePerThread:
         before = next(T._KEYS)
         tape.gradients(loss)
         assert next(T._KEYS) == before + 1
+
+
+def holding(arr):
+    """A backward whose closure is all that holds ``arr``."""
+    def backward(g):
+        return (g * arr[:g.size].reshape(g.shape),)
+    return backward
+
+
+class TestReplayOnce:
+    def test_an_array_only_a_closure_holds_is_freed_during_the_replay(self):
+        x = t64([1.0, 2.0])
+        held = np.full(1 << 16, 3.0)
+        ref = weakref.ref(held)
+        seen = []
+
+        def first(g):       # recorded first, so replayed last
+            seen.append(ref() is None)
+            return (g,)
+
+        with GradTape() as tape:
+            a = T.custom_op([x], x.data.copy(), first)
+            loss = T.sum_all(T.custom_op([a], a.data * 3.0, holding(held)))
+        del held
+        assert ref() is not None
+        grads = tape.gradients(loss)
+        assert seen == [True]
+        np.testing.assert_array_equal(grads.wrt(x), [3.0, 3.0])
+
+    def test_second_replay_raises(self):
+        x = t64([2.0])
+        with GradTape() as tape:
+            loss = T.sum_all(T.mul(x, x))
+        np.testing.assert_array_equal(tape.gradients(loss).wrt(x), [4.0])
+        with pytest.raises(T.ContractError, match="replays once"):
+            tape.gradients(loss)
+
+    def test_length_counts_recorded_ops_after_the_replay(self):
+        x = t64([2.0, 3.0])
+        with GradTape() as tape:
+            loss = T.sum_all(T.mul(T.scale(x, 2.0), x))
+        assert len(tape) == 3
+        tape.gradients(loss)
+        assert len(tape) == 3 and tape._entries == []
+
+    def test_a_refused_call_leaves_the_tape_usable(self):
+        x = t64([2.0, 3.0])
+        with GradTape() as tape:
+            y = T.mul(x, x)
+            loss = T.sum_all(y)
+        with GradTape():
+            elsewhere = T.sum_all(x)
+        for bad in (y, elsewhere):      # not scalar; not recorded here
+            with pytest.raises(T.ContractError):
+                tape.gradients(bad)
+        assert len(tape) == 2
+        np.testing.assert_array_equal(tape.gradients(loss).wrt(x), [4.0, 6.0])
 
 
 class TestDeterminismAndMisc:

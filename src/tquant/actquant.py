@@ -18,12 +18,12 @@ casts the codes to integers, for the GEMM and for inspection, and
 blocks (``tensor.half_blocks``): a block of x is converted to float64 and
 rounded in one scratch block of ``tensor.BLOCK_ELEMENTS``, then cast into
 the integer codes, or scaled back into the float32 output, so neither
-holds a float64 copy of x.
+holds a float64 copy of x.  ``dequantize`` decodes codes in blocks too.
 
 ``fake_quant_linear`` is ``tensor.linear(fake_quantize(x), w, b)`` as
 one tape entry, for an x that feeds nothing else: the entry keeps x's
-integer codes, one byte each, not the float32 values, and scales them
-back for the backward's ``dw``, bit for bit.
+integer codes, one byte each, not the float32 values, and decodes them
+as ``dequantize`` does for the forward and the backward's ``dw``.
 
 The backward rule is clipped straight-through: the gradient passes
 unchanged where x lies inside the representable range and is zeroed
@@ -133,15 +133,6 @@ def _scale_back(codes: np.ndarray, x_min, s, scheme: str, out: np.ndarray) -> np
     return out
 
 
-def _fake_values(rows: np.ndarray, x_min, s, scheme: str) -> np.ndarray:
-    """The float32 values the codes of ``(groups, m)`` rows scale back to,
-    rounded and scaled back block by block, with no integer codes built."""
-    out = np.empty(rows.shape, np.float32)
-    for g, b, codes in _block_codes(rows, x_min, s, scheme):
-        _scale_back(codes, x_min[g, 0], s[g, 0], scheme, out[g, b])
-    return out
-
-
 def quantize(x, scheme: str, groups: int = 1) -> QuantizedActivation:
     """Codes over one range per tensor, or with ``groups > 1`` one range per
     equal slice of the leading axis; the codes are then ``(groups, m)`` and
@@ -168,10 +159,30 @@ def quantize_symmetric(x) -> QuantizedActivation:
     return quantize(x, "symmetric8")
 
 
-def dequantize(qa: QuantizedActivation) -> np.ndarray:
+def _decode(qa: QuantizedActivation, out: np.ndarray) -> np.ndarray:
+    """Scale ``qa``'s codes back into ``out`` of as many elements, one block
+    of a group at a time: float32 through one float64 scratch block, or
+    float64 (rounded through float32) in place through one float32 block."""
     p = qa.params
-    return _scale_back(qa.codes.astype(np.float64), p.x_min, p.scale, p.scheme,
-                       np.empty(qa.codes.shape, np.float32))
+    groups = np.size(p.scale)
+    rows, dest = qa.codes.reshape(groups, -1), out.reshape(groups, -1)
+    x_min, s = np.reshape(p.x_min, -1), np.reshape(p.scale, -1)
+    wide = out.dtype == np.float64
+    scratch = np.empty(min(T.BLOCK_ELEMENTS, rows.shape[1]),
+                       np.float32 if wide else np.float64)
+    for g in range(groups):
+        for b in T.block_slices(rows.shape[1]):
+            t = scratch[:b.stop - b.start]
+            codes, values = (dest[g, b], t) if wide else (t, dest[g, b])
+            np.copyto(codes, rows[g, b])
+            _scale_back(codes, x_min[g], s[g], p.scheme, values)
+            if wide:
+                np.copyto(codes, values)
+    return out
+
+
+def dequantize(qa: QuantizedActivation) -> np.ndarray:
+    return _decode(qa, np.empty(qa.codes.shape, np.float32))
 
 
 def ste_mask(x: np.ndarray, params: ActQuantParams) -> np.ndarray:
@@ -203,7 +214,9 @@ def fake_quantize(x: T.Tensor, scheme: str, groups: int = 1) -> T.Tensor:
     or inf in x comes out as non-finite values.
     """
     rows, x_min, x_max, s = _ranges(x.data, scheme, groups)
-    out = _fake_values(rows, x_min, s, scheme)
+    out = np.empty(rows.shape, np.float32)
+    for g, b, codes in _block_codes(rows, x_min, s, scheme):
+        _scale_back(codes, x_min[g, 0], s[g, 0], scheme, out[g, b])
     if scheme == "minmax8":
         def backward(g):    # every x lies in its own [x_min, x_max]
             return (g,)
@@ -224,37 +237,22 @@ def fake_quant_linear(x: T.Tensor, scheme: str, w: T.Tensor,
     with the same bits in the output and in every gradient.
 
     The entry keeps x's :func:`quantize` codes and their scalar params,
-    not the fake-quantized values, and scales the codes back, block by
-    block and rounded through float32 as :func:`dequantize` does, into the
-    float64 GEMM operand, once for the forward and once for the backward's
-    ``dw``.  Symmetric8 also keeps its STE mask, as bool.  A range that is
-    not finite (x holds NaN or inf) has no codes, so the entry then keeps
-    the float32 values, whose NaNs are the unfused pair's.
+    not the fake-quantized values, and decodes the codes as
+    :func:`dequantize` does into the float64 GEMM operand, once for the
+    forward and once for the backward's ``dw``.  Symmetric8 also keeps its
+    STE mask, as bool.  An x with NaN or inf has no codes, so it runs as
+    that unfused pair, two tape entries.
     """
-    n_in = x.shape[-1]
     try:
         qa = quantize(x.data, scheme)
     except ValueError:      # x holds NaN or inf
-        rows, x_min, x_max, s = _ranges(x.data, scheme, 1)
-        params = ActQuantParams(scheme, x_min, x_max, s)
-        values = _fake_values(rows, x_min, s, scheme)
+        return T.linear(fake_quantize(x, scheme), w, b)
 
-        def operand64():
-            return values.reshape(-1, n_in).astype(np.float64)
-    else:
-        params, flat = qa.params, qa.codes.reshape(-1)
+    def operand64():    # the codes have x's shape
+        return _decode(qa, np.empty(qa.shape)).reshape(-1, qa.shape[-1])
 
-        def operand64():
-            out = np.empty(flat.size)
-            f32 = np.empty(min(T.BLOCK_ELEMENTS, flat.size), np.float32)
-            for blk in T.block_slices(flat.size):
-                o = out[blk]
-                np.copyto(o, flat[blk])
-                np.copyto(o, _scale_back(o, params.x_min, params.scale, scheme,
-                                         f32[:o.size]))
-            return out.reshape(-1, n_in)
-    mask = ste_mask(x.data, params) if scheme == "symmetric8" else None
-    return T.linear_op(x, w, b, operand64, mask, name="fake_quant_linear")
+    mask = ste_mask(x.data, qa.params) if scheme == "symmetric8" else None
+    return T.linear(x, w, b, operand64=operand64, dx_mask=mask)
 
 
 def histogram_export(x, bins: int) -> dict:

@@ -18,14 +18,15 @@ and the task head stay in full precision.
 Weight matrices are stored transposed, (out_features, in_features), so
 row granularity means one scale per output feature, and the word
 embedding keeps one scale per vocabulary row.  Every dense layer (the six
-transformer linears and the task head) is one tape entry.  Under an 8-bit
-plan, W^O, W^1 and W^2, whose inputs feed nothing else, are each one
+transformer linears and the task head) is one :func:`tensor.linear` tape
+entry.  Under an 8-bit plan, W^O, W^1 and W^2, whose inputs feed nothing
+else, each take their fake-quant into that entry through
 :func:`actquant.fake_quant_linear`, which keeps the input's 8-bit codes on
-the tape; the rest are :func:`tensor.linear`.  The fake-quantized layer
-input ``h_q`` stays a separate op, since Q, K and V all read it: fusing
-each would sum its gradient in another order.  Each layer runs as an
-attention block and an FFN block, so the intermediates that no backward
-reads are freed as each block returns.
+the tape.  The fake-quantized layer input ``h_q`` stays a separate op,
+since Q, K and V all read it: fusing each would sum its gradient in
+another order.  Each layer runs as an attention block and an FFN block,
+so the intermediates that no backward reads are freed as each block
+returns.
 
 Size accounting (:func:`size_report`) mirrors the published model-size
 arithmetic: quantized transformer weights and word embedding count

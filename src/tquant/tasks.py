@@ -15,7 +15,7 @@ segments are non-empty integer lists of one length, and the label is an
 integer (booleans are not integers here).  Every integer fits int64, and
 every line of a file holds as many tokens as its first.  ``save_dataset``
 checks the rule before it writes and ``load_dataset`` on every line it
-reads.
+reads; a file that is not UTF-8 text raises ``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -132,16 +132,20 @@ def save_dataset(path: str, examples: list[Example]) -> None:
 
 def load_dataset(path: str) -> list[Example]:
     out, length = [], None
-    with open(path) as f:
-        for n, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError:
-                d = None
-            if problem := _breaks_rule(d, length):
-                raise ValueError(f"{path} line {n}: {problem}")
-            length = len(d["tokens"])
-            out.append(Example(d["tokens"], d["segments"], d["label"]))
+    with open(path, encoding="utf-8") as f:
+        try:
+            lines = list(f)
+        except UnicodeDecodeError:
+            raise ValueError(f"{path} is not UTF-8 text") from None
+    for n, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError:
+            d = None
+        if problem := _breaks_rule(d, length):
+            raise ValueError(f"{path} line {n}: {problem}")
+        length = len(d["tokens"])
+        out.append(Example(d["tokens"], d["segments"], d["label"]))
     return out

@@ -34,9 +34,9 @@ slowest range.  ``layer_norm`` and ``softmax_rows`` keep rows whole, so
 each reduction is still one numpy call over the row, and work in place on
 one float64 copy and at most one float64 product.  Each keeps the float64
 operations of its plain formula with the same operands, only ``*`` and
-``+`` commuted, so the bits are the formula's.  ``linear_op`` is
-``linear``'s arithmetic for an operand that another module derives from
-the input: ``actquant.fake_quant_linear`` feeds it 8-bit codes.
+``+`` commuted, so the bits are the formula's; ``log_softmax_rows`` does
+the same on one float64 copy and one exp buffer.  ``linear`` is the one dense-layer op: ``actquant.fake_quant_linear`` hands
+it a GEMM operand decoded from 8-bit codes.
 """
 
 from __future__ import annotations
@@ -336,35 +336,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, *,
+           operand64: Callable[[], np.ndarray] | None = None,
+           dx_mask: np.ndarray | None = None) -> Tensor:
     """Dense layer ``x @ w^T + b`` for ``w`` stored ``(out, in)``, as one
     tape entry.
 
     ``x`` is flattened to ``(rows, in)``, so the forward, ``dx`` and ``dw``
     are each one 2-D float64 GEMM, rounded once to the operand's dtype; the
     bias is added afterwards in x's dtype and ``db`` is one sum of the
-    output gradient over the leading axes.  The backward recasts ``x`` and
-    ``w`` to float64 rather than keeping the forward's copies alive.
-    """
-    xd = x.data
-
-    def operand64():
-        return xd.reshape(-1, xd.shape[-1]).astype(np.float64)
-
-    return linear_op(x, w, b, operand64)
-
-
-def linear_op(x: Tensor, w: Tensor, b: Tensor | None,
-              operand64: Callable[[], np.ndarray],
-              dx_mask: np.ndarray | None = None, name: str | None = None) -> Tensor:
-    """:func:`linear`'s arithmetic over an operand that is a function of
-    ``x`` with x's shape and dtype, as one tape entry whose input is ``x``.
-
-    ``operand64()`` returns the operand as float64 ``(rows, in)``: the
-    forward calls it, and the backward again for ``dw``, so neither keeps
-    it.  The backward multiplies ``dx`` by ``dx_mask`` where one is given:
-    ``dx`` is the gradient of an identity or masked-identity map from
-    ``x`` to the operand.
+    output gradient over the leading axes.  ``operand64()`` returns the
+    GEMM operand as float64 ``(rows, in)``, by default x recast, or a
+    function of x with x's shape; the forward calls it, and the backward
+    again for ``dw``, so neither keeps it.  ``dx`` is multiplied by
+    ``dx_mask`` where one is given: the gradient of an identity or
+    masked-identity map from x to the operand.
     """
     if w.ndim != 2 or x.ndim < 2:
         raise ShapeError(f"linear needs x with >= 2 dims and a 2-D weight, "
@@ -374,6 +360,11 @@ def linear_op(x: Tensor, w: Tensor, b: Tensor | None,
         raise ShapeError(f"input features differ: x {x.shape}, weight {w.shape}")
     if b is not None and b.shape != (n_out,):
         raise ShapeError(f"bias must have shape ({n_out},), got {b.shape}")
+    if operand64 is None:
+        xd = x.data
+
+        def operand64():
+            return xd.reshape(-1, n_in).astype(np.float64)
     wd, has_bias = w.data, b is not None
     x_shape, dtype = x.shape, x.data.dtype
     out64 = operand64() @ wd.astype(np.float64).T
@@ -391,7 +382,7 @@ def linear_op(x: Tensor, w: Tensor, b: Tensor | None,
             return dx, dw
         return dx, dw, g.sum(axis=tuple(range(g.ndim - 1)))
 
-    return _emit(out, (x, w) if b is None else (x, w, b), backward, name=name)
+    return _emit(out, (x, w) if b is None else (x, w, b), backward)
 
 
 def transpose_last2(a: Tensor) -> Tensor:
@@ -524,12 +515,15 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
+    """Log-softmax over the last axis, max-subtracted, in place on one
+    float64 copy and one exp buffer: the buffer holds ``exp(shifted)`` for
+    the row sums, then ``exp(out)``, the softmax the backward keeps."""
     x64 = x.data.astype(np.float64)
-    m = x64.max(axis=-1, keepdims=True)
-    shifted = x64 - m
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = (shifted - lse).astype(x.data.dtype)
-    sm = np.exp(shifted - lse).astype(x.data.dtype)
+    x64 -= x64.max(axis=-1, keepdims=True)
+    e = np.exp(x64)
+    x64 -= np.log(e.sum(axis=-1, keepdims=True))
+    out = x64.astype(x.data.dtype)
+    sm = np.exp(x64, out=e).astype(x.data.dtype)
 
     def backward(g):
         return (g - sm * g.sum(axis=-1, keepdims=True),)

@@ -294,12 +294,32 @@ class TestFakeQuantLinear:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("scheme", aq.SCHEMES)
     def test_nonfinite_input_keeps_the_unfused_values(self, scheme, bad):
-        # no codes exist; the fused op keeps the float32 values, so its NaNs
-        # carry the unfused pair's signs and payloads
+        # no codes exist, so the op runs as the unfused pair, two tape
+        # entries, and its NaNs carry the pair's signs and payloads
         x = np.random.default_rng(72).standard_normal((4, 6)).astype(np.float32)
         x[2, 3] = bad
         with np.errstate(invalid="ignore"):
             self.assert_fused_matches(scheme, x, 5, True)
+            with GradTape() as tape:
+                aq.fake_quant_linear(Tensor(x, requires_grad=True), scheme,
+                                     Tensor(np.ones((5, 6), np.float32)))
+        assert len(tape) == 2
+
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    def test_operand_is_dequantize_widened(self, scheme, monkeypatch):
+        # 64-element blocks end inside rows of x, the last one partial
+        monkeypatch.setattr(T, "BLOCK_ELEMENTS", 64)
+        real_linear, operands = T.linear, []
+
+        def spy(x, w, b=None, **hooks):
+            operands.append(hooks["operand64"]())
+            return real_linear(x, w, b, **hooks)
+
+        monkeypatch.setattr(T, "linear", spy)
+        for x in block_cases():
+            aq.fake_quant_linear(Tensor(x), scheme, Tensor(np.ones((2, x.shape[-1]))))
+            want = aq.dequantize(aq.quantize(x, scheme)).astype(np.float64)
+            assert_same_bits(operands.pop(), want.reshape(-1, x.shape[-1]))
 
 
 class TestOneRounding:
@@ -341,7 +361,8 @@ def block_cases():
 
 
 class TestBlockBoundaries:
-    """Fake-quant and codes at a 64-element block equal the frozen path."""
+    """Fake-quant, codes and their decoding at a 64-element block equal the
+    frozen path."""
 
     @pytest.mark.parametrize("groups", [1, 4])
     @pytest.mark.parametrize("scheme", aq.SCHEMES)
@@ -363,9 +384,25 @@ class TestBlockBoundaries:
             qa = aq.quantize(x, scheme, groups)
             ref = reference_actquant.quantize(x, scheme, groups)
             assert_same_bits(qa.codes, ref.codes)
+            assert_same_bits(aq.dequantize(qa), reference_actquant.dequantize(ref))
             for got, want in zip((qa.params.x_min, qa.params.x_max, qa.params.scale),
                                  (ref.params.x_min, ref.params.x_max, ref.params.scale)):
                 assert_same_bits(np.asarray(got, np.float64), np.asarray(want, np.float64))
+
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("scheme", aq.SCHEMES)
+    def test_dequantize_peak_is_output_and_one_block(self, scheme, groups):
+        x = np.random.default_rng(67).standard_normal((32, 32, 512), dtype=np.float32)
+        qa = aq.quantize(x, scheme, groups)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            y = aq.dequantize(qa)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= y.nbytes + 8 * T.BLOCK_ELEMENTS + 64 * 1024
 
     @pytest.mark.parametrize("groups", [1, 4])
     @pytest.mark.parametrize("scheme", aq.SCHEMES)

@@ -610,6 +610,15 @@ class TestInspectCommand:
         assert len(hists) == CFG.layers + 1
         assert all(sum(h["counts"]) == h["total"] for h in hists)
 
+    def test_probe_that_is_not_utf8_is_config_error_naming_it(self, tmp_path, capsys):
+        model = tmp_path / "m.tqm"
+        write_float_checkpoint(model)
+        out = tmp_path / "out"
+        assert run(["inspect", model, "--probe", model, "--out", out]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(model) in err[0]
+        assert not out.exists() or not any(out.iterdir())
+
     def test_probe_runs_the_activation_plan(self, tmp_path):
         cfg = ModelConfig(layers=2, hidden=16, heads=2, ffn=32, vocab=8,
                           max_positions=16, classes=4)
